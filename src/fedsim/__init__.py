@@ -28,14 +28,11 @@ from .data import (
     class_histogram,
     concat_sets,
     load_cifar,
-    load_csv,
     load_mnist,
     make_synthetic,
-    save_csv,
 )
 from .federation import (
     AggregationPolicy,
-    DeviceRoundStats,
     EntropyReport,
     FederationState,
     RoundConfig,
@@ -87,7 +84,6 @@ __all__ = [
     "BoundInputs",
     "BoundResult",
     "DatasetMeta",
-    "DeviceRoundStats",
     "DeviceState",
     "DivergenceRecord",
     "EntropyReport",
@@ -125,7 +121,6 @@ __all__ = [
     "init_model",
     "load_cifar",
     "load_config",
-    "load_csv",
     "load_mnist",
     "local_train",
     "make_synthetic",
@@ -137,7 +132,6 @@ __all__ = [
     "run_experiment",
     "run_round",
     "run_sweep",
-    "save_csv",
     "select_devices",
     "split_global_queue",
     "split_layers",

@@ -263,36 +263,3 @@ def make_synthetic(
     test = LabeledSet(np.concatenate(test_x), np.concatenate(test_y), num_classes)
     meta = DatasetMeta("synthetic", num_classes, input_dim, len(train), len(test))
     return train, test, meta
-
-
-# ---------------------------------------------------------------------------
-# Plain-text serialization (rows of label,f1,...,fd)
-
-
-def save_csv(dataset: LabeledSet, path) -> Path:
-    path = Path(path)
-    with path.open("w", encoding="ascii") as fh:
-        for label, row in zip(dataset.labels, dataset.features):
-            fh.write(str(int(label)))
-            for value in row:
-                fh.write("," + repr(float(value)))
-            fh.write("\n")
-    return path
-
-
-def load_csv(path, num_classes: int | None = None) -> LabeledSet:
-    path = Path(path)
-    labels, rows = [], []
-    with path.open("r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            labels.append(int(parts[0]))
-            rows.append([float(v) for v in parts[1:]])
-    if not rows:
-        raise TruncatedFile(f"{path}: no data rows")
-    if num_classes is None:
-        num_classes = max(labels) + 1
-    return LabeledSet(np.array(rows), np.array(labels), num_classes)

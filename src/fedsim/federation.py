@@ -145,21 +145,13 @@ def aggregate_ddfl(
     return merged, selected, fallback
 
 
-@dataclass(frozen=True)
-class DeviceRoundStats:
-    device_id: int
-    entropy: float
-    local_accuracy: float
-
-
 @dataclass
 class RoundReport:
-    """Everything observable about one completed round."""
+    """What one round observed; the merged model and the trained devices
+    (in id order) are in the state that run_round returns with it."""
 
     round_index: int
     selected_ids: list[int]
-    global_model: ParamVector
-    per_device: list[DeviceRoundStats]
     agg_time: float
     test_accuracy: float
     test_loss: float
@@ -196,23 +188,20 @@ def run_round(state: FederationState, cfg: RoundConfig) -> tuple[FederationState
 
     activation = cfg.model_spec.activation
 
-    def train_one(device: DeviceState) -> tuple[ParamVector, float]:
+    def train_one(device: DeviceState) -> ParamVector:
         train_cfg = TrainConfig(
             learning_rate=cfg.learning_rate,
             local_epochs=cfg.local_epochs,
             batch_size=cfg.batch_size,
             seed=derive_seed(cfg.seed, "train", state.round_index, device.device_id),
         )
-        local = local_train(state.global_model, device.data, train_cfg, activation)
-        local_acc = evaluate(local, device.data, activation).accuracy
-        return local, local_acc
+        return local_train(state.global_model, device.data, train_cfg, activation)
 
     if cfg.workers > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            trained = list(pool.map(train_one, devices))
+            local_models = list(pool.map(train_one, devices))
     else:
-        trained = [train_one(d) for d in devices]
-    local_models = [model for model, _ in trained]
+        local_models = [train_one(d) for d in devices]
 
     reports = [
         EntropyReport(d.device_id, d.entropy, len(d.data)) for d in devices
@@ -244,11 +233,6 @@ def run_round(state: FederationState, cfg: RoundConfig) -> tuple[FederationState
     report = RoundReport(
         round_index=state.round_index,
         selected_ids=selected,
-        global_model=merged,
-        per_device=[
-            DeviceRoundStats(d.device_id, d.entropy, acc)
-            for d, (_, acc) in zip(devices, trained)
-        ],
         agg_time=agg_time,
         test_accuracy=test_stats.accuracy,
         test_loss=test_stats.mean_loss,

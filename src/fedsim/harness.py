@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -123,8 +124,29 @@ def load_config(path) -> ExperimentConfig:
     return cfg
 
 
+_INT_KEYS = ("devices", "rounds", "local_epochs", "batch_size", "seed", "workers")
+_FLOAT_KEYS = ("learning_rate", "queue_fraction", "selection_fraction")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     """Normalize aliases and check every field; raises ConfigInvalid."""
+    for key in _INT_KEYS:
+        if not _is_int(getattr(cfg, key)):
+            raise ConfigInvalid(f"{key} must be an integer")
+    for key in _FLOAT_KEYS:
+        value = getattr(cfg, key)
+        if not (_is_int(value) or isinstance(value, float)) or not math.isfinite(value):
+            raise ConfigInvalid(f"{key} must be a finite number")
+    if cfg.segment_size is not None and not _is_int(cfg.segment_size):
+        raise ConfigInvalid("segment_size must be an integer or null")
+    if not isinstance(cfg.hidden_dims, (list, tuple)) or not all(
+        _is_int(h) for h in cfg.hidden_dims
+    ):
+        raise ConfigInvalid("hidden_dims must be a list of integers")
     aggregator = _AGGREGATOR_ALIASES.get(cfg.aggregator, cfg.aggregator)
     if aggregator not in AGGREGATORS:
         raise ConfigInvalid(f"aggregator must be one of {AGGREGATORS} (or ddfl/fedavg)")
@@ -151,7 +173,7 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigInvalid("seed must be nonnegative")
     if cfg.workers < 1:
         raise ConfigInvalid("workers must be at least 1")
-    cfg.hidden_dims = tuple(int(h) for h in cfg.hidden_dims)
+    cfg.hidden_dims = tuple(cfg.hidden_dims)
     if any(h < 1 for h in cfg.hidden_dims):
         raise ConfigInvalid("hidden_dims must be positive")
     if cfg.dataset != "synthetic" and cfg.data_dir is None:
@@ -231,7 +253,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     plan = PartitionPlan(
         mode=cfg.partition_mode,
         num_devices=cfg.devices,
-        queue_fraction=cfg.queue_fraction,
         seed=derive_seed(cfg.seed, "partition"),
     )
     devices = partition(residual, plan)
@@ -282,10 +303,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             state, report = run_round(state, round_cfg)
             fallback_rounds += int(report.zero_entropy_fallback)
 
-            entropies = np.array([s.entropy for s in report.per_device])
+            # run_round returns the devices in id order
+            entropies = np.array([d.entropy for d in state.devices])
             divergences = [
                 weight_divergence(
-                    report.global_model,
+                    state.global_model,
                     d.model,
                     round_index=report.round_index,
                     device_id=d.device_id,
@@ -293,7 +315,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 for d in state.devices
             ]
             bias_norms = [
-                float(np.linalg.norm(bias_term(d.model, report.global_model).values))
+                float(np.linalg.norm(bias_term(d.model, state.global_model).values))
                 for d in state.devices
             ]
             row = MetricsRow(
@@ -315,10 +337,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 files["timings"].write(
                     f"{row.round_index},{_format_float(row.agg_time_ms)}\n"
                 )
-                for stats in report.per_device:
+                for d in state.devices:
                     files["entropy"].write(
-                        f"{row.round_index},{stats.device_id},"
-                        f"{_format_float(stats.entropy)}\n"
+                        f"{row.round_index},{d.device_id},{_format_float(d.entropy)}\n"
                     )
                 layer_means = np.mean([d.per_layer for d in divergences], axis=0)
                 for layer, value in enumerate(layer_means):

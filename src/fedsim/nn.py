@@ -109,9 +109,9 @@ def _check_inputs(model: ParamVector, data: LabeledSet) -> None:
         )
 
 
-def _forward(values: np.ndarray, layout: Layout, activation: str, X: np.ndarray):
-    """Forward pass; returns (post-activation list incl. input, logits)."""
-    layers = split_layers(ParamVector(values, layout))
+def _forward(layers: list[tuple[np.ndarray, np.ndarray]], activation: str, X: np.ndarray):
+    """Forward pass over (weights, bias) pairs; returns (post-activation list
+    incl. input, logits)."""
     acts = [X]
     for weights, bias in layers[:-1]:
         z = acts[-1] @ weights + bias
@@ -140,25 +140,23 @@ def _mean_loss(logits: np.ndarray, labels: np.ndarray) -> float:
 def predict_proba(model: ParamVector, X: np.ndarray, activation: str = "relu") -> np.ndarray:
     """Per-sample class probabilities (rows sum to 1)."""
     X = np.asarray(X, dtype=np.float64)
-    _, logits = _forward(model.values, model.layout, activation, X)
+    _, logits = _forward(split_layers(model.values, model.layout), activation, X)
     return _softmax(logits)
 
 
 def _gradient_values(
-    values: np.ndarray,
-    layout: Layout,
+    layers: list[tuple[np.ndarray, np.ndarray]],
     activation: str,
     X: np.ndarray,
     y: np.ndarray,
 ) -> np.ndarray:
     """Flat gradient of the mean cross-entropy over the batch."""
-    acts, logits = _forward(values, layout, activation, X)
+    acts, logits = _forward(layers, activation, X)
     n = X.shape[0]
     delta = _softmax(logits)
     delta[np.arange(n), y] -= 1.0
     delta /= n
 
-    layers = split_layers(ParamVector(values, layout))
     grads: list[tuple[np.ndarray, np.ndarray]] = [(np.empty(0),) * 2] * len(layers)
     grads[-1] = (acts[-1].T @ delta, delta.sum(axis=0))
     upstream = delta @ layers[-1][0].T
@@ -179,9 +177,8 @@ def _gradient_values(
 def gradient(model: ParamVector, batch: LabeledSet, activation: str = "relu") -> ParamVector:
     """Exact analytic gradient of the mean cross-entropy over `batch`."""
     _check_inputs(model, batch)
-    flat = _gradient_values(
-        model.values, model.layout, activation, batch.features, batch.labels
-    )
+    layers = split_layers(model.values, model.layout)
+    flat = _gradient_values(layers, activation, batch.features, batch.labels)
     return ParamVector(flat, model.layout)
 
 
@@ -195,18 +192,20 @@ def local_train(
 
     Each epoch visits the whole dataset once in a freshly shuffled order
     (seed `cfg.seed + epoch`), including a final partial batch when the size
-    does not divide evenly.
+    does not divide evenly. Raises ValueError if any parameter ends
+    non-finite: a NaN or inf never turns finite under later SGD steps, so the
+    check on the returned vector catches every blow-up.
     """
     _check_inputs(model, data)
     values = model.values.copy()
+    layers = split_layers(values, model.layout)  # views: the update below moves them
     n = len(data)
     for epoch in range(cfg.local_epochs):
         order = np.random.default_rng(cfg.seed + epoch).permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            grad = _gradient_values(
-                values, model.layout, activation, data.features[idx], data.labels[idx]
-            )
+            X, y = data.features[idx], data.labels[idx]
+            grad = _gradient_values(layers, activation, X, y)
             values -= cfg.learning_rate * grad
     return ParamVector(values, model.layout)
 
@@ -217,10 +216,11 @@ def evaluate(model: ParamVector, data: LabeledSet, activation: str = "relu") -> 
     n = len(data)
     correct = 0
     loss_sum = 0.0
+    layers = split_layers(model.values, model.layout)
     for start in range(0, n, _EVAL_CHUNK):
         X = data.features[start : start + _EVAL_CHUNK]
         y = data.labels[start : start + _EVAL_CHUNK]
-        _, logits = _forward(model.values, model.layout, activation, X)
+        _, logits = _forward(layers, activation, X)
         correct += int(np.sum(np.argmax(logits, axis=1) == y))
         loss_sum += _mean_loss(logits, y) * len(y)
     return EvalMetrics(accuracy=correct / n, mean_loss=loss_sum / n)

@@ -53,14 +53,18 @@ class ParamVector:
         return int(self.values.shape[0])
 
 
-def split_layers(vector: ParamVector) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Views of the vector as (weights, bias) arrays, one pair per layer."""
+def split_layers(values: np.ndarray, layout: Layout) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Views of a flat vector as (weights, bias) arrays, one pair per layer.
+
+    An in-place update of `values` shows in every view, so SGD can update
+    the vector without splitting it again.
+    """
     out = []
     offset = 0
-    for rows, cols, bias_len in vector.layout:
-        weights = vector.values[offset : offset + rows * cols].reshape(rows, cols)
+    for rows, cols, bias_len in layout:
+        weights = values[offset : offset + rows * cols].reshape(rows, cols)
         offset += rows * cols
-        bias = vector.values[offset : offset + bias_len]
+        bias = values[offset : offset + bias_len]
         offset += bias_len
         out.append((weights, bias))
     return out

@@ -36,7 +36,6 @@ PARTITION_MODES = ("iid", "one_class")
 class PartitionPlan:
     mode: str
     num_devices: int
-    queue_fraction: float
     seed: int
 
     def __post_init__(self):
@@ -44,8 +43,6 @@ class PartitionPlan:
             raise InvalidParam(f"mode must be one of {PARTITION_MODES}")
         if self.num_devices < 1:
             raise InvalidParam("num_devices must be at least 1")
-        if not 0.0 <= self.queue_fraction < 1.0:
-            raise InvalidGamma("queue_fraction must lie in [0, 1)")
 
 
 @dataclass

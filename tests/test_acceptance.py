@@ -7,6 +7,7 @@ opt-in slow test: set FEDSIM_MNIST_DIR and select it with `-m slow`.
 """
 
 import dataclasses
+import hashlib
 import math
 import os
 import time
@@ -353,3 +354,7 @@ def test_criterion_11_determinism_across_workers(tmp_path):
         for agg in ("fedavg_count", "ddfl_entropy")
     )
     _report("criterion-11 determinism", ok, "metrics.csv byte-identical for 1 vs 2 workers")
+    # sha256 prefixes of the trend config's metrics.csv at seed 1 (see ROADMAP.md)
+    golden = {"fedavg_count": "0a99cebac506e358", "ddfl_entropy": "eb2a8629213f7c81"}
+    digests = {agg: hashlib.sha256(outputs[(1, agg)]).hexdigest()[:16] for agg in golden}
+    _report("criterion-11 golden bytes", digests == golden, f"metrics.csv sha256 {digests}")

@@ -196,7 +196,7 @@ class TestHeterogeneityGap:
         pooled = optimum_loss(train, 0)
         gaps = {}
         for mode in ("iid", "one_class"):
-            shards = partition(train, PartitionPlan(mode, 4, 0.0, seed=3))
+            shards = partition(train, PartitionPlan(mode, 4, seed=3))
             losses = [optimum_loss(d.data, 1 + d.device_id) for d in shards]
             weights = np.array([len(d.data) for d in shards], dtype=float)
             weights /= weights.sum()

@@ -25,6 +25,22 @@ def write_config(tmp_path, **overrides):
     return path
 
 
+# (key, value) pairs that must fail at load time with a config error naming the key
+INVALID_VALUES = [
+    ("rounds", 0),
+    ("hidden_dims", "32"),
+    ("hidden_dims", [32.0]),
+    ("seed", 1.5),
+    ("selection_fraction", True),
+    ("devices", True),
+    ("devices", "10"),
+    ("rounds", 2.0),
+    ("learning_rate", "0.1"),
+    ("learning_rate", float("nan")),
+    ("segment_size", 1.5),
+]
+
+
 class TestRunCommand:
     def test_success(self, tmp_path, capsys):
         config = write_config(tmp_path)
@@ -51,9 +67,12 @@ class TestRunCommand:
         path.write_text("{broken")
         assert main(["run", "--config", str(path)]) == EXIT_CONFIG
 
-    def test_invalid_config_value(self, tmp_path):
-        config = write_config(tmp_path, rounds=0)
-        assert main(["run", "--config", str(config)]) == EXIT_CONFIG
+    def test_invalid_config_value(self, tmp_path, capsys):
+        for key, value in INVALID_VALUES:
+            config = write_config(tmp_path, **{key: value})
+            code = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+            assert code == EXIT_CONFIG, (key, value)
+            assert key in capsys.readouterr().err, (key, value)
 
     def test_missing_dataset_dir(self, tmp_path):
         config = write_config(

@@ -10,10 +10,8 @@ from fedsim.data import (
     class_histogram,
     concat_sets,
     load_cifar,
-    load_csv,
     load_mnist,
     make_synthetic,
-    save_csv,
 )
 from fedsim.errors import (
     BadMagic,
@@ -253,17 +251,3 @@ class TestSynthetic:
         with pytest.raises(InvalidParam):
             make_synthetic(3, 10, 4, -0.5, seed=0)
 
-
-class TestCsvRoundTrip:
-    def test_save_and_load(self, tmp_path):
-        train, _, _ = make_synthetic(3, 10, 4, 0.2, seed=1)
-        path = save_csv(train, tmp_path / "blobs.csv")
-        loaded = load_csv(path, num_classes=3)
-        np.testing.assert_array_equal(loaded.labels, train.labels)
-        np.testing.assert_array_equal(loaded.features, train.features)
-
-    def test_empty_file(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("")
-        with pytest.raises(TruncatedFile):
-            load_csv(path)

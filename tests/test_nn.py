@@ -180,6 +180,17 @@ class TestLocalTrain:
         b = local_train(model, train, cfg)
         np.testing.assert_array_equal(a.values, b.values)
 
+    # 24 samples: batches of 5 give several minibatches, 24 a single one, so
+    # the blow-up lands either before later updates or in the last update
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("batch_size", [5, 24])
+    def test_non_finite_update_raises(self, batch_size):
+        train, _, _ = make_synthetic(3, 10, 4, 0.2, seed=0)
+        model = init_model(ModelSpec(4, (6,), 3), 2)
+        cfg = TrainConfig(float("inf"), 1, batch_size, seed=9)
+        with pytest.raises(ValueError, match="finite"):
+            local_train(model, train, cfg)
+
     def test_invalid_train_config(self):
         with pytest.raises(ValueError):
             TrainConfig(-0.1, 1, 1, seed=0)

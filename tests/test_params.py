@@ -39,13 +39,16 @@ def test_rejects_non_vector_values():
 
 def test_split_layers_shapes_and_content():
     layout = ((3, 2, 2), (2, 4, 4))
-    vec = ParamVector(np.arange(param_count(layout), dtype=float), layout)
-    layers = split_layers(vec)
+    values = np.arange(param_count(layout), dtype=float)
+    layers = split_layers(values, layout)
     assert [w.shape for w, _ in layers] == [(3, 2), (2, 4)]
     assert [b.shape for _, b in layers] == [(2,), (4,)]
     # first layer weights are the first rows*cols entries in row-major order
     np.testing.assert_array_equal(layers[0][0].ravel(), np.arange(6.0))
     np.testing.assert_array_equal(layers[0][1], [6.0, 7.0])
+    # views, not copies: an in-place update of the vector moves every layer
+    values += 1.0
+    np.testing.assert_array_equal(layers[1][1], np.arange(16.0, 20.0) + 1.0)
 
 
 def test_layer_slices_cover_vector_exactly():

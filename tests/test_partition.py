@@ -76,7 +76,7 @@ class TestSplitGlobalQueue:
 class TestPartition:
     def test_iid_balanced_data_gives_unit_entropy(self):
         train = balanced_set(per_class=100)
-        plan = PartitionPlan("iid", 10, 0.0, seed=5)
+        plan = PartitionPlan("iid", 10, seed=5)
         devices = partition(train, plan)
         assert [d.entropy for d in devices] == [1.0] * 10
         assert all(len(d.data) == 100 for d in devices)
@@ -85,14 +85,14 @@ class TestPartition:
         rng = np.random.default_rng(0)
         labels = rng.integers(0, 7, size=503)
         train = LabeledSet(rng.uniform(size=(503, 3)), labels, 7)
-        devices = partition(train, PartitionPlan("iid", 10, 0.0, seed=1))
+        devices = partition(train, PartitionPlan("iid", 10, seed=1))
         sizes = [len(d.data) for d in devices]
         assert max(sizes) - min(sizes) <= 1
         assert sum(sizes) == 503
 
     def test_iid_shards_disjoint_and_cover(self):
         train = balanced_set(per_class=30)
-        devices = partition(train, PartitionPlan("iid", 4, 0.0, seed=2))
+        devices = partition(train, PartitionPlan("iid", 4, seed=2))
         total = np.zeros(10, dtype=np.int64)
         for d in devices:
             total += d.histogram
@@ -100,7 +100,7 @@ class TestPartition:
 
     def test_one_class_matching_device_count(self):
         train = balanced_set(per_class=40)
-        devices = partition(train, PartitionPlan("one_class", 10, 0.0, seed=3))
+        devices = partition(train, PartitionPlan("one_class", 10, seed=3))
         for k, d in enumerate(devices):
             assert set(np.unique(d.data.labels)) == {k}
             assert d.entropy == 0.0
@@ -108,7 +108,7 @@ class TestPartition:
 
     def test_one_class_two_devices_per_class(self):
         train = balanced_set(per_class=41)
-        devices = partition(train, PartitionPlan("one_class", 20, 0.0, seed=3))
+        devices = partition(train, PartitionPlan("one_class", 20, seed=3))
         for j in range(10):
             a, b = devices[2 * j], devices[2 * j + 1]
             assert set(np.unique(a.data.labels)) == {j}
@@ -120,17 +120,17 @@ class TestPartition:
     def test_one_class_needs_enough_devices(self):
         train = balanced_set(num_classes=10, per_class=10)
         with pytest.raises(InfeasibleOneClass):
-            partition(train, PartitionPlan("one_class", 5, 0.0, seed=0))
+            partition(train, PartitionPlan("one_class", 5, seed=0))
 
     def test_too_few_samples(self):
         train = balanced_set(num_classes=2, per_class=1, dim=3)
         with pytest.raises(TooFewSamples):
-            partition(train, PartitionPlan("iid", 10, 0.0, seed=0))
+            partition(train, PartitionPlan("iid", 10, seed=0))
 
     def test_histogram_matches_data(self):
         train = balanced_set(per_class=20)
         for mode in ("iid", "one_class"):
-            for d in partition(train, PartitionPlan(mode, 10, 0.0, seed=7)):
+            for d in partition(train, PartitionPlan(mode, 10, seed=7)):
                 np.testing.assert_array_equal(
                     d.histogram, class_histogram(d.data, 10)
                 )
@@ -204,7 +204,7 @@ class TestAccumulate:
     def test_entropy_after_single_cross_class_sample(self):
         device = partition(
             LabeledSet(np.zeros((30, 2)), np.zeros(30, dtype=int), 10),
-            PartitionPlan("iid", 1, 0.0, seed=0),
+            PartitionPlan("iid", 1, seed=0),
         )[0]
         assert device.entropy == 0.0
         segment = LabeledSet(np.zeros((1, 2)), np.ones(1, dtype=int), 10)
@@ -217,13 +217,13 @@ class TestAccumulate:
 
     def test_empty_segment_is_identity(self):
         train = balanced_set(per_class=5)
-        device = partition(train, PartitionPlan("iid", 2, 0.0, seed=1))[0]
+        device = partition(train, PartitionPlan("iid", 2, seed=1))[0]
         empty = LabeledSet(np.empty((0, 4)), np.empty(0, dtype=int), 10)
         assert accumulate(device, empty) is device
 
     def test_dimension_mismatch(self):
         train = balanced_set(per_class=5)
-        device = partition(train, PartitionPlan("iid", 2, 0.0, seed=1))[0]
+        device = partition(train, PartitionPlan("iid", 2, seed=1))[0]
         bad = LabeledSet(np.zeros((1, 7)), np.zeros(1, dtype=int), 10)
         with pytest.raises(DimensionMismatch):
             accumulate(device, bad)
@@ -231,7 +231,7 @@ class TestAccumulate:
     def test_data_size_nondecreasing_and_consistent(self):
         train = balanced_set(per_class=12)
         queue, residual = split_global_queue(train, 0.25, seed=2)
-        devices = partition(residual, PartitionPlan("one_class", 10, 0.25, seed=2))
+        devices = partition(residual, PartitionPlan("one_class", 10, seed=2))
         sizes = [len(d.data) for d in devices]
         for _ in range(3):
             segments, _ = dispense(queue, 10, 1)
@@ -250,7 +250,7 @@ class TestConservation:
         # multiset stays a subset of the pool
         train = balanced_set(per_class=30)
         queue, residual = split_global_queue(train, 0.2, seed=6)
-        devices = partition(residual, PartitionPlan("one_class", 10, 0.2, seed=6))
+        devices = partition(residual, PartitionPlan("one_class", 10, seed=6))
         train_hist = class_histogram(train, 10)
         for _ in range(5):
             segments, _ = dispense(queue, 10, 1)
@@ -264,7 +264,7 @@ class TestConservation:
         for seed in (0, 1, 2):
             train = balanced_set(per_class=30)
             queue, residual = split_global_queue(train, 0.2, seed=seed)
-            devices = partition(residual, PartitionPlan("one_class", 10, 0.2, seed=seed))
+            devices = partition(residual, PartitionPlan("one_class", 10, seed=seed))
             last = float(np.mean([d.entropy for d in devices]))
             for _ in range(10):
                 segments, _ = dispense(queue, 10, 2)
@@ -277,8 +277,4 @@ class TestConservation:
 class TestPlanValidation:
     def test_bad_mode(self):
         with pytest.raises(Exception):
-            PartitionPlan("dirichlet", 4, 0.1, seed=0)
-
-    def test_bad_fraction(self):
-        with pytest.raises(InvalidGamma):
-            PartitionPlan("iid", 4, 1.0, seed=0)
+            PartitionPlan("dirichlet", 4, seed=0)
