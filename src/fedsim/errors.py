@@ -83,3 +83,15 @@ class ConfigInvalid(Error):
 
 class DatasetMissing(Error):
     pass
+
+
+class NumericalDivergence(Error):
+    """A model or a metric computed from it stopped being finite.
+
+    `shard` is the position of the offending shard when `local_train`
+    raises it, so the round loop can name the device.
+    """
+
+    def __init__(self, message: str, shard: int | None = None):
+        super().__init__(message)
+        self.shard = shard

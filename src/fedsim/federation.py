@@ -13,8 +13,12 @@ provided:
   of a one-class partition) the round falls back to a uniform mean and is
   flagged.
 
-Device training is a pure function of (model, device data, derived seed), so
-the fan-out may run on any number of workers without changing results.
+Devices train in blocks: sorted largest shard first and cut into blocks
+whose stacked parameters and batch activations fit a fixed float budget,
+each block one `local_train` call, and `workers` threads share the blocks.
+Each device's result is a pure function of (model, device data, derived
+seed), the same bits whatever block it shares or worker runs it, so
+neither the block size nor the worker count changes results.
 """
 
 from __future__ import annotations
@@ -23,17 +27,23 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from .data import LabeledSet
-from .errors import EmptyHistogram, NoReports, ZeroTotalWeight
+from .errors import EmptyHistogram, NoReports, NumericalDivergence, ZeroTotalWeight
 from .nn import ModelSpec, TrainConfig, evaluate, local_train
-from .params import ParamVector, check_same_layout
+from .params import ParamVector, check_same_layout, param_count
 from .partition import DeviceState, GlobalQueue, accumulate, dispense
 from .seeds import derive_seed
 
 AGGREGATORS = ("fedavg_count", "ddfl_entropy")
+
+# float64s a training block may hold in stacked parameters plus one batch of
+# its widest layer's activations, per device; a block of small models stays
+# in cache, and a model larger than this trains alone.
+_BLOCK_FLOATS = 2**15
 
 
 def normalized_entropy(counts) -> float:
@@ -180,28 +190,53 @@ class RoundConfig:
     workers: int = 1
 
 
+def _block_width(spec: ModelSpec, batch_size: int) -> int:
+    """Devices per training block: as many as fit `_BLOCK_FLOATS`, at least one."""
+    widest = max(spec.input_dim, *spec.hidden_dims, spec.num_classes)
+    per_device = param_count(spec.layout()) + batch_size * widest
+    return max(1, _BLOCK_FLOATS // per_device)
+
+
+def _train_block(
+    state: FederationState, cfg: RoundConfig, block: list[DeviceState]
+) -> list[ParamVector]:
+    train_cfg = TrainConfig(
+        learning_rate=cfg.learning_rate,
+        local_epochs=cfg.local_epochs,
+        batch_size=cfg.batch_size,
+        seeds=[derive_seed(cfg.seed, "train", state.round_index, d.device_id) for d in block],
+    )
+    try:
+        return local_train(
+            state.global_model, [d.data for d in block], train_cfg, cfg.model_spec.activation
+        )
+    except NumericalDivergence as exc:
+        device_id = block[exc.shard].device_id
+        raise NumericalDivergence(
+            f"round {state.round_index}: device {device_id} trained to non-finite parameters"
+        ) from exc
+
+
 def run_round(state: FederationState, cfg: RoundConfig) -> tuple[FederationState, RoundReport]:
     """Execute one communication round; the queue is advanced in place."""
     devices = sorted(state.devices, key=lambda d: d.device_id)
     segments, seg_indices = dispense(state.queue, len(devices), cfg.segment_size)
     devices = [accumulate(d, seg) for d, seg in zip(devices, segments)]
 
-    activation = cfg.model_spec.activation
-
-    def train_one(device: DeviceState) -> ParamVector:
-        train_cfg = TrainConfig(
-            learning_rate=cfg.learning_rate,
-            local_epochs=cfg.local_epochs,
-            batch_size=cfg.batch_size,
-            seed=derive_seed(cfg.seed, "train", state.round_index, device.device_id),
-        )
-        return local_train(state.global_model, device.data, train_cfg, activation)
-
+    by_size = sorted(devices, key=lambda d: -len(d.data))
+    width = _block_width(cfg.model_spec, cfg.batch_size)
+    blocks = [by_size[i : i + width] for i in range(0, len(by_size), width)]
+    train = partial(_train_block, state, cfg)
     if cfg.workers > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            local_models = list(pool.map(train_one, devices))
+            trained = list(pool.map(train, blocks))
     else:
-        local_models = [train_one(d) for d in devices]
+        trained = list(map(train, blocks))
+    by_id = {
+        d.device_id: model for block, models in zip(blocks, trained)
+        for d, model in zip(block, models)
+    }
+    local_models = [by_id[d.device_id] for d in devices]
 
     reports = [
         EntropyReport(d.device_id, d.entropy, len(d.data)) for d in devices
@@ -219,7 +254,7 @@ def run_round(state: FederationState, cfg: RoundConfig) -> tuple[FederationState
         fallback = False
     agg_time = time.perf_counter() - started
 
-    test_stats = evaluate(merged, cfg.test_set, activation)
+    test_stats = evaluate(merged, cfg.test_set, cfg.model_spec.activation)
 
     new_devices = [
         replace(device, model=model) for device, model in zip(devices, local_models)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .analysis import bias_term, weight_divergence
 from .data import DatasetMeta, LabeledSet, load_cifar, load_mnist, make_synthetic
-from .errors import ConfigInvalid, EmptyInput
+from .errors import ConfigInvalid, EmptyInput, NumericalDivergence
 from .federation import (
     AGGREGATORS,
     AggregationPolicy,
@@ -314,6 +314,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 )
                 for d in state.devices
             ]
+            totals = np.array([d.total for d in divergences])
+            if not np.all(np.isfinite(totals)):
+                device_id = state.devices[int(np.argmin(np.isfinite(totals)))].device_id
+                raise NumericalDivergence(
+                    f"round {report.round_index}: device {device_id} weight divergence "
+                    "is not finite"
+                )
             bias_norms = [
                 float(np.linalg.norm(bias_term(d.model, state.global_model).values))
                 for d in state.devices
@@ -325,7 +332,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 mean_entropy=float(entropies.mean()),
                 min_entropy=float(entropies.min()),
                 max_entropy=float(entropies.max()),
-                mean_weight_divergence=float(np.mean([d.total for d in divergences])),
+                mean_weight_divergence=float(np.mean(totals)),
                 mean_bias_norm=float(np.mean(bias_norms)),
                 agg_time_ms=report.agg_time * 1000.0,
                 selected_ids=list(report.selected_ids),

@@ -5,6 +5,13 @@ fully connected layers, relu or tanh hidden activations, softmax
 cross-entropy loss, exact analytic gradients, float64 arithmetic throughout.
 All functions are pure and deterministic given their explicit seeds, so they
 can run concurrently from any number of workers.
+
+`local_train` trains a list of shards together: their parameters are
+stacked into one (K, P) array, and the forward and backward passes run
+over that leading device axis, one stacked matmul per layer per minibatch
+step. A stacked matmul makes the same BLAS call for each device as a
+single-device one, so each shard's result is bit for bit what training it
+alone gives, whichever shards share the call.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledSet
-from .errors import DimensionMismatch, EmptyDataset
+from .errors import DimensionMismatch, EmptyDataset, NumericalDivergence
 from .params import Layout, ParamVector, split_layers
 
 ACTIVATIONS = ("relu", "tanh")
@@ -50,27 +57,28 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Local-training hyper-parameters.
+    """Local-training hyper-parameters, with one shuffle seed per shard.
 
-    The shuffle order of epoch `i` is drawn from seed `seed + i`, so one call
-    with `local_epochs=e` matches `e` single-epoch calls whose seeds advance
-    by one each time.
+    Shard `k` draws the shuffle order of epoch `i` from seed `seeds[k] + i`,
+    so one call with `local_epochs=e` matches `e` single-epoch calls whose
+    seeds advance by one each time.
     """
 
     learning_rate: float
     local_epochs: int
     batch_size: int
-    seed: int
+    seeds: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "seeds", tuple(self.seeds))
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be nonnegative")
         if self.local_epochs < 1:
             raise ValueError("local_epochs must be at least 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        if any(seed < 0 for seed in self.seeds):
+            raise ValueError("seeds must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -111,23 +119,27 @@ def _check_inputs(model: ParamVector, data: LabeledSet) -> None:
 
 def _forward(layers: list[tuple[np.ndarray, np.ndarray]], activation: str, X: np.ndarray):
     """Forward pass over (weights, bias) pairs; returns (post-activation list
-    incl. input, logits)."""
+    incl. input, logits).
+
+    `X` is (n, in) with (in, out) weights, or a (K, n, in) stack with
+    (K, in, out) weights and (K, out) biases, one model per device.
+    """
     acts = [X]
     for weights, bias in layers[:-1]:
-        z = acts[-1] @ weights + bias
+        z = acts[-1] @ weights + bias[..., None, :]
         if activation == "relu":
             acts.append(np.maximum(z, 0.0))
         else:
             acts.append(np.tanh(z))
     w_out, b_out = layers[-1]
-    logits = acts[-1] @ w_out + b_out
+    logits = acts[-1] @ w_out + b_out[..., None, :]
     return acts, logits
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
+    return exp / exp.sum(axis=-1, keepdims=True)
 
 
 def _mean_loss(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -150,28 +162,35 @@ def _gradient_values(
     X: np.ndarray,
     y: np.ndarray,
 ) -> np.ndarray:
-    """Flat gradient of the mean cross-entropy over the batch."""
+    """Flat gradient of the mean cross-entropy over the batch.
+
+    With a leading device axis (see `_forward`; `y` is then (K, n)) the
+    result is one flat gradient per device, shape (K, P).
+    """
     acts, logits = _forward(layers, activation, X)
-    n = X.shape[0]
+    n = X.shape[-2]
     delta = _softmax(logits)
-    delta[np.arange(n), y] -= 1.0
+    rows = delta.reshape(-1, delta.shape[-1])  # a view: softmax output is contiguous
+    rows[np.arange(len(rows)), y.ravel()] -= 1.0
     delta /= n
 
     grads: list[tuple[np.ndarray, np.ndarray]] = [(np.empty(0),) * 2] * len(layers)
-    grads[-1] = (acts[-1].T @ delta, delta.sum(axis=0))
-    upstream = delta @ layers[-1][0].T
+    grads[-1] = (acts[-1].swapaxes(-1, -2) @ delta, delta.sum(axis=-2))
+    upstream = delta @ layers[-1][0].swapaxes(-1, -2)
     for i in range(len(layers) - 2, -1, -1):
         h = acts[i + 1]
         if activation == "relu":
             dz = upstream * (h > 0.0)
         else:
             dz = upstream * (1.0 - h * h)
-        grads[i] = (acts[i].T @ dz, dz.sum(axis=0))
+        grads[i] = (acts[i].swapaxes(-1, -2) @ dz, dz.sum(axis=-2))
         if i > 0:
-            upstream = dz @ layers[i][0].T
+            upstream = dz @ layers[i][0].swapaxes(-1, -2)
 
-    flat = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
-    return flat
+    lead = X.shape[:-2]
+    return np.concatenate(
+        [part for gw, gb in grads for part in (gw.reshape(*lead, -1), gb)], axis=-1
+    )
 
 
 def gradient(model: ParamVector, batch: LabeledSet, activation: str = "relu") -> ParamVector:
@@ -184,30 +203,65 @@ def gradient(model: ParamVector, batch: LabeledSet, activation: str = "relu") ->
 
 def local_train(
     model: ParamVector,
-    data: LabeledSet,
+    shards: list[LabeledSet],
     cfg: TrainConfig,
     activation: str = "relu",
-) -> ParamVector:
-    """Mini-batch SGD for `cfg.local_epochs` epochs; the input is not mutated.
+) -> list[ParamVector]:
+    """Mini-batch SGD from `model` on each shard; returns one model per shard.
 
-    Each epoch visits the whole dataset once in a freshly shuffled order
-    (seed `cfg.seed + epoch`), including a final partial batch when the size
-    does not divide evenly. Raises ValueError if any parameter ends
-    non-finite: a NaN or inf never turns finite under later SGD steps, so the
-    check on the returned vector catches every blow-up.
+    Each epoch visits each shard once in a freshly shuffled order (seed
+    `cfg.seeds[k] + epoch` for shard k), including a final partial batch
+    when the size does not divide evenly; the input is not mutated. The
+    shards train together, but each result is exactly that of training its
+    shard alone. Raises NumericalDivergence, naming the shard's position in
+    `shards`, if any parameter ends non-finite: a NaN or inf never turns
+    finite under later SGD steps, so the check on the returned vectors
+    catches every blow-up.
     """
-    _check_inputs(model, data)
-    values = model.values.copy()
+    if not shards:
+        raise EmptyDataset("at least one shard is required")
+    if len(cfg.seeds) != len(shards):
+        raise ValueError(f"need one seed per shard, got {len(cfg.seeds)} for {len(shards)}")
+    for data in shards:
+        _check_inputs(model, data)
+    # Largest shard first, so at every step the shards whose batch has the
+    # same size form one contiguous run of rows.
+    rank = sorted(range(len(shards)), key=lambda k: -len(shards[k]))
+    sizes = np.array([len(shards[k]) for k in rank])
+    if len(rank) == 1:  # no copy of a single shard's features
+        features, labels = shards[0].features, shards[0].labels
+    else:
+        features = np.concatenate([shards[k].features for k in rank])
+        labels = np.concatenate([shards[k].labels for k in rank])
+    offsets = np.cumsum(sizes) - sizes
+    values = np.tile(model.values, (len(rank), 1))
     layers = split_layers(values, model.layout)  # views: the update below moves them
-    n = len(data)
+    orders = np.zeros((len(rank), sizes[0]), dtype=np.int64)
     for epoch in range(cfg.local_epochs):
-        order = np.random.default_rng(cfg.seed + epoch).permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            X, y = data.features[idx], data.labels[idx]
-            grad = _gradient_values(layers, activation, X, y)
-            values -= cfg.learning_rate * grad
-    return ParamVector(values, model.layout)
+        for row, k in enumerate(rank):
+            perm = np.random.default_rng(cfg.seeds[k] + epoch).permutation(sizes[row])
+            orders[row, : sizes[row]] = offsets[row] + perm
+        for start in range(0, sizes[0], cfg.batch_size):
+            batch = np.clip(sizes - start, 0, cfg.batch_size)
+            edges = [0, *(np.flatnonzero(np.diff(batch)) + 1), len(batch)]
+            for lo, hi in zip(edges, edges[1:]):
+                if batch[lo] == 0:
+                    break
+                idx = orders[lo:hi, start : start + batch[lo]]
+                run = [(w[lo:hi], b[lo:hi]) for w, b in layers]
+                grad = _gradient_values(run, activation, features[idx], labels[idx])
+                values[lo:hi] -= cfg.learning_rate * grad
+    trained = [None] * len(rank)
+    for row, k in enumerate(rank):
+        try:
+            # a copy: a view would keep the whole stack alive while any one
+            # device's model lives, which raised peak RSS on 1,000 devices
+            trained[k] = ParamVector(values[row].copy(), model.layout)
+        except ValueError as exc:
+            raise NumericalDivergence(
+                f"shard {k} trained to non-finite parameters", shard=k
+            ) from exc
+    return trained
 
 
 def evaluate(model: ParamVector, data: LabeledSet, activation: str = "relu") -> EvalMetrics:

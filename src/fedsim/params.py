@@ -56,15 +56,18 @@ class ParamVector:
 def split_layers(values: np.ndarray, layout: Layout) -> list[tuple[np.ndarray, np.ndarray]]:
     """Views of a flat vector as (weights, bias) arrays, one pair per layer.
 
-    An in-place update of `values` shows in every view, so SGD can update
-    the vector without splitting it again.
+    `values` may carry leading axes, such as a (K, P) stack of K vectors;
+    the views then carry them too: (K, rows, cols) weights, (K, bias_len)
+    biases. An in-place update of `values` shows in every view, so SGD can
+    update the vector without splitting it again.
     """
+    lead = values.shape[:-1]
     out = []
     offset = 0
     for rows, cols, bias_len in layout:
-        weights = values[offset : offset + rows * cols].reshape(rows, cols)
+        weights = values[..., offset : offset + rows * cols].reshape(*lead, rows, cols)
         offset += rows * cols
-        bias = values[offset : offset + bias_len]
+        bias = values[..., offset : offset + bias_len]
         offset += bias_len
         out.append((weights, bias))
     return out

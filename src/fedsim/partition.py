@@ -75,11 +75,12 @@ class DeviceState:
     model: ParamVector | None = None
 
 
-def _make_device_state(device_id: int, data: LabeledSet, model=None) -> DeviceState:
+def _make_device_state(
+    device_id: int, data: LabeledSet, hist: np.ndarray, model=None
+) -> DeviceState:
     # local import: entropy lives with the aggregation code, which imports us
     from .federation import normalized_entropy
 
-    hist = class_histogram(data, data.num_classes)
     return DeviceState(device_id, data, hist, normalized_entropy(hist), model)
 
 
@@ -179,7 +180,10 @@ def partition(residual: LabeledSet, plan: PartitionPlan) -> list[DeviceState]:
             for owner, chunk in zip(owners, np.array_split(class_idx[order], len(owners))):
                 shards[owner] = chunk
 
-    return [_make_device_state(k, residual.subset(shards[k])) for k in range(K)]
+    subsets = [residual.subset(shard) for shard in shards]
+    return [
+        _make_device_state(k, d, class_histogram(d, num_classes)) for k, d in enumerate(subsets)
+    ]
 
 
 def dispense(
@@ -198,26 +202,29 @@ def dispense(
     if segment_size == 0 or len(queue.pool) == 0:
         return [queue.pool.subset(empty) for _ in range(num_devices)], [empty] * num_devices
 
-    indices = []
-    for _ in range(num_devices):
-        taken = np.empty(segment_size, dtype=np.int64)
-        for j in range(segment_size):
-            if queue.cursor >= len(queue.order):
-                queue.reshuffles += 1
-                queue.order = np.random.default_rng(
-                    derive_seed(queue.seed, "order", queue.reshuffles)
-                ).permutation(len(queue.pool))
-                queue.cursor = 0
-            taken[j] = queue.order[queue.cursor]
-            queue.cursor += 1
-        indices.append(taken)
+    need = num_devices * segment_size
+    parts = []
+    while need > 0:
+        if queue.cursor >= len(queue.order):  # reshuffle only when a sample is due
+            queue.reshuffles += 1
+            queue.order = np.random.default_rng(
+                derive_seed(queue.seed, "order", queue.reshuffles)
+            ).permutation(len(queue.pool))
+            queue.cursor = 0
+        part = queue.order[queue.cursor : queue.cursor + need]
+        parts.append(part)
+        queue.cursor += len(part)
+        need -= len(part)
+    taken = np.concatenate(parts) if parts else empty
+    indices = list(taken.reshape(num_devices, segment_size))
     segments = [queue.pool.subset(ix) for ix in indices]
     return segments, indices
 
 
 def accumulate(device: DeviceState, segment: LabeledSet) -> DeviceState:
-    """Extend a device's data with a dispensed segment (histogram and entropy
-    are recomputed); an empty segment leaves the state untouched."""
+    """Extend a device's data with a dispensed segment (the segment's class
+    counts are added to the histogram, and the entropy is recomputed); an
+    empty segment leaves the state untouched."""
     if len(segment) == 0:
         return device
     if segment.input_dim != device.data.input_dim:
@@ -225,4 +232,5 @@ def accumulate(device: DeviceState, segment: LabeledSet) -> DeviceState:
     if segment.num_classes != device.data.num_classes:
         raise DimensionMismatch("segment class count differs from device data")
     merged = concat_sets(device.data, segment)
-    return _make_device_state(device.device_id, merged, device.model)
+    hist = device.histogram + class_histogram(segment, segment.num_classes)
+    return _make_device_state(device.device_id, merged, hist, device.model)

@@ -190,7 +190,7 @@ class TestHeterogeneityGap:
 
         def optimum_loss(data, seed):
             model = init_model(spec, seed)
-            trained = local_train(model, data, TrainConfig(0.3, 60, 16, seed=seed))
+            [trained] = local_train(model, [data], TrainConfig(0.3, 60, 16, seeds=[seed]))
             return evaluate(trained, data).mean_loss
 
         pooled = optimum_loss(train, 0)

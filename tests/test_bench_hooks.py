@@ -10,9 +10,12 @@ import ast
 import importlib
 import importlib.util
 import pkgutil
+import time
 from pathlib import Path
 
 import pytest
+
+from fedsim.harness import ExperimentConfig, run_experiment
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -70,3 +73,23 @@ def test_runner_references_found():
 @pytest.mark.parametrize("name", RUNNER_REFERENCES)
 def test_runner_name_resolves(name):
     pkgutil.resolve_name(name)
+
+
+def test_traced_run_has_per_layer_rows():
+    # layer_rows takes max() over each round's `federation.local_train`
+    # spans, so a round loop that trains without calling that name crashes
+    # the traced benchmark
+    cfg = ExperimentConfig(
+        dataset_params={"num_classes": 4, "per_class": 25, "input_dim": 6, "spread": 0.2},
+        devices=4,
+        rounds=2,
+        hidden_dims=(6,),
+        workers=2,
+    )
+    tracer = spans.Tracer()
+    with tracer:
+        run_experiment(cfg)
+    setup, rows = tracer.layer_rows(time.perf_counter())
+    assert len(rows) == cfg.rounds
+    assert all(row["nn.local_train_calls"] >= 1 for row in rows)
+    assert set(setup) == set(spans.SETUP)

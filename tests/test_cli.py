@@ -1,4 +1,7 @@
 import json
+import re
+
+import pytest
 
 from fedsim.cli import EXIT_CONFIG, EXIT_DATASET, EXIT_OK, EXIT_RUNTIME, main
 
@@ -73,6 +76,22 @@ class TestRunCommand:
             code = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
             assert code == EXIT_CONFIG, (key, value)
             assert key in capsys.readouterr().err, (key, value)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_numerical_blow_up(self, tmp_path, capsys):
+        # tanh saturates, so its parameters stay finite near 1e200 and the
+        # divergence overflows; relu's parameters themselves overflow
+        for activation, learning_rate, cause in (
+            ("tanh", 1e200, "weight divergence is not finite"),
+            ("relu", 1e300, "trained to non-finite parameters"),
+        ):
+            config = write_config(
+                tmp_path, activation=activation, learning_rate=learning_rate
+            )
+            code = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+            assert code == EXIT_RUNTIME, activation
+            err = capsys.readouterr().err
+            assert re.search(r"round \d+: device \d+ " + cause, err), err
 
     def test_missing_dataset_dir(self, tmp_path):
         config = write_config(

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from fedsim import federation
 from fedsim.errors import ConfigInvalid, EmptyInput
 from fedsim.harness import (
     ExperimentConfig,
@@ -142,14 +143,29 @@ class TestRunExperiment:
                 tmp_path / "b" / name
             ).read_bytes()
 
-    def test_worker_count_does_not_change_outputs(self, tmp_path):
-        cfg_a = tiny_config(output_dir=str(tmp_path / "w1"), workers=1)
-        cfg_b = tiny_config(output_dir=str(tmp_path / "w3"), workers=3)
-        run_experiment(cfg_a)
-        run_experiment(cfg_b)
-        assert (tmp_path / "w1" / "metrics.csv").read_bytes() == (
-            tmp_path / "w3" / "metrics.csv"
-        ).read_bytes()
+    def test_worker_count_does_not_change_outputs(self, tmp_path, monkeypatch):
+        blocks = []
+        original = federation.local_train
+
+        def counted(model, shards, *args):
+            blocks.append(len(shards))
+            return original(model, shards, *args)
+
+        monkeypatch.setattr(federation, "local_train", counted)
+        # the tiny model trains all 4 devices in one block; at hidden width
+        # 256 a block holds 6 of the 16 devices, so each round runs 3 blocks
+        for name, overrides, per_round in (
+            ("tiny", {}, [4]),
+            ("wide", dict(devices=16, hidden_dims=(256,)), [6, 6, 4]),
+        ):
+            outputs = set()
+            for workers in (1, 2, 3):
+                blocks.clear()
+                out = tmp_path / f"{name}_w{workers}"
+                run_experiment(tiny_config(output_dir=str(out), workers=workers, **overrides))
+                assert sorted(blocks) == sorted(per_round * 3)  # 3 rounds
+                outputs.add((out / "metrics.csv").read_bytes())
+            assert len(outputs) == 1, name
 
     def test_summary_contents(self):
         result = run_experiment(tiny_config())

@@ -2,17 +2,18 @@ import numpy as np
 import pytest
 
 from fedsim.data import LabeledSet, make_synthetic
-from fedsim.errors import DimensionMismatch, EmptyDataset
+from fedsim.errors import DimensionMismatch, EmptyDataset, NumericalDivergence
 from fedsim.nn import (
     ModelSpec,
     TrainConfig,
+    _gradient_values,
     evaluate,
     gradient,
     init_model,
     local_train,
     predict_proba,
 )
-from fedsim.params import ParamVector, param_count
+from fedsim.params import ParamVector, param_count, split_layers
 
 
 def finite_difference_gradient(model, batch, activation, step=1e-6):
@@ -125,7 +126,7 @@ class TestLocalTrain:
         train, _, _ = make_synthetic(3, 10, 4, 0.2, seed=0)
         spec = ModelSpec(4, (6,), 3)
         model = init_model(spec, 2)
-        out = local_train(model, train, TrainConfig(0.0, 3, 4, seed=9))
+        [out] = local_train(model, [train], TrainConfig(0.0, 3, 4, seeds=[9]))
         np.testing.assert_array_equal(out.values, model.values)
 
     def test_input_model_not_mutated(self):
@@ -133,7 +134,7 @@ class TestLocalTrain:
         spec = ModelSpec(4, (6,), 3)
         model = init_model(spec, 2)
         before = model.values.copy()
-        local_train(model, train, TrainConfig(0.5, 2, 4, seed=9))
+        local_train(model, [train], TrainConfig(0.5, 2, 4, seeds=[9]))
         np.testing.assert_array_equal(model.values, before)
 
     def test_single_sample_single_step(self):
@@ -142,7 +143,7 @@ class TestLocalTrain:
         model = init_model(spec, 5)
         batch = random_batch(rng, 1, 3, 2)
         eta = 0.3
-        out = local_train(model, batch, TrainConfig(eta, 1, 1, seed=0))
+        [out] = local_train(model, [batch], TrainConfig(eta, 1, 1, seeds=[0]))
         step = eta * gradient(model, batch).values
         np.testing.assert_array_equal(out.values, model.values - step)
         # corroborate the analytic gradient with the finite-difference oracle
@@ -156,7 +157,7 @@ class TestLocalTrain:
         spec = ModelSpec(4, (8,), 2)
         model = init_model(spec, 1)
         before = evaluate(model, train).mean_loss
-        out = local_train(model, train, TrainConfig(0.2, 5, 8, seed=4))
+        [out] = local_train(model, [train], TrainConfig(0.2, 5, 8, seeds=[4]))
         after = evaluate(out, train).mean_loss
         assert after <= before
 
@@ -165,19 +166,19 @@ class TestLocalTrain:
         spec = ModelSpec(4, (5,), 3)
         model = init_model(spec, 7)
         base_seed = 1234
-        multi = local_train(model, train, TrainConfig(0.1, 3, 5, seed=base_seed))
+        [multi] = local_train(model, [train], TrainConfig(0.1, 3, 5, seeds=[base_seed]))
         step = model
         for epoch in range(3):
-            step = local_train(step, train, TrainConfig(0.1, 1, 5, seed=base_seed + epoch))
+            [step] = local_train(step, [train], TrainConfig(0.1, 1, 5, seeds=[base_seed + epoch]))
         np.testing.assert_array_equal(multi.values, step.values)
 
     def test_deterministic(self):
         train, _, _ = make_synthetic(3, 12, 4, 0.2, seed=6)
         spec = ModelSpec(4, (5,), 3)
         model = init_model(spec, 7)
-        cfg = TrainConfig(0.1, 2, 5, seed=11)
-        a = local_train(model, train, cfg)
-        b = local_train(model, train, cfg)
+        cfg = TrainConfig(0.1, 2, 5, seeds=[11])
+        [a] = local_train(model, [train], cfg)
+        [b] = local_train(model, [train], cfg)
         np.testing.assert_array_equal(a.values, b.values)
 
     # 24 samples: batches of 5 give several minibatches, 24 a single one, so
@@ -187,17 +188,76 @@ class TestLocalTrain:
     def test_non_finite_update_raises(self, batch_size):
         train, _, _ = make_synthetic(3, 10, 4, 0.2, seed=0)
         model = init_model(ModelSpec(4, (6,), 3), 2)
-        cfg = TrainConfig(float("inf"), 1, batch_size, seed=9)
-        with pytest.raises(ValueError, match="finite"):
-            local_train(model, train, cfg)
+        cfg = TrainConfig(float("inf"), 1, batch_size, seeds=[9])
+        with pytest.raises(NumericalDivergence, match="shard 0") as caught:
+            local_train(model, [train], cfg)
+        assert caught.value.shard == 0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_update_names_the_shard(self):
+        # only the first shard blows up (its inputs are infinite); it is the
+        # smallest, so it trains in the last row of the stack
+        rng = np.random.default_rng(4)
+        model = init_model(ModelSpec(4, (6,), 3), 2)
+        shards = [random_batch(rng, n, 4, 3) for n in (3, 9, 6)]
+        shards[0].features[:] = np.inf
+        with pytest.raises(NumericalDivergence) as caught:
+            local_train(model, shards, TrainConfig(0.1, 1, 4, [1, 2, 3]))
+        assert caught.value.shard == 0
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("batch_size", [1, 5])
+    def test_shards_train_as_if_alone(self, activation, batch_size):
+        # ragged sizes, in no order: partial last batches at batch size 5,
+        # and shards that run out of batches while others keep stepping
+        rng = np.random.default_rng(3)
+        spec = ModelSpec(4, (6, 5), 3, activation)
+        model = init_model(spec, 2)
+        shards = [random_batch(rng, n, 4, 3) for n in (7, 12, 1, 12, 5, 9)]
+        seeds = [40, 41, 42, 43, 44, 45]
+        together = local_train(
+            model, shards, TrainConfig(0.2, 2, batch_size, seeds), activation
+        )
+        assert len(together) == len(shards)
+        for data, seed, out in zip(shards, seeds, together):
+            [alone] = local_train(
+                model, [data], TrainConfig(0.2, 2, batch_size, [seed]), activation
+            )
+            np.testing.assert_array_equal(out.values, alone.values)
+
+    def test_stacked_gradient_equals_per_device_gradient(self):
+        # 784 -> 128 -> 10 at batch 50, the GEMM-bound shape: each device
+        # slice of one stacked gradient has the bits of its own gradient call
+        rng = np.random.default_rng(5)
+        models = [init_model(ModelSpec(784, (128,), 10), seed) for seed in (1, 2)]
+        batches = [random_batch(rng, 50, 784, 10) for _ in models]
+        stack = np.stack([m.values for m in models])
+        grads = _gradient_values(
+            split_layers(stack, models[0].layout),
+            "relu",
+            np.stack([b.features for b in batches]),
+            np.stack([b.labels for b in batches]),
+        )
+        for k, (model, batch) in enumerate(zip(models, batches)):
+            np.testing.assert_array_equal(grads[k], gradient(model, batch).values)
+
+    def test_one_seed_per_shard(self):
+        train, _, _ = make_synthetic(3, 10, 4, 0.2, seed=0)
+        model = init_model(ModelSpec(4, (6,), 3), 2)
+        with pytest.raises(ValueError, match="one seed per shard"):
+            local_train(model, [train, train], TrainConfig(0.1, 1, 4, [1]))
+        with pytest.raises(EmptyDataset):
+            local_train(model, [], TrainConfig(0.1, 1, 4, []))
 
     def test_invalid_train_config(self):
         with pytest.raises(ValueError):
-            TrainConfig(-0.1, 1, 1, seed=0)
+            TrainConfig(-0.1, 1, 1, seeds=[0])
         with pytest.raises(ValueError):
-            TrainConfig(0.1, 0, 1, seed=0)
+            TrainConfig(0.1, 0, 1, seeds=[0])
         with pytest.raises(ValueError):
-            TrainConfig(0.1, 1, 0, seed=0)
+            TrainConfig(0.1, 1, 0, seeds=[0])
+        with pytest.raises(ValueError):
+            TrainConfig(0.1, 1, 1, seeds=[0, -1])
 
 
 class TestEvaluate:

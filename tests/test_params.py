@@ -50,6 +50,18 @@ def test_split_layers_shapes_and_content():
     values += 1.0
     np.testing.assert_array_equal(layers[1][1], np.arange(16.0, 20.0) + 1.0)
 
+    # a (K, P) stack splits into (K, rows, cols) and (K, bias) views of each row
+    stack = np.stack([values, -values])
+    stacked = split_layers(stack, layout)
+    assert [w.shape for w, _ in stacked] == [(2, 3, 2), (2, 2, 4)]
+    assert [b.shape for _, b in stacked] == [(2, 2), (2, 4)]
+    for k in range(2):
+        for (w, b), (w_k, b_k) in zip(stacked, split_layers(stack[k], layout)):
+            np.testing.assert_array_equal(w[k], w_k)
+            np.testing.assert_array_equal(b[k], b_k)
+    stack[1] = 0.0
+    assert not stacked[0][0][1].any() and stacked[0][0][0].all()
+
 
 def test_layer_slices_cover_vector_exactly():
     layout = ((5, 3, 3), (3, 2, 2))

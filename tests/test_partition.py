@@ -18,6 +18,7 @@ from fedsim.partition import (
     partition,
     split_global_queue,
 )
+from fedsim.seeds import derive_seed
 
 
 def balanced_set(num_classes=10, per_class=600, dim=4, seed=0):
@@ -137,7 +138,53 @@ class TestPartition:
                 assert d.entropy == normalized_entropy(d.histogram)
 
 
+def dispense_indices_by_loop(queue, num_devices, segment_size):
+    """Reference: the per-sample loop `dispense` replaces with slices."""
+    indices = []
+    for _ in range(num_devices):
+        taken = np.empty(segment_size, dtype=np.int64)
+        for j in range(segment_size):
+            if queue.cursor >= len(queue.order):
+                queue.reshuffles += 1
+                queue.order = np.random.default_rng(
+                    derive_seed(queue.seed, "order", queue.reshuffles)
+                ).permutation(len(queue.pool))
+                queue.cursor = 0
+            taken[j] = queue.order[queue.cursor]
+            queue.cursor += 1
+        indices.append(taken)
+    return indices
+
+
 class TestDispense:
+    # (pool size, [(devices, segment_size) per call]): one reshuffle; several
+    # reshuffles in one call; a cursor ending exactly at the end of the pool,
+    # then a call that must reshuffle first; calls starting mid-pool
+    @pytest.mark.parametrize(
+        "pool, calls",
+        [
+            (4, [(3, 2)]),
+            (4, [(5, 3), (1, 1)]),
+            (12, [(4, 3), (2, 1)]),
+            (20, [(3, 4), (2, 4), (7, 5), (1, 13)]),
+            (10, [(3, 1), (2, 7), (4, 0), (1, 2)]),
+        ],
+    )
+    def test_matches_per_sample_loop(self, pool, calls):
+        train = balanced_set(num_classes=2, per_class=pool, dim=3)
+        queue, _ = split_global_queue(train, 0.5, seed=7)
+        reference, _ = split_global_queue(train, 0.5, seed=7)
+        assert len(queue.pool) == pool
+        for num_devices, segment_size in calls:
+            segments, indices = dispense(queue, num_devices, segment_size)
+            expected = dispense_indices_by_loop(reference, num_devices, segment_size)
+            assert len(indices) == num_devices
+            for got, want, segment in zip(indices, expected, segments):
+                np.testing.assert_array_equal(got, want)
+                np.testing.assert_array_equal(segment.labels, queue.pool.labels[want])
+            assert (queue.cursor, queue.reshuffles) == (reference.cursor, reference.reshuffles)
+            np.testing.assert_array_equal(queue.order, reference.order)
+
     def test_exact_exhaustion(self):
         train = balanced_set(per_class=600)
         queue, _ = split_global_queue(train, 0.1, seed=1)
