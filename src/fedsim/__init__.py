@@ -39,7 +39,6 @@ from .federation import (
     RoundReport,
     aggregate_ddfl,
     aggregate_fedavg,
-    normalized_entropy,
     run_round,
     select_devices,
 )
@@ -72,70 +71,10 @@ from .partition import (
     PartitionPlan,
     accumulate,
     dispense,
+    normalized_entropy,
     partition,
     split_global_queue,
 )
 from .seeds import derive_seed
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AggregationPolicy",
-    "BoundInputs",
-    "BoundResult",
-    "DatasetMeta",
-    "DeviceState",
-    "DivergenceRecord",
-    "EntropyReport",
-    "EvalMetrics",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "FederationState",
-    "GlobalQueue",
-    "LabeledSet",
-    "Layout",
-    "MetricsRow",
-    "ModelSpec",
-    "ParamVector",
-    "PartitionPlan",
-    "ReliabilityRecord",
-    "RoundConfig",
-    "RoundReport",
-    "TrainConfig",
-    "accumulate",
-    "aggregate_ddfl",
-    "aggregate_fedavg",
-    "bias_term",
-    "class_histogram",
-    "concat_sets",
-    "convergence_bound",
-    "derive_seed",
-    "derived_segment_size",
-    "dispense",
-    "emit_plot_data",
-    "errors",
-    "estimate_heterogeneity_gap",
-    "evaluate",
-    "format_sweep_table",
-    "gradient",
-    "init_model",
-    "load_cifar",
-    "load_config",
-    "load_mnist",
-    "local_train",
-    "make_synthetic",
-    "normalized_entropy",
-    "param_count",
-    "partition",
-    "predict_proba",
-    "reliability_index",
-    "run_experiment",
-    "run_round",
-    "run_sweep",
-    "select_devices",
-    "split_global_queue",
-    "split_layers",
-    "system_reliability_index",
-    "validate_config",
-    "weight_divergence",
-]

@@ -3,6 +3,9 @@
 A dataset is a LabeledSet: a float64 feature matrix with values in [0, 1]
 plus an int64 label vector. Loaders exist for the two raw binary formats
 below; a synthetic Gaussian-blob generator covers fast, download-free runs.
+A run's train set is the only copy of its training samples: the server
+queue, the residual and every device's data are int64 index arrays into it
+(see `partition`), and training gathers each minibatch from it.
 
 MNIST IDX (big-endian):
     image file: magic 0x00000803, then count, rows, cols (uint32 each),
@@ -80,10 +83,6 @@ class LabeledSet:
     def input_dim(self) -> int:
         return int(self.features.shape[1])
 
-    def subset(self, indices) -> "LabeledSet":
-        idx = np.asarray(indices, dtype=np.int64)
-        return LabeledSet(self.features[idx], self.labels[idx], self.num_classes)
-
 
 def concat_sets(a: LabeledSet, b: LabeledSet) -> LabeledSet:
     if a.input_dim != b.input_dim:
@@ -160,7 +159,7 @@ def load_mnist(dir_path) -> tuple[LabeledSet, LabeledSet, DatasetMeta]:
             raise CountMismatch(
                 f"{images.shape[0]} images vs {labels.shape[0]} labels"
             )
-        return LabeledSet(images.astype(np.float64) / 255.0, labels, num_classes=10)
+        return LabeledSet(np.divide(images, 255.0, dtype=np.float64), labels, num_classes=10)
 
     train = _split("train_images", "train_labels")
     test = _split("test_images", "test_labels")
@@ -204,7 +203,7 @@ def load_cifar(dir_path, variant: str) -> tuple[LabeledSet, LabeledSet, DatasetM
         parts = [_read_cifar_file(base / n, record, label_byte) for n in names]
         pixels = np.concatenate([p for p, _ in parts])
         labels = np.concatenate([l for _, l in parts])
-        return LabeledSet(pixels.astype(np.float64) / 255.0, labels, num_classes)
+        return LabeledSet(np.divide(pixels, 255.0, dtype=np.float64), labels, num_classes)
 
     train = _load(train_files)
     test = _load(test_files)
@@ -240,26 +239,33 @@ def make_synthetic(
 
     `per_class` counts samples per class before the split; `spread` is the
     per-coordinate standard deviation. Features are clipped to [0, 1].
+    Each class's draws go straight into its rows of the preallocated train
+    and test matrices.
     """
-    if num_classes < 2 or per_class < 2 or input_dim < 2:
-        raise InvalidParam("need num_classes >= 2, per_class >= 2, input_dim >= 2")
+    sizes = {"num_classes": num_classes, "per_class": per_class, "input_dim": input_dim}
+    for key, value in sizes.items():
+        if value < 2:
+            raise InvalidParam(f"{key} must be at least 2")
     if spread < 0:
         raise InvalidParam("spread must be nonnegative")
 
     rng = np.random.default_rng(int(seed))
     means = _class_means(num_classes, input_dim)
     n_train = max(1, int(per_class * 0.8))
-
-    train_x, train_y, test_x, test_y = [], [], [], []
+    n_test = per_class - n_train
+    train_x = np.empty((num_classes * n_train, input_dim))
+    test_x = np.empty((num_classes * n_test, input_dim))
     for c in range(num_classes):
-        pts = means[c] + spread * rng.standard_normal((per_class, input_dim))
-        np.clip(pts, 0.0, 1.0, out=pts)
-        train_x.append(pts[:n_train])
-        test_x.append(pts[n_train:])
-        train_y.append(np.full(n_train, c))
-        test_y.append(np.full(per_class - n_train, c))
+        # class c's (per_class, d) draw, split over its train then its test rows
+        train_rows = train_x[c * n_train : (c + 1) * n_train]
+        for rows in (train_rows, test_x[c * n_test : (c + 1) * n_test]):
+            rng.standard_normal(out=rows)
+            rows *= spread
+            rows += means[c]
+            np.clip(rows, 0.0, 1.0, out=rows)
 
-    train = LabeledSet(np.concatenate(train_x), np.concatenate(train_y), num_classes)
-    test = LabeledSet(np.concatenate(test_x), np.concatenate(test_y), num_classes)
+    classes = np.arange(num_classes)
+    train = LabeledSet(train_x, np.repeat(classes, n_train), num_classes)
+    test = LabeledSet(test_x, np.repeat(classes, n_test), num_classes)
     meta = DatasetMeta("synthetic", num_classes, input_dim, len(train), len(test))
     return train, test, meta

@@ -1,9 +1,9 @@
 """The per-round federation protocol and both aggregation rules.
 
-A round runs: dispense queue segments, accumulate them into device data,
-broadcast the global model, train every device locally, collect entropy
-reports, aggregate, and evaluate on the test set. Two aggregators are
-provided:
+A round runs: dispense queue segments, accumulate them into device data
+(both index arrays into the run's train set), broadcast the global model,
+train every device locally, collect entropy reports, aggregate, and
+evaluate on the test set. Two aggregators are provided:
 
 * fedavg_count: weighted mean of all device models, weights proportional to
   device sample counts (the classic baseline).
@@ -32,7 +32,7 @@ from functools import partial
 import numpy as np
 
 from .data import LabeledSet
-from .errors import EmptyHistogram, NoReports, NumericalDivergence, ZeroTotalWeight
+from .errors import NoReports, NumericalDivergence, ZeroTotalWeight
 from .nn import ModelSpec, TrainConfig, evaluate, local_train
 from .params import ParamVector, check_same_layout, param_count
 from .partition import DeviceState, GlobalQueue, accumulate, dispense
@@ -44,31 +44,6 @@ AGGREGATORS = ("fedavg_count", "ddfl_entropy")
 # its widest layer's activations, per device; a block of small models stays
 # in cache, and a model larger than this trains alone.
 _BLOCK_FLOATS = 2**15
-
-
-def normalized_entropy(counts) -> float:
-    """Shannon entropy of a class-count histogram, scaled to [0, 1].
-
-    The raw base-2 entropy is divided by log2(C), so a uniform histogram
-    scores exactly 1 and a single-class histogram exactly 0.
-    """
-    counts = np.asarray(counts)
-    if counts.size == 0:
-        raise EmptyHistogram("histogram has no classes")
-    if np.any(counts < 0):
-        raise ValueError("counts must be nonnegative")
-    total = counts.sum()
-    if total <= 0:
-        raise EmptyHistogram("histogram has no samples")
-    nonzero = counts[counts > 0].astype(np.float64)
-    if nonzero.size == 1 or counts.size == 1:
-        return 0.0
-    if np.all(counts == counts.flat[0]):
-        return 1.0
-    # canonical summation order makes the value permutation-invariant bitwise
-    p = np.sort(nonzero) / float(total)
-    raw = float(-(p * np.log2(p)).sum())
-    return min(1.0, max(0.0, raw / math.log2(counts.size)))
 
 
 @dataclass(frozen=True)
@@ -186,6 +161,7 @@ class RoundConfig:
     policy: AggregationPolicy
     segment_size: int
     seed: int
+    train_set: LabeledSet  # what device data and the queue pool index into
     test_set: LabeledSet
     workers: int = 1
 
@@ -208,7 +184,11 @@ def _train_block(
     )
     try:
         return local_train(
-            state.global_model, [d.data for d in block], train_cfg, cfg.model_spec.activation
+            state.global_model,
+            [d.data for d in block],
+            train_cfg,
+            cfg.train_set,
+            cfg.model_spec.activation,
         )
     except NumericalDivergence as exc:
         device_id = block[exc.shard].device_id
@@ -220,8 +200,8 @@ def _train_block(
 def run_round(state: FederationState, cfg: RoundConfig) -> tuple[FederationState, RoundReport]:
     """Execute one communication round; the queue is advanced in place."""
     devices = sorted(state.devices, key=lambda d: d.device_id)
-    segments, seg_indices = dispense(state.queue, len(devices), cfg.segment_size)
-    devices = [accumulate(d, seg) for d, seg in zip(devices, segments)]
+    segments, positions = dispense(state.queue, len(devices), cfg.segment_size)
+    devices = accumulate(devices, segments, cfg.train_set)
 
     by_size = sorted(devices, key=lambda d: -len(d.data))
     width = _block_width(cfg.model_spec, cfg.batch_size)
@@ -272,6 +252,6 @@ def run_round(state: FederationState, cfg: RoundConfig) -> tuple[FederationState
         test_accuracy=test_stats.accuracy,
         test_loss=test_stats.mean_loss,
         zero_entropy_fallback=fallback,
-        dispensed_indices=seg_indices,
+        dispensed_indices=positions,
     )
     return new_state, report

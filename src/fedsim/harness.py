@@ -12,7 +12,8 @@ file values. Every run writes into its output directory:
     device_entropy.csv     (round, device, entropy) triples
     divergence_layers.csv  (round, layer, mean_divergence) rows
     summary.txt            key = value lines with final/best accuracy etc.
-    dispense_trace.jsonl   optional audit log of dispensed sample indices
+    dispense_trace.jsonl   optional audit log of dispensed samples (their
+                           positions in the queue pool)
 
 Seed discipline: the master seed is split into labelled streams ("data",
 "queue", "partition", "init", and ("train", round, device)), so results do
@@ -31,7 +32,7 @@ import numpy as np
 
 from .analysis import bias_term, weight_divergence
 from .data import DatasetMeta, LabeledSet, load_cifar, load_mnist, make_synthetic
-from .errors import ConfigInvalid, EmptyInput, NumericalDivergence
+from .errors import ConfigInvalid, EmptyInput, InvalidParam, NumericalDivergence
 from .federation import (
     AGGREGATORS,
     AggregationPolicy,
@@ -132,15 +133,33 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_finite_number(value) -> bool:
+    return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
+
+
+def _check_synthetic_params(params) -> None:
+    if not isinstance(params, dict):
+        raise ConfigInvalid("dataset_params must be a JSON object")
+    unknown = set(params) - set(_SYNTHETIC_DEFAULTS)
+    if unknown:
+        raise ConfigInvalid(f"unknown synthetic params: {', '.join(sorted(unknown))}")
+    for key, value in params.items():
+        if key == "spread" and not _is_finite_number(value):
+            raise ConfigInvalid("dataset_params.spread must be a finite number")
+        if key != "spread" and not _is_int(value):
+            raise ConfigInvalid(f"dataset_params.{key} must be an integer")
+
+
 def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     """Normalize aliases and check every field; raises ConfigInvalid."""
     for key in _INT_KEYS:
         if not _is_int(getattr(cfg, key)):
             raise ConfigInvalid(f"{key} must be an integer")
     for key in _FLOAT_KEYS:
-        value = getattr(cfg, key)
-        if not (_is_int(value) or isinstance(value, float)) or not math.isfinite(value):
+        if not _is_finite_number(getattr(cfg, key)):
             raise ConfigInvalid(f"{key} must be a finite number")
+    if cfg.dataset == "synthetic":
+        _check_synthetic_params(cfg.dataset_params)
     if cfg.segment_size is not None and not _is_int(cfg.segment_size):
         raise ConfigInvalid("segment_size must be an integer or null")
     if not isinstance(cfg.hidden_dims, (list, tuple)) or not all(
@@ -183,18 +202,11 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
 
 def _load_dataset(cfg: ExperimentConfig) -> tuple[LabeledSet, LabeledSet, DatasetMeta]:
     if cfg.dataset == "synthetic":
-        params = dict(_SYNTHETIC_DEFAULTS)
-        unknown = set(cfg.dataset_params) - set(params)
-        if unknown:
-            raise ConfigInvalid(f"unknown synthetic params: {', '.join(sorted(unknown))}")
-        params.update(cfg.dataset_params)
-        return make_synthetic(
-            num_classes=int(params["num_classes"]),
-            per_class=int(params["per_class"]),
-            input_dim=int(params["input_dim"]),
-            spread=float(params["spread"]),
-            seed=derive_seed(cfg.seed, "data"),
-        )
+        params = {**_SYNTHETIC_DEFAULTS, **cfg.dataset_params}
+        try:
+            return make_synthetic(**params, seed=derive_seed(cfg.seed, "data"))
+        except InvalidParam as exc:
+            raise ConfigInvalid(f"dataset_params: {exc}") from exc
     if cfg.dataset == "mnist":
         return load_mnist(cfg.data_dir)
     return load_cifar(cfg.data_dir, cfg.dataset)
@@ -255,7 +267,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         num_devices=cfg.devices,
         seed=derive_seed(cfg.seed, "partition"),
     )
-    devices = partition(residual, plan)
+    devices = partition(train, residual, plan)
     global_model = init_model(spec, derive_seed(cfg.seed, "init"))
     segment_size = derived_segment_size(cfg, len(queue.pool))
 
@@ -268,6 +280,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         policy=policy,
         segment_size=segment_size,
         seed=cfg.seed,
+        train_set=train,
         test_set=test,
         workers=cfg.workers,
     )

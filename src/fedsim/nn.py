@@ -6,12 +6,14 @@ cross-entropy loss, exact analytic gradients, float64 arithmetic throughout.
 All functions are pure and deterministic given their explicit seeds, so they
 can run concurrently from any number of workers.
 
-`local_train` trains a list of shards together: their parameters are
-stacked into one (K, P) array, and the forward and backward passes run
-over that leading device axis, one stacked matmul per layer per minibatch
-step. A stacked matmul makes the same BLAS call for each device as a
-single-device one, so each shard's result is bit for bit what training it
-alone gives, whichever shards share the call.
+`local_train` trains a list of shards together. A shard is an index array
+into one shared LabeledSet, and each minibatch is gathered straight from
+that set's matrix. The shards' parameters are stacked into one (K, P)
+array, and the forward and backward passes run over that leading device
+axis, one stacked matmul per layer per minibatch step. A stacked matmul
+makes the same BLAS call for each device as a single-device one, so each
+shard's result is bit for bit what training it alone gives, whichever
+shards share the call.
 """
 
 from __future__ import annotations
@@ -203,44 +205,41 @@ def gradient(model: ParamVector, batch: LabeledSet, activation: str = "relu") ->
 
 def local_train(
     model: ParamVector,
-    shards: list[LabeledSet],
+    shards: list[np.ndarray],
     cfg: TrainConfig,
+    data: LabeledSet,
     activation: str = "relu",
 ) -> list[ParamVector]:
     """Mini-batch SGD from `model` on each shard; returns one model per shard.
 
-    Each epoch visits each shard once in a freshly shuffled order (seed
-    `cfg.seeds[k] + epoch` for shard k), including a final partial batch
-    when the size does not divide evenly; the input is not mutated. The
-    shards train together, but each result is exactly that of training its
-    shard alone. Raises NumericalDivergence, naming the shard's position in
-    `shards`, if any parameter ends non-finite: a NaN or inf never turns
-    finite under later SGD steps, so the check on the returned vectors
-    catches every blow-up.
+    A shard is an array of sample indices into `data`. Each epoch visits
+    each shard once in a freshly shuffled order (seed `cfg.seeds[k] + epoch`
+    for shard k), so shard k's minibatches are rows `shards[k][perm]` of
+    `data`, including a final partial batch when the size does not divide
+    evenly; the input is not mutated. The shards train together, but each
+    result is exactly that of training its shard alone. Raises
+    NumericalDivergence, naming the shard's position in `shards`, if any
+    parameter ends non-finite: a NaN or inf never turns finite under later
+    SGD steps, so the check on the returned vectors catches every blow-up.
     """
     if not shards:
         raise EmptyDataset("at least one shard is required")
     if len(cfg.seeds) != len(shards):
         raise ValueError(f"need one seed per shard, got {len(cfg.seeds)} for {len(shards)}")
-    for data in shards:
-        _check_inputs(model, data)
+    _check_inputs(model, data)
+    if any(len(shard) == 0 for shard in shards):
+        raise EmptyDataset("at least one labeled sample is required")
     # Largest shard first, so at every step the shards whose batch has the
     # same size form one contiguous run of rows.
     rank = sorted(range(len(shards)), key=lambda k: -len(shards[k]))
     sizes = np.array([len(shards[k]) for k in rank])
-    if len(rank) == 1:  # no copy of a single shard's features
-        features, labels = shards[0].features, shards[0].labels
-    else:
-        features = np.concatenate([shards[k].features for k in rank])
-        labels = np.concatenate([shards[k].labels for k in rank])
-    offsets = np.cumsum(sizes) - sizes
     values = np.tile(model.values, (len(rank), 1))
     layers = split_layers(values, model.layout)  # views: the update below moves them
     orders = np.zeros((len(rank), sizes[0]), dtype=np.int64)
     for epoch in range(cfg.local_epochs):
         for row, k in enumerate(rank):
             perm = np.random.default_rng(cfg.seeds[k] + epoch).permutation(sizes[row])
-            orders[row, : sizes[row]] = offsets[row] + perm
+            orders[row, : sizes[row]] = shards[k][perm]
         for start in range(0, sizes[0], cfg.batch_size):
             batch = np.clip(sizes - start, 0, cfg.batch_size)
             edges = [0, *(np.flatnonzero(np.diff(batch)) + 1), len(batch)]
@@ -249,7 +248,7 @@ def local_train(
                     break
                 idx = orders[lo:hi, start : start + batch[lo]]
                 run = [(w[lo:hi], b[lo:hi]) for w, b in layers]
-                grad = _gradient_values(run, activation, features[idx], labels[idx])
+                grad = _gradient_values(run, activation, data.features[idx], data.labels[idx])
                 values[lo:hi] -= cfg.learning_rate * grad
     trained = [None] * len(rank)
     for row, k in enumerate(rank):

@@ -1,11 +1,12 @@
-"""Device partitioning and the server-held dispensing queue.
+"""Device partitioning, the server-held dispensing queue, and data entropy.
 
 The training set is split once: a configurable fraction goes into a server
 queue with near-uniform class composition, the remainder is partitioned
 across devices either evenly by class (iid) or one class per device
 (one_class). Each round the queue dispenses fresh disjoint segments, which
 devices accumulate permanently, so device class histograms and entropies
-evolve over the run.
+evolve over the run. Samples never move: the queue pool, the residual, each
+segment and each device's data are int64 index arrays into the train set.
 
 Queue mutation (cursor advance, reshuffle) must stay confined to a single
 round loop; DeviceState values are immutable snapshots exchanged between
@@ -14,13 +15,15 @@ rounds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledSet, class_histogram, concat_sets
+# concat_sets has no caller here; bench/spans.py traces it under this module
+from .data import LabeledSet, class_histogram, concat_sets  # noqa: F401
 from .errors import (
-    DimensionMismatch,
+    EmptyHistogram,
     InfeasibleOneClass,
     InvalidGamma,
     InvalidParam,
@@ -49,12 +52,13 @@ class PartitionPlan:
 class GlobalQueue:
     """Server-held sample pool dispensed in random order without replacement.
 
-    `order` is a permutation of pool indices and `cursor` the next position.
-    When the pool runs out mid-dispense the queue reshuffles with a freshly
-    derived seed and keeps going.
+    `pool` holds the pool's train-set indices, `order` is a permutation of
+    pool positions and `cursor` the next position in it. When the pool runs
+    out mid-dispense the queue reshuffles with a freshly derived seed and
+    keeps going.
     """
 
-    pool: LabeledSet
+    pool: np.ndarray
     order: np.ndarray
     cursor: int
     seed: int
@@ -66,22 +70,61 @@ class GlobalQueue:
 
 @dataclass(frozen=True)
 class DeviceState:
-    """One device's cumulative data, class histogram, entropy, local model."""
+    """One device's cumulative data (train-set indices, so `len(data)` is its
+    sample count), class histogram, entropy, and local model."""
 
     device_id: int
-    data: LabeledSet
+    data: np.ndarray
     histogram: np.ndarray
     entropy: float
     model: ParamVector | None = None
 
 
-def _make_device_state(
-    device_id: int, data: LabeledSet, hist: np.ndarray, model=None
-) -> DeviceState:
-    # local import: entropy lives with the aggregation code, which imports us
-    from .federation import normalized_entropy
+def normalized_entropies(hists) -> np.ndarray:
+    """`normalized_entropy` of each row of a (K, C) stack of histograms.
 
-    return DeviceState(device_id, data, hist, normalized_entropy(hist), model)
+    The rows with m nonzero classes form one (rows, m) group, which is
+    sorted, turned into p * log2(p) and summed along each row: one row's own
+    operations in its own order, so each value is bit for bit the
+    single-histogram one.
+    """
+    hists = np.asarray(hists)
+    if hists.shape[1] == 0:
+        raise EmptyHistogram("histogram has no classes")
+    if np.any(hists < 0):
+        raise ValueError("counts must be nonnegative")
+    totals = hists.sum(axis=1)
+    if np.any(totals <= 0):
+        raise EmptyHistogram("histogram has no samples")
+    nonzero = hists > 0
+    widths = nonzero.sum(axis=1)
+    uniform = np.all(hists == hists[:, :1], axis=1) & (widths > 1)
+    out = uniform.astype(np.float64)
+    mixed = ~uniform & (widths > 1)
+    for m in np.unique(widths[mixed]):
+        rows = np.flatnonzero(mixed & (widths == m))
+        counts = hists[rows][nonzero[rows]].reshape(len(rows), m).astype(np.float64)
+        # canonical summation order makes each value permutation-invariant bitwise
+        p = np.sort(counts, axis=1) / totals[rows, None].astype(np.float64)
+        raw = -(p * np.log2(p)).sum(axis=1)
+        out[rows] = np.clip(raw / math.log2(hists.shape[1]), 0.0, 1.0)
+    return out
+
+
+def normalized_entropy(counts) -> float:
+    """Shannon entropy of a class-count histogram, scaled to [0, 1].
+
+    The raw base-2 entropy is divided by log2(C), so a uniform histogram
+    scores exactly 1 and a single-class histogram exactly 0.
+    """
+    return float(normalized_entropies(np.asarray(counts).reshape(1, -1))[0])
+
+
+def _stacked_histograms(parts: list[np.ndarray], labels: np.ndarray, num_classes: int):
+    """(K, C) class counts of K index arrays into `labels`, from one bincount."""
+    owner = np.repeat(np.arange(len(parts)), [len(part) for part in parts])
+    keys = owner * num_classes + labels[np.concatenate(parts)]
+    return np.bincount(keys, minlength=len(parts) * num_classes).reshape(-1, num_classes)
 
 
 def _uniform_quotas(counts: np.ndarray, target: int) -> np.ndarray:
@@ -101,11 +144,12 @@ def _uniform_quotas(counts: np.ndarray, target: int) -> np.ndarray:
 
 def split_global_queue(
     train: LabeledSet, queue_fraction: float, seed: int
-) -> tuple[GlobalQueue, LabeledSet]:
+) -> tuple[GlobalQueue, np.ndarray]:
     """Hold back round(fraction * n) samples as the server queue.
 
-    The held-back pool draws equally from every class where counts permit;
-    the residual (everything else) keeps its original order.
+    The held-back pool draws equally from every class where counts permit.
+    Returns the queue and the residual, the train-set indices of everything
+    else in their original order.
     """
     if not 0.0 <= queue_fraction < 1.0:
         raise InvalidGamma("queue_fraction must lie in [0, 1)")
@@ -120,27 +164,27 @@ def split_global_queue(
         class_idx = np.flatnonzero(train.labels == c)
         if quotas[c] > 0:
             chosen_parts.append(rng.choice(class_idx, size=int(quotas[c]), replace=False))
-    chosen = (
+    pool = (
         np.concatenate(chosen_parts) if chosen_parts else np.empty(0, dtype=np.int64)
     )
 
     mask = np.zeros(n, dtype=bool)
-    mask[chosen] = True
-    pool = train.subset(chosen)
-    residual = train.subset(np.flatnonzero(~mask))
+    mask[pool] = True
     order = np.random.default_rng(derive_seed(seed, "order", 0)).permutation(len(pool))
     queue = GlobalQueue(pool=pool, order=order, cursor=0, seed=seed)
-    return queue, residual
+    return queue, np.flatnonzero(~mask)
 
 
-def partition(residual: LabeledSet, plan: PartitionPlan) -> list[DeviceState]:
-    """Split the residual across devices according to the plan.
+def partition(
+    train: LabeledSet, residual: np.ndarray, plan: PartitionPlan
+) -> list[DeviceState]:
+    """Split the residual (train-set indices) across devices per the plan.
 
     iid deals a per-class shuffled deck round-robin, so device sizes and
     per-device class counts are balanced within one sample. one_class gives
     device k every sample of class floor(k*C/K); a class shared by several
     devices is split evenly among them. Shards are disjoint and cover the
-    residual exactly.
+    residual exactly; each device's data holds its train-set indices.
     """
     n = len(residual)
     if n == 0:
@@ -148,12 +192,13 @@ def partition(residual: LabeledSet, plan: PartitionPlan) -> list[DeviceState]:
     K = plan.num_devices
     if n < K:
         raise TooFewSamples(f"{n} samples cannot cover {K} devices")
-    num_classes = residual.num_classes
+    num_classes = train.num_classes
+    labels = train.labels[residual]
 
     if plan.mode == "iid":
         deck_parts = []
         for c in range(num_classes):
-            class_idx = np.flatnonzero(residual.labels == c)
+            class_idx = np.flatnonzero(labels == c)
             order = np.random.default_rng(derive_seed(plan.seed, "class", c)).permutation(
                 len(class_idx)
             )
@@ -169,7 +214,7 @@ def partition(residual: LabeledSet, plan: PartitionPlan) -> list[DeviceState]:
         device_class = [(k * num_classes) // K for k in range(K)]
         for c in range(num_classes):
             owners = [k for k in range(K) if device_class[k] == c]
-            class_idx = np.flatnonzero(residual.labels == c)
+            class_idx = np.flatnonzero(labels == c)
             if len(class_idx) < len(owners):
                 raise TooFewSamples(
                     f"class {c} has {len(class_idx)} samples for {len(owners)} devices"
@@ -180,27 +225,28 @@ def partition(residual: LabeledSet, plan: PartitionPlan) -> list[DeviceState]:
             for owner, chunk in zip(owners, np.array_split(class_idx[order], len(owners))):
                 shards[owner] = chunk
 
-    subsets = [residual.subset(shard) for shard in shards]
-    return [
-        _make_device_state(k, d, class_histogram(d, num_classes)) for k, d in enumerate(subsets)
-    ]
+    data = [residual[shard] for shard in shards]
+    hists = _stacked_histograms(data, train.labels, num_classes)
+    entropies = normalized_entropies(hists).tolist()
+    return [DeviceState(k, data[k], hists[k], entropies[k]) for k in range(K)]
 
 
 def dispense(
     queue: GlobalQueue, num_devices: int, segment_size: int
-) -> tuple[list[LabeledSet], list[np.ndarray]]:
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Draw one disjoint segment per device in permutation order.
 
     Advances the queue cursor in place. When fewer samples remain than are
     requested, the queue reshuffles under a derived seed and continues, so
-    repeats can only occur across a reshuffle boundary. Returns the segments
-    and their pool indices (for audit traces).
+    repeats can only occur across a reshuffle boundary. Returns each
+    device's segment as train-set indices, and the same samples' positions
+    in the pool (for audit traces).
     """
     if segment_size < 0:
         raise InvalidParam("segment_size must be nonnegative")
     empty = np.empty(0, dtype=np.int64)
     if segment_size == 0 or len(queue.pool) == 0:
-        return [queue.pool.subset(empty) for _ in range(num_devices)], [empty] * num_devices
+        return [empty] * num_devices, [empty] * num_devices
 
     need = num_devices * segment_size
     parts = []
@@ -215,22 +261,30 @@ def dispense(
         parts.append(part)
         queue.cursor += len(part)
         need -= len(part)
-    taken = np.concatenate(parts) if parts else empty
-    indices = list(taken.reshape(num_devices, segment_size))
-    segments = [queue.pool.subset(ix) for ix in indices]
-    return segments, indices
+    positions = np.concatenate(parts).reshape(num_devices, segment_size)
+    return list(queue.pool[positions]), list(positions)
 
 
-def accumulate(device: DeviceState, segment: LabeledSet) -> DeviceState:
-    """Extend a device's data with a dispensed segment (the segment's class
-    counts are added to the histogram, and the entropy is recomputed); an
-    empty segment leaves the state untouched."""
-    if len(segment) == 0:
-        return device
-    if segment.input_dim != device.data.input_dim:
-        raise DimensionMismatch("segment feature width differs from device data")
-    if segment.num_classes != device.data.num_classes:
-        raise DimensionMismatch("segment class count differs from device data")
-    merged = concat_sets(device.data, segment)
-    hist = device.histogram + class_histogram(segment, segment.num_classes)
-    return _make_device_state(device.device_id, merged, hist, device.model)
+def accumulate(
+    devices: list[DeviceState], segments: list[np.ndarray], train: LabeledSet
+) -> list[DeviceState]:
+    """Extend each device's data with its segment of train-set indices.
+
+    `segments[k]` goes to `devices[k]`. One bincount adds every segment's
+    class counts to the stacked histograms and one row-wise pass recomputes
+    the entropies; a device whose segment is empty is returned as it was.
+    """
+    if len(segments) != len(devices):
+        raise ValueError("need exactly one segment per device")
+    grown = [k for k, segment in enumerate(segments) if len(segment)]
+    if not grown:
+        return list(devices)
+    hists = np.stack([devices[k].histogram for k in grown]) + _stacked_histograms(
+        [segments[k] for k in grown], train.labels, train.num_classes
+    )
+    out = list(devices)
+    for k, hist, entropy in zip(grown, hists, normalized_entropies(hists).tolist()):
+        d = devices[k]
+        data = np.concatenate([d.data, segments[k]])
+        out[k] = DeviceState(d.device_id, data, hist, entropy, d.model)
+    return out

@@ -160,7 +160,8 @@ def test_criterion_03_gradient_and_training():
     train, _, _ = fs.make_synthetic(4, 20, 6, 0.2, seed=0)
     spec = fs.ModelSpec(6, (8,), 4)
     model = fs.init_model(spec, 0)
-    [out] = fs.local_train(model, [train], fs.TrainConfig(0.0, 3, 8, seeds=[1]))
+    cfg = fs.TrainConfig(0.0, 3, 8, seeds=[1])
+    [out] = fs.local_train(model, [np.arange(len(train))], cfg, train)
     assert np.array_equal(out.values, model.values), "zero-step fixpoint failed"
 
     elapsed = time.perf_counter() - started

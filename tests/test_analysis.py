@@ -12,7 +12,7 @@ from fedsim.analysis import (
     system_reliability_index,
     weight_divergence,
 )
-from fedsim.data import make_synthetic
+from fedsim.data import LabeledSet, make_synthetic
 from fedsim.errors import (
     EmptyInput,
     InvalidInputs,
@@ -188,15 +188,18 @@ class TestHeterogeneityGap:
         train, _, _ = make_synthetic(4, 50, 8, 0.25, seed=11)
         spec = ModelSpec(8, (8,), 4)
 
-        def optimum_loss(data, seed):
+        def optimum_loss(shard, seed):
             model = init_model(spec, seed)
-            [trained] = local_train(model, [data], TrainConfig(0.3, 60, 16, seeds=[seed]))
+            cfg = TrainConfig(0.3, 60, 16, seeds=[seed])
+            [trained] = local_train(model, [shard], cfg, train)
+            data = LabeledSet(train.features[shard], train.labels[shard], 4)
             return evaluate(trained, data).mean_loss
 
-        pooled = optimum_loss(train, 0)
+        everything = np.arange(len(train))
+        pooled = optimum_loss(everything, 0)
         gaps = {}
         for mode in ("iid", "one_class"):
-            shards = partition(train, PartitionPlan(mode, 4, seed=3))
+            shards = partition(train, everything, PartitionPlan(mode, 4, seed=3))
             losses = [optimum_loss(d.data, 1 + d.device_id) for d in shards]
             weights = np.array([len(d.data) for d in shards], dtype=float)
             weights /= weights.sum()

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from fedsim import federation, harness
 from fedsim.harness import ExperimentConfig, run_experiment
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -93,3 +94,37 @@ def test_traced_run_has_per_layer_rows():
     assert len(rows) == cfg.rounds
     assert all(row["nn.local_train_calls"] >= 1 for row in rows)
     assert set(setup) == set(spans.SETUP)
+
+
+def test_round_trains_the_samples_its_devices_hold(monkeypatch):
+    # bench/run.py's RoundClock counts a round's train samples as the sum of
+    # len(d.data) over the devices run_round returns, times local_epochs;
+    # train_samples_per_s is right only while that is what local_train gets
+    received, held = [], []
+    train, run_round = federation.local_train, harness.run_round
+
+    def counted_train(model, shards, cfg, *args):
+        received[-1] += sum(len(shard) for shard in shards) * cfg.local_epochs
+        return train(model, shards, cfg, *args)
+
+    def counted_round(state, cfg):
+        received.append(0)
+        new_state, report = run_round(state, cfg)
+        held.append(sum(len(d.data) for d in new_state.devices) * cfg.local_epochs)
+        return new_state, report
+
+    monkeypatch.setattr(federation, "local_train", counted_train)
+    monkeypatch.setattr(harness, "run_round", counted_round)
+    run_experiment(
+        ExperimentConfig(
+            dataset_params={"num_classes": 4, "per_class": 50, "input_dim": 6, "spread": 0.2},
+            devices=6,
+            rounds=3,
+            local_epochs=2,
+            segment_size=2,
+            hidden_dims=(6,),
+            workers=2,
+        )
+    )
+    assert received == held
+    assert held[0] < held[1] < held[2]  # dispensed samples are trained on

@@ -6,10 +6,13 @@ import pytest
 from fedsim.cli import EXIT_CONFIG, EXIT_DATASET, EXIT_OK, EXIT_RUNTIME, main
 
 
+DATASET_PARAMS = {"num_classes": 4, "per_class": 25, "input_dim": 6, "spread": 0.2}
+
+
 def write_config(tmp_path, **overrides):
     config = {
         "dataset": "synthetic",
-        "dataset_params": {"num_classes": 4, "per_class": 25, "input_dim": 6, "spread": 0.2},
+        "dataset_params": DATASET_PARAMS,
         "devices": 4,
         "rounds": 2,
         "local_epochs": 1,
@@ -28,7 +31,8 @@ def write_config(tmp_path, **overrides):
     return path
 
 
-# (key, value) pairs that must fail at load time with a config error naming the key
+# (key, value) pairs that must fail at load time with a config error naming the
+# key; "dataset_params.k" sets key k of dataset_params
 INVALID_VALUES = [
     ("rounds", 0),
     ("hidden_dims", "32"),
@@ -41,6 +45,15 @@ INVALID_VALUES = [
     ("learning_rate", "0.1"),
     ("learning_rate", float("nan")),
     ("segment_size", 1.5),
+    ("dataset_params.input_dim", 16.9),
+    ("dataset_params.per_class", "40"),
+    ("dataset_params.spread", float("nan")),
+    ("dataset_params.spread", -0.1),
+    ("dataset_params.num_classes", True),
+    ("dataset_params.num_classes", 1),
+    ("dataset_params.per_class", 2.5),
+    ("dataset_params.per_class", 1),
+    ("dataset_params.input_dim", 1),
 ]
 
 
@@ -72,10 +85,14 @@ class TestRunCommand:
 
     def test_invalid_config_value(self, tmp_path, capsys):
         for key, value in INVALID_VALUES:
-            config = write_config(tmp_path, **{key: value})
+            section, _, param = key.partition(".")
+            if param:
+                config = write_config(tmp_path, **{section: {**DATASET_PARAMS, param: value}})
+            else:
+                config = write_config(tmp_path, **{key: value})
             code = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
             assert code == EXIT_CONFIG, (key, value)
-            assert key in capsys.readouterr().err, (key, value)
+            assert (param or key) in capsys.readouterr().err, (key, value)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numerical_blow_up(self, tmp_path, capsys):

@@ -52,13 +52,6 @@ class TestLabeledSet:
         with pytest.raises(ValueError):
             LabeledSet(np.zeros((2, 3)), np.array([0, 5]), 3)
 
-    def test_subset_copies(self):
-        data = LabeledSet(np.arange(12.0).reshape(4, 3), np.array([0, 1, 0, 1]), 2)
-        sub = data.subset([1, 3])
-        np.testing.assert_array_equal(sub.labels, [1, 1])
-        sub.features[0, 0] = -1.0
-        assert data.features[1, 0] == 3.0
-
     def test_concat_checks_dimensions(self):
         a = LabeledSet(np.zeros((2, 3)), np.zeros(2, dtype=int), 2)
         b = LabeledSet(np.zeros((2, 4)), np.zeros(2, dtype=int), 2)
@@ -115,6 +108,16 @@ class TestMnistLoader:
         write_idx_labels(tmp_path / "t10k-labels-idx1-ubyte", [1])
         train, _, _ = load_mnist(tmp_path)
         np.testing.assert_array_equal(train.features, 128.0 / 255.0)
+
+    def test_scaled_bytes_equal_a_float_copy_divided_by_255(self, tmp_path):
+        make_mnist_dir(tmp_path, [5, 0, 4], [7], side=16)
+        # the test image holds every byte value once
+        write_idx_images(tmp_path / "t10k-images-idx3-ubyte", np.arange(256).reshape(1, 16, 16))
+        train, test, _ = load_mnist(tmp_path)
+        for data, name in ((train, "train-images-idx3-ubyte"), (test, "t10k-images-idx3-ubyte")):
+            pixels = np.frombuffer((tmp_path / name).read_bytes()[16:], dtype=np.uint8)
+            expected = pixels.reshape(len(data), -1).astype(np.float64) / 255.0
+            assert data.features.tobytes() == expected.tobytes()
 
     def test_repeated_loads_are_identical(self, tmp_path):
         make_mnist_dir(tmp_path, [1, 2, 3], [4])
@@ -192,6 +195,20 @@ class TestCifarLoader:
         np.testing.assert_array_equal(train.labels, [77, 77, 77])
         assert train.features[0, 0] == 0.0
         assert train.features[0, -1] == pytest.approx((3071 % 256) / 255.0)
+
+    def test_scaled_bytes_equal_a_float_copy_divided_by_255(self, tmp_path):
+        write_cifar10_dir(tmp_path, per_file=4)
+        train, test, _ = load_cifar(tmp_path, "cifar10")
+        for data, names in (
+            (train, [f"data_batch_{i}.bin" for i in range(1, 6)]),
+            (test, ["test_batch.bin"]),
+        ):
+            records = np.concatenate([
+                np.frombuffer((tmp_path / n).read_bytes(), dtype=np.uint8).reshape(-1, 3073)
+                for n in names
+            ])
+            expected = records[:, 1:].astype(np.float64) / 255.0
+            assert data.features.tobytes() == expected.tobytes()
 
     def test_truncated_record(self, tmp_path):
         write_cifar10_dir(tmp_path)

@@ -12,13 +12,17 @@ from fedsim.federation import (
     RoundConfig,
     aggregate_ddfl,
     aggregate_fedavg,
-    normalized_entropy,
     run_round,
     select_devices,
 )
 from fedsim.nn import ModelSpec, init_model
 from fedsim.params import ParamVector
-from fedsim.partition import PartitionPlan, partition, split_global_queue
+from fedsim.partition import (
+    PartitionPlan,
+    normalized_entropy,
+    partition,
+    split_global_queue,
+)
 
 
 def entropy_oracle(counts):
@@ -254,30 +258,30 @@ def small_federation(mode="one_class", num_devices=4, num_classes=4, seed=0,
                       rng.integers(0, num_classes, size=20), num_classes)
     queue, residual = split_global_queue(train, queue_fraction, seed=seed)
     devices = partition(
-        residual, PartitionPlan(mode, num_devices, seed=seed)
+        train, residual, PartitionPlan(mode, num_devices, seed=seed)
     )
     spec = ModelSpec(6, (5,), num_classes)
     model = init_model(spec, seed)
-    return FederationState(devices, queue, model), spec, test
+    return FederationState(devices, queue, model), spec, dict(train_set=train, test_set=test)
 
 
 class TestRunRound:
     def test_zero_learning_rate_keeps_global_model(self):
-        state, spec, test = small_federation()
+        state, spec, sets = small_federation()
         cfg = RoundConfig(spec, 0.0, 1, 8, AggregationPolicy("ddfl_entropy", 0.9),
-                          1, seed=3, test_set=test)
+                          1, seed=3, **sets)
         before = state.global_model.values.copy()
         before_acc = None
         from fedsim.nn import evaluate
-        before_acc = evaluate(state.global_model, test).accuracy
+        before_acc = evaluate(state.global_model, sets["test_set"]).accuracy
         new_state, report = run_round(state, cfg)
         np.testing.assert_allclose(new_state.global_model.values, before, rtol=1e-12)
         assert report.test_accuracy == before_acc
 
     def test_single_device_full_selection_returns_local_model(self):
-        state, spec, test = small_federation(mode="iid", num_devices=1)
+        state, spec, sets = small_federation(mode="iid", num_devices=1)
         cfg = RoundConfig(spec, 0.2, 1, 8, AggregationPolicy("ddfl_entropy", 1.0),
-                          1, seed=3, test_set=test)
+                          1, seed=3, **sets)
         new_state, report = run_round(state, cfg)
         local = new_state.devices[0].model
         np.testing.assert_array_equal(new_state.global_model.values, local.values)
@@ -288,12 +292,12 @@ class TestRunRound:
         # full selection and no dispensing the two aggregators must agree
         # bit for bit
         kwargs = dict(mode="iid", num_devices=4, seed=5, queue_fraction=0.0)
-        state_a, spec, test = small_federation(**kwargs)
+        state_a, spec, sets = small_federation(**kwargs)
         state_b, _, _ = small_federation(**kwargs)
         cfg_a = RoundConfig(spec, 0.3, 1, 8, AggregationPolicy("fedavg_count", 1.0),
-                            0, seed=7, test_set=test)
+                            0, seed=7, **sets)
         cfg_b = RoundConfig(spec, 0.3, 1, 8, AggregationPolicy("ddfl_entropy", 1.0),
-                            0, seed=7, test_set=test)
+                            0, seed=7, **sets)
         out_a, _ = run_round(state_a, cfg_a)
         out_b, _ = run_round(state_b, cfg_b)
         np.testing.assert_array_equal(
@@ -301,27 +305,27 @@ class TestRunRound:
         )
 
     def test_round_one_of_one_class_flags_fallback(self):
-        state, spec, test = small_federation(mode="one_class", queue_fraction=0.0)
+        state, spec, sets = small_federation(mode="one_class", queue_fraction=0.0)
         cfg = RoundConfig(spec, 0.1, 1, 8, AggregationPolicy("ddfl_entropy", 0.9),
-                          0, seed=1, test_set=test)
+                          0, seed=1, **sets)
         _, report = run_round(state, cfg)
         assert report.zero_entropy_fallback
         # floor(0.9 * 4) = 3 devices kept
         assert len(report.selected_ids) == 3
 
     def test_selected_count_matches_fraction(self):
-        state, spec, test = small_federation(num_devices=4)
+        state, spec, sets = small_federation(num_devices=4)
         cfg = RoundConfig(spec, 0.1, 1, 8, AggregationPolicy("ddfl_entropy", 0.5),
-                          1, seed=1, test_set=test)
+                          1, seed=1, **sets)
         _, report = run_round(state, cfg)
         assert len(report.selected_ids) == max(1, math.floor(0.5 * 4))
 
     def test_device_order_does_not_matter(self):
-        state_a, spec, test = small_federation(seed=2)
+        state_a, spec, sets = small_federation(seed=2)
         state_b, _, _ = small_federation(seed=2)
         state_b.devices = list(reversed(state_b.devices))
         cfg = RoundConfig(spec, 0.2, 1, 8, AggregationPolicy("ddfl_entropy", 0.9),
-                          1, seed=9, test_set=test)
+                          1, seed=9, **sets)
         out_a, rep_a = run_round(state_a, cfg)
         out_b, rep_b = run_round(state_b, cfg)
         np.testing.assert_array_equal(
@@ -330,12 +334,12 @@ class TestRunRound:
         assert rep_a.selected_ids == rep_b.selected_ids
 
     def test_worker_count_does_not_matter(self):
-        state_a, spec, test = small_federation(seed=4)
+        state_a, spec, sets = small_federation(seed=4)
         state_b, _, _ = small_federation(seed=4)
         cfg_1 = RoundConfig(spec, 0.2, 2, 8, AggregationPolicy("ddfl_entropy", 0.9),
-                            1, seed=9, test_set=test, workers=1)
+                            1, seed=9, **sets, workers=1)
         cfg_4 = RoundConfig(spec, 0.2, 2, 8, AggregationPolicy("ddfl_entropy", 0.9),
-                            1, seed=9, test_set=test, workers=4)
+                            1, seed=9, **sets, workers=4)
         out_a, _ = run_round(state_a, cfg_1)
         out_b, _ = run_round(state_b, cfg_4)
         np.testing.assert_array_equal(
@@ -343,9 +347,9 @@ class TestRunRound:
         )
 
     def test_report_contents(self):
-        state, spec, test = small_federation()
+        state, spec, sets = small_federation()
         cfg = RoundConfig(spec, 0.2, 1, 8, AggregationPolicy("fedavg_count", 1.0),
-                          1, seed=9, test_set=test)
+                          1, seed=9, **sets)
         new_state, report = run_round(state, cfg)
         assert report.round_index == 0
         assert new_state.round_index == 1

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -166,6 +167,25 @@ class TestRunExperiment:
                 assert sorted(blocks) == sorted(per_round * 3)  # 3 rounds
                 outputs.add((out / "metrics.csv").read_bytes())
             assert len(outputs) == 1, name
+
+    @pytest.mark.parametrize("aggregator", ["fedavg_count", "ddfl_entropy"])
+    def test_peak_memory_below_twice_the_features(self, aggregator):
+        # the train and test matrices are the only copies of the samples: the
+        # queue, the residual and each device's data index into the train set
+        cfg = tiny_config(
+            dataset_params={"num_classes": 10, "per_class": 500, "input_dim": 256, "spread": 0.3},
+            devices=10,
+            rounds=2,
+            aggregator=aggregator,
+        )
+        feature_bytes = (4000 + 1000) * 256 * 8
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * feature_bytes, peak / feature_bytes
 
     def test_summary_contents(self):
         result = run_experiment(tiny_config())

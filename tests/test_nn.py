@@ -30,6 +30,11 @@ def finite_difference_gradient(model, batch, activation, step=1e-6):
     return grad
 
 
+def everything(data):
+    """The one shard that holds every sample of `data`."""
+    return [np.arange(len(data))]
+
+
 def random_batch(rng, n, dim, num_classes):
     return LabeledSet(
         rng.uniform(0.0, 1.0, size=(n, dim)),
@@ -126,7 +131,7 @@ class TestLocalTrain:
         train, _, _ = make_synthetic(3, 10, 4, 0.2, seed=0)
         spec = ModelSpec(4, (6,), 3)
         model = init_model(spec, 2)
-        [out] = local_train(model, [train], TrainConfig(0.0, 3, 4, seeds=[9]))
+        [out] = local_train(model, everything(train), TrainConfig(0.0, 3, 4, seeds=[9]), train)
         np.testing.assert_array_equal(out.values, model.values)
 
     def test_input_model_not_mutated(self):
@@ -134,7 +139,7 @@ class TestLocalTrain:
         spec = ModelSpec(4, (6,), 3)
         model = init_model(spec, 2)
         before = model.values.copy()
-        local_train(model, [train], TrainConfig(0.5, 2, 4, seeds=[9]))
+        local_train(model, everything(train), TrainConfig(0.5, 2, 4, seeds=[9]), train)
         np.testing.assert_array_equal(model.values, before)
 
     def test_single_sample_single_step(self):
@@ -143,7 +148,7 @@ class TestLocalTrain:
         model = init_model(spec, 5)
         batch = random_batch(rng, 1, 3, 2)
         eta = 0.3
-        [out] = local_train(model, [batch], TrainConfig(eta, 1, 1, seeds=[0]))
+        [out] = local_train(model, everything(batch), TrainConfig(eta, 1, 1, seeds=[0]), batch)
         step = eta * gradient(model, batch).values
         np.testing.assert_array_equal(out.values, model.values - step)
         # corroborate the analytic gradient with the finite-difference oracle
@@ -157,7 +162,7 @@ class TestLocalTrain:
         spec = ModelSpec(4, (8,), 2)
         model = init_model(spec, 1)
         before = evaluate(model, train).mean_loss
-        [out] = local_train(model, [train], TrainConfig(0.2, 5, 8, seeds=[4]))
+        [out] = local_train(model, everything(train), TrainConfig(0.2, 5, 8, seeds=[4]), train)
         after = evaluate(out, train).mean_loss
         assert after <= before
 
@@ -166,10 +171,12 @@ class TestLocalTrain:
         spec = ModelSpec(4, (5,), 3)
         model = init_model(spec, 7)
         base_seed = 1234
-        [multi] = local_train(model, [train], TrainConfig(0.1, 3, 5, seeds=[base_seed]))
+        shard = everything(train)
+        [multi] = local_train(model, shard, TrainConfig(0.1, 3, 5, seeds=[base_seed]), train)
         step = model
         for epoch in range(3):
-            [step] = local_train(step, [train], TrainConfig(0.1, 1, 5, seeds=[base_seed + epoch]))
+            cfg = TrainConfig(0.1, 1, 5, seeds=[base_seed + epoch])
+            [step] = local_train(step, shard, cfg, train)
         np.testing.assert_array_equal(multi.values, step.values)
 
     def test_deterministic(self):
@@ -177,8 +184,8 @@ class TestLocalTrain:
         spec = ModelSpec(4, (5,), 3)
         model = init_model(spec, 7)
         cfg = TrainConfig(0.1, 2, 5, seeds=[11])
-        [a] = local_train(model, [train], cfg)
-        [b] = local_train(model, [train], cfg)
+        [a] = local_train(model, everything(train), cfg, train)
+        [b] = local_train(model, everything(train), cfg, train)
         np.testing.assert_array_equal(a.values, b.values)
 
     # 24 samples: batches of 5 give several minibatches, 24 a single one, so
@@ -190,7 +197,7 @@ class TestLocalTrain:
         model = init_model(ModelSpec(4, (6,), 3), 2)
         cfg = TrainConfig(float("inf"), 1, batch_size, seeds=[9])
         with pytest.raises(NumericalDivergence, match="shard 0") as caught:
-            local_train(model, [train], cfg)
+            local_train(model, everything(train), cfg, train)
         assert caught.value.shard == 0
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -199,10 +206,11 @@ class TestLocalTrain:
         # smallest, so it trains in the last row of the stack
         rng = np.random.default_rng(4)
         model = init_model(ModelSpec(4, (6,), 3), 2)
-        shards = [random_batch(rng, n, 4, 3) for n in (3, 9, 6)]
-        shards[0].features[:] = np.inf
+        data = random_batch(rng, 18, 4, 3)
+        shards = [np.arange(0, 3), np.arange(3, 12), np.arange(12, 18)]
+        data.features[shards[0]] = np.inf
         with pytest.raises(NumericalDivergence) as caught:
-            local_train(model, shards, TrainConfig(0.1, 1, 4, [1, 2, 3]))
+            local_train(model, shards, TrainConfig(0.1, 1, 4, [1, 2, 3]), data)
         assert caught.value.shard == 0
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
@@ -213,17 +221,22 @@ class TestLocalTrain:
         rng = np.random.default_rng(3)
         spec = ModelSpec(4, (6, 5), 3, activation)
         model = init_model(spec, 2)
-        shards = [random_batch(rng, n, 4, 3) for n in (7, 12, 1, 12, 5, 9)]
+        # shards index one shared set in scattered order, and two overlap
+        data = random_batch(rng, 40, 4, 3)
+        shards = [rng.permutation(40)[:n] for n in (7, 12, 1, 12, 5, 9)]
         seeds = [40, 41, 42, 43, 44, 45]
         together = local_train(
-            model, shards, TrainConfig(0.2, 2, batch_size, seeds), activation
+            model, shards, TrainConfig(0.2, 2, batch_size, seeds), data, activation
         )
         assert len(together) == len(shards)
-        for data, seed, out in zip(shards, seeds, together):
-            [alone] = local_train(
-                model, [data], TrainConfig(0.2, 2, batch_size, [seed]), activation
-            )
+        for shard, seed, out in zip(shards, seeds, together):
+            cfg = TrainConfig(0.2, 2, batch_size, [seed])
+            [alone] = local_train(model, [shard], cfg, data, activation)
             np.testing.assert_array_equal(out.values, alone.values)
+            # the same as training on a copy of the shard's rows
+            copy = LabeledSet(data.features[shard], data.labels[shard], 3)
+            [copied] = local_train(model, everything(copy), cfg, copy, activation)
+            np.testing.assert_array_equal(out.values, copied.values)
 
     def test_stacked_gradient_equals_per_device_gradient(self):
         # 784 -> 128 -> 10 at batch 50, the GEMM-bound shape: each device
@@ -244,10 +257,13 @@ class TestLocalTrain:
     def test_one_seed_per_shard(self):
         train, _, _ = make_synthetic(3, 10, 4, 0.2, seed=0)
         model = init_model(ModelSpec(4, (6,), 3), 2)
+        shard = np.arange(len(train))
         with pytest.raises(ValueError, match="one seed per shard"):
-            local_train(model, [train, train], TrainConfig(0.1, 1, 4, [1]))
+            local_train(model, [shard, shard], TrainConfig(0.1, 1, 4, [1]), train)
         with pytest.raises(EmptyDataset):
-            local_train(model, [], TrainConfig(0.1, 1, 4, []))
+            local_train(model, [], TrainConfig(0.1, 1, 4, []), train)
+        with pytest.raises(EmptyDataset):
+            local_train(model, [shard, shard[:0]], TrainConfig(0.1, 1, 4, [1, 2]), train)
 
     def test_invalid_train_config(self):
         with pytest.raises(ValueError):

@@ -5,16 +5,15 @@ import pytest
 
 from fedsim.data import LabeledSet, class_histogram, make_synthetic
 from fedsim.errors import (
-    DimensionMismatch,
     InfeasibleOneClass,
     InvalidGamma,
     TooFewSamples,
 )
-from fedsim.federation import normalized_entropy
 from fedsim.partition import (
     PartitionPlan,
     accumulate,
     dispense,
+    normalized_entropy,
     partition,
     split_global_queue,
 )
@@ -27,6 +26,11 @@ def balanced_set(num_classes=10, per_class=600, dim=4, seed=0):
     return LabeledSet(rng.uniform(size=(len(labels), dim)), labels, num_classes)
 
 
+def partition_all(train, plan):
+    """Partition every sample of `train` (no queue held back)."""
+    return partition(train, np.arange(len(train)), plan)
+
+
 class TestSplitGlobalQueue:
     def test_pool_and_residual_sizes(self):
         train = balanced_set(per_class=6000)  # 60000 samples
@@ -37,14 +41,13 @@ class TestSplitGlobalQueue:
     def test_stratified_pool_is_class_uniform(self):
         train = balanced_set(per_class=6000)
         queue, _ = split_global_queue(train, 0.1, seed=1)
-        np.testing.assert_array_equal(class_histogram(queue.pool, 10), 600)
+        np.testing.assert_array_equal(class_histogram(train.labels[queue.pool], 10), 600)
 
     def test_zero_fraction(self):
         train = balanced_set(per_class=30)
         queue, residual = split_global_queue(train, 0.0, seed=1)
         assert len(queue.pool) == 0
-        np.testing.assert_array_equal(residual.features, train.features)
-        np.testing.assert_array_equal(residual.labels, train.labels)
+        np.testing.assert_array_equal(residual, np.arange(len(train)))
 
     def test_uniform_to_the_extent_counts_allow(self):
         # class 0 has only 5 samples; the shortfall spreads over other classes
@@ -53,7 +56,7 @@ class TestSplitGlobalQueue:
         train = LabeledSet(rng.uniform(size=(len(labels), 3)), labels, 4)
         queue, _ = split_global_queue(train, 0.2, seed=2)
         target = round(0.2 * len(train))
-        hist = class_histogram(queue.pool, 4)
+        hist = class_histogram(train.labels[queue.pool], 4)
         assert hist.sum() == target == len(queue.pool)
         assert hist[0] == 5
         assert hist[1:].max() - hist[1:].min() <= 1
@@ -69,7 +72,8 @@ class TestSplitGlobalQueue:
         queue, residual = split_global_queue(train, 0.3, seed=4)
         assert len(queue.pool) + len(residual) == len(train)
         np.testing.assert_array_equal(
-            class_histogram(queue.pool, 10) + class_histogram(residual, 10),
+            class_histogram(train.labels[queue.pool], 10)
+            + class_histogram(train.labels[residual], 10),
             class_histogram(train, 10),
         )
 
@@ -78,7 +82,7 @@ class TestPartition:
     def test_iid_balanced_data_gives_unit_entropy(self):
         train = balanced_set(per_class=100)
         plan = PartitionPlan("iid", 10, seed=5)
-        devices = partition(train, plan)
+        devices = partition_all(train, plan)
         assert [d.entropy for d in devices] == [1.0] * 10
         assert all(len(d.data) == 100 for d in devices)
 
@@ -86,14 +90,14 @@ class TestPartition:
         rng = np.random.default_rng(0)
         labels = rng.integers(0, 7, size=503)
         train = LabeledSet(rng.uniform(size=(503, 3)), labels, 7)
-        devices = partition(train, PartitionPlan("iid", 10, seed=1))
+        devices = partition_all(train, PartitionPlan("iid", 10, seed=1))
         sizes = [len(d.data) for d in devices]
         assert max(sizes) - min(sizes) <= 1
         assert sum(sizes) == 503
 
     def test_iid_shards_disjoint_and_cover(self):
         train = balanced_set(per_class=30)
-        devices = partition(train, PartitionPlan("iid", 4, seed=2))
+        devices = partition_all(train, PartitionPlan("iid", 4, seed=2))
         total = np.zeros(10, dtype=np.int64)
         for d in devices:
             total += d.histogram
@@ -101,19 +105,19 @@ class TestPartition:
 
     def test_one_class_matching_device_count(self):
         train = balanced_set(per_class=40)
-        devices = partition(train, PartitionPlan("one_class", 10, seed=3))
+        devices = partition_all(train, PartitionPlan("one_class", 10, seed=3))
         for k, d in enumerate(devices):
-            assert set(np.unique(d.data.labels)) == {k}
+            assert set(np.unique(train.labels[d.data])) == {k}
             assert d.entropy == 0.0
             assert len(d.data) == 40
 
     def test_one_class_two_devices_per_class(self):
         train = balanced_set(per_class=41)
-        devices = partition(train, PartitionPlan("one_class", 20, seed=3))
+        devices = partition_all(train, PartitionPlan("one_class", 20, seed=3))
         for j in range(10):
             a, b = devices[2 * j], devices[2 * j + 1]
-            assert set(np.unique(a.data.labels)) == {j}
-            assert set(np.unique(b.data.labels)) == {j}
+            assert set(np.unique(train.labels[a.data])) == {j}
+            assert set(np.unique(train.labels[b.data])) == {j}
             # the pair splits class j evenly and without overlap
             assert len(a.data) + len(b.data) == 41
             assert abs(len(a.data) - len(b.data)) <= 1
@@ -121,19 +125,19 @@ class TestPartition:
     def test_one_class_needs_enough_devices(self):
         train = balanced_set(num_classes=10, per_class=10)
         with pytest.raises(InfeasibleOneClass):
-            partition(train, PartitionPlan("one_class", 5, seed=0))
+            partition_all(train, PartitionPlan("one_class", 5, seed=0))
 
     def test_too_few_samples(self):
         train = balanced_set(num_classes=2, per_class=1, dim=3)
         with pytest.raises(TooFewSamples):
-            partition(train, PartitionPlan("iid", 10, seed=0))
+            partition_all(train, PartitionPlan("iid", 10, seed=0))
 
     def test_histogram_matches_data(self):
         train = balanced_set(per_class=20)
         for mode in ("iid", "one_class"):
-            for d in partition(train, PartitionPlan(mode, 10, seed=7)):
+            for d in partition_all(train, PartitionPlan(mode, 10, seed=7)):
                 np.testing.assert_array_equal(
-                    d.histogram, class_histogram(d.data, 10)
+                    d.histogram, class_histogram(train.labels[d.data], 10)
                 )
                 assert d.entropy == normalized_entropy(d.histogram)
 
@@ -181,7 +185,7 @@ class TestDispense:
             assert len(indices) == num_devices
             for got, want, segment in zip(indices, expected, segments):
                 np.testing.assert_array_equal(got, want)
-                np.testing.assert_array_equal(segment.labels, queue.pool.labels[want])
+                np.testing.assert_array_equal(segment, queue.pool[want])
             assert (queue.cursor, queue.reshuffles) == (reference.cursor, reference.reshuffles)
             np.testing.assert_array_equal(queue.order, reference.order)
 
@@ -249,45 +253,46 @@ class TestDispense:
 
 class TestAccumulate:
     def test_entropy_after_single_cross_class_sample(self):
-        device = partition(
-            LabeledSet(np.zeros((30, 2)), np.zeros(30, dtype=int), 10),
-            PartitionPlan("iid", 1, seed=0),
-        )[0]
+        train = LabeledSet(np.zeros((31, 2)), np.repeat([0, 1], [30, 1]), 10)
+        device = partition(train, np.arange(30), PartitionPlan("iid", 1, seed=0))[0]
         assert device.entropy == 0.0
-        segment = LabeledSet(np.zeros((1, 2)), np.ones(1, dtype=int), 10)
-        updated = accumulate(device, segment)
+        [updated] = accumulate([device], [np.array([30])], train)
         expected = -(
             (30 / 31) * math.log2(30 / 31) + (1 / 31) * math.log2(1 / 31)
         ) / math.log2(10)
         assert updated.entropy == pytest.approx(expected, abs=1e-12)
         assert len(updated.data) == 31
+        np.testing.assert_array_equal(updated.data, np.append(device.data, 30))
 
     def test_empty_segment_is_identity(self):
         train = balanced_set(per_class=5)
-        device = partition(train, PartitionPlan("iid", 2, seed=1))[0]
-        empty = LabeledSet(np.empty((0, 4)), np.empty(0, dtype=int), 10)
-        assert accumulate(device, empty) is device
+        devices = partition_all(train, PartitionPlan("iid", 2, seed=1))
+        empty = np.empty(0, dtype=np.int64)
+        updated = accumulate(devices, [empty, np.array([0])], train)
+        assert updated[0] is devices[0]
+        assert len(updated[1].data) == len(devices[1].data) + 1
 
-    def test_dimension_mismatch(self):
+    def test_one_segment_per_device(self):
         train = balanced_set(per_class=5)
-        device = partition(train, PartitionPlan("iid", 2, seed=1))[0]
-        bad = LabeledSet(np.zeros((1, 7)), np.zeros(1, dtype=int), 10)
-        with pytest.raises(DimensionMismatch):
-            accumulate(device, bad)
+        devices = partition_all(train, PartitionPlan("iid", 2, seed=1))
+        with pytest.raises(ValueError):
+            accumulate(devices, [np.array([0])], train)
 
     def test_data_size_nondecreasing_and_consistent(self):
         train = balanced_set(per_class=12)
         queue, residual = split_global_queue(train, 0.25, seed=2)
-        devices = partition(residual, PartitionPlan("one_class", 10, seed=2))
+        devices = partition(train, residual, PartitionPlan("one_class", 10, seed=2))
         sizes = [len(d.data) for d in devices]
         for _ in range(3):
             segments, _ = dispense(queue, 10, 1)
-            devices = [accumulate(d, s) for d, s in zip(devices, segments)]
+            devices = accumulate(devices, segments, train)
             new_sizes = [len(d.data) for d in devices]
             assert all(b >= a for a, b in zip(sizes, new_sizes))
             sizes = new_sizes
             for d in devices:
-                np.testing.assert_array_equal(d.histogram, class_histogram(d.data, 10))
+                np.testing.assert_array_equal(
+                    d.histogram, class_histogram(train.labels[d.data], 10)
+                )
                 assert d.entropy == normalized_entropy(d.histogram)
 
 
@@ -297,25 +302,25 @@ class TestConservation:
         # multiset stays a subset of the pool
         train = balanced_set(per_class=30)
         queue, residual = split_global_queue(train, 0.2, seed=6)
-        devices = partition(residual, PartitionPlan("one_class", 10, seed=6))
+        devices = partition(train, residual, PartitionPlan("one_class", 10, seed=6))
         train_hist = class_histogram(train, 10)
         for _ in range(5):
             segments, _ = dispense(queue, 10, 1)
-            devices = [accumulate(d, s) for d, s in zip(devices, segments)]
+            devices = accumulate(devices, segments, train)
             held = np.sum([d.histogram for d in devices], axis=0)
-            remaining_idx = queue.order[queue.cursor:]
-            queue_hist = class_histogram(queue.pool.labels[remaining_idx], 10)
+            remaining = queue.pool[queue.order[queue.cursor:]]
+            queue_hist = class_histogram(train.labels[remaining], 10)
             np.testing.assert_array_equal(held + queue_hist, train_hist)
 
     def test_mean_entropy_nondecreasing_under_dispensing(self):
         for seed in (0, 1, 2):
             train = balanced_set(per_class=30)
             queue, residual = split_global_queue(train, 0.2, seed=seed)
-            devices = partition(residual, PartitionPlan("one_class", 10, seed=seed))
+            devices = partition(train, residual, PartitionPlan("one_class", 10, seed=seed))
             last = float(np.mean([d.entropy for d in devices]))
             for _ in range(10):
                 segments, _ = dispense(queue, 10, 2)
-                devices = [accumulate(d, s) for d, s in zip(devices, segments)]
+                devices = accumulate(devices, segments, train)
                 mean_entropy = float(np.mean([d.entropy for d in devices]))
                 assert mean_entropy >= last
                 last = mean_entropy
