@@ -1,7 +1,7 @@
 """Diagnostics: weight divergence, bias vectors, reliability, convergence bound.
 
-All operations here are pure functions over parameter vectors or plain
-numbers and are safe to call from any thread.
+All operations here are pure functions over parameter vectors, (K, P)
+banks of them, or plain numbers, and are safe to call from any thread.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, InvalidInputs, LengthMismatch, ZeroMean
+from .errors import EmptyInput, InvalidInputs, LayoutMismatch, LengthMismatch, ZeroMean
 from .params import ParamVector, check_same_layout, layer_slices
 
 
@@ -25,6 +25,21 @@ class DivergenceRecord:
     device_id: int | None = None
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    # one dot per row, as np.linalg.norm of a vector does, so the bits match
+    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
+
+
+def bank_divergence(global_model: ParamVector, bank: np.ndarray) -> tuple[np.ndarray, ...]:
+    """`weight_divergence` of each row of a (K, P) model bank, bit for bit:
+    the (K,) totals and the (K, L) per-layer norms."""
+    if bank.shape[1] != len(global_model):
+        raise LayoutMismatch(f"bank width {bank.shape[1]} != model size {len(global_model)}")
+    diff = global_model.values - bank
+    per_layer = np.stack([_row_norms(diff[:, s]) for s in layer_slices(global_model.layout)], 1)
+    return _row_norms(diff), per_layer
+
+
 def weight_divergence(
     global_model: ParamVector,
     local_model: ParamVector,
@@ -33,13 +48,10 @@ def weight_divergence(
 ) -> DivergenceRecord:
     """Per-layer and total Euclidean distance; symmetric in its arguments."""
     check_same_layout(global_model, local_model)
-    diff = global_model.values - local_model.values
-    per_layer = tuple(
-        float(np.linalg.norm(diff[s])) for s in layer_slices(global_model.layout)
-    )
+    totals, per_layer = bank_divergence(global_model, local_model.values[None, :])
     return DivergenceRecord(
-        per_layer=per_layer,
-        total=float(np.linalg.norm(diff)),
+        per_layer=tuple(per_layer[0].tolist()),
+        total=float(totals[0]),
         round_index=round_index,
         device_id=device_id,
     )

@@ -16,9 +16,11 @@ evaluate on the test set. Two aggregators are provided:
 Devices train in blocks: sorted largest shard first and cut into blocks
 whose stacked parameters and batch activations fit a fixed float budget,
 each block one `local_train` call, and `workers` threads share the blocks.
-Each device's result is a pure function of (model, device data, derived
-seed), the same bits whatever block it shares or worker runs it, so
-neither the block size nor the worker count changes results.
+Each block writes its models into its rows of the state's model bank, and
+both aggregators are one weighted sum over bank rows. Each device's result
+is a pure function of (model, device data, derived seed), the same bits
+whatever block it shares or worker runs it, so neither the block size nor
+the worker count changes results.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ from functools import partial
 import numpy as np
 
 from .data import LabeledSet
-from .errors import NoReports, NumericalDivergence, ZeroTotalWeight
+from .errors import LayoutMismatch, NoReports, NumericalDivergence, ZeroTotalWeight
 from .nn import ModelSpec, TrainConfig, evaluate, local_train
-from .params import ParamVector, check_same_layout, param_count
+from .params import Layout, ParamVector, param_count
 from .partition import DeviceState, GlobalQueue, accumulate, dispense
 from .seeds import derive_seed
 
@@ -86,14 +88,14 @@ def select_devices(reports: list[EntropyReport], selection_fraction: float) -> l
     return sorted(r.device_id for r in ranked[:keep])
 
 
-def aggregate_fedavg(models: list[ParamVector], weights) -> ParamVector:
-    """Elementwise weighted mean of models; weights are normalized to sum 1."""
-    if not models:
+def aggregate_fedavg(bank: np.ndarray, layout: Layout, weights) -> ParamVector:
+    """Weighted mean of the rows of a (K, P) model bank; weights are normalized."""
+    if not len(bank):
         raise NoReports("no models to aggregate")
-    for m in models[1:]:
-        check_same_layout(models[0], m)
+    if bank.shape[1] != param_count(layout):
+        raise LayoutMismatch(f"bank width {bank.shape[1]} != layout size {param_count(layout)}")
     w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (len(models),):
+    if w.shape != (len(bank),):
         raise ValueError("need exactly one weight per model")
     if np.any(w < 0):
         raise ValueError("weights must be nonnegative")
@@ -101,24 +103,22 @@ def aggregate_fedavg(models: list[ParamVector], weights) -> ParamVector:
     if total <= 0.0:
         raise ZeroTotalWeight("weights sum to zero")
     p = w / total
-    stacked = np.stack([m.values for m in models])
-    return ParamVector(p @ stacked, models[0].layout)
+    return ParamVector(p @ bank, layout)
 
 
 def aggregate_ddfl(
-    models: list[ParamVector],
+    bank: np.ndarray,
+    layout: Layout,
     reports: list[EntropyReport],
     selection_fraction: float,
 ) -> tuple[ParamVector, list[int], bool]:
     """Entropy-ranked selection followed by entropy-weighted averaging.
 
-    `models[i]` must belong to `reports[i]`. Returns the aggregated model,
-    the sorted selected ids, and a flag that is True when all selected
-    entropies were zero and a uniform mean was used instead.
+    Row i of the (K, P) `bank` is the model of `reports[i]`. Returns the
+    aggregated model, the sorted selected ids, and a flag that is True when
+    all selected entropies were zero and a uniform mean was used instead.
     """
-    if not reports:
-        raise NoReports("no entropy reports")
-    if len(models) != len(reports):
+    if len(bank) != len(reports):
         raise ValueError("need exactly one model per report")
     selected = select_devices(reports, selection_fraction)
     position = {r.device_id: i for i, r in enumerate(reports)}
@@ -126,14 +126,15 @@ def aggregate_ddfl(
     entropies = np.array([reports[i].entropy for i in picked])
     fallback = bool(entropies.sum() <= 0.0)
     weights = np.ones(len(picked)) if fallback else entropies
-    merged = aggregate_fedavg([models[i] for i in picked], weights)
+    merged = aggregate_fedavg(bank[picked], layout, weights)
     return merged, selected, fallback
 
 
 @dataclass
 class RoundReport:
-    """What one round observed; the merged model and the trained devices
-    (in id order) are in the state that run_round returns with it."""
+    """What one round observed; the merged model, the devices (in id order)
+    and their trained models (the bank) are in the state that run_round
+    returns with it."""
 
     round_index: int
     selected_ids: list[int]
@@ -146,10 +147,19 @@ class RoundReport:
 
 @dataclass
 class FederationState:
+    """Between rounds. `bank` (K, P) holds the latest round's local models,
+    row k for the k-th device in id order; it is allocated once, and each
+    run_round overwrites it and hands it on to the state it returns."""
+
     devices: list[DeviceState]
     queue: GlobalQueue
     global_model: ParamVector
     round_index: int = 0
+    bank: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.bank is None:
+            self.bank = np.empty((len(self.devices), len(self.global_model)))
 
 
 @dataclass(frozen=True)
@@ -174,8 +184,10 @@ def _block_width(spec: ModelSpec, batch_size: int) -> int:
 
 
 def _train_block(
-    state: FederationState, cfg: RoundConfig, block: list[DeviceState]
-) -> list[ParamVector]:
+    state: FederationState, cfg: RoundConfig, devices: list[DeviceState], rows: list[int]
+) -> None:
+    """Train `devices[r]` for each r in `rows` and write them to those bank rows."""
+    block = [devices[r] for r in rows]
     train_cfg = TrainConfig(
         learning_rate=cfg.learning_rate,
         local_epochs=cfg.local_epochs,
@@ -183,7 +195,7 @@ def _train_block(
         seeds=[derive_seed(cfg.seed, "train", state.round_index, d.device_id) for d in block],
     )
     try:
-        return local_train(
+        state.bank[rows] = local_train(
             state.global_model,
             [d.data for d in block],
             train_cfg,
@@ -198,52 +210,40 @@ def _train_block(
 
 
 def run_round(state: FederationState, cfg: RoundConfig) -> tuple[FederationState, RoundReport]:
-    """Execute one communication round; the queue is advanced in place."""
+    """Execute one communication round; the queue and bank change in place."""
     devices = sorted(state.devices, key=lambda d: d.device_id)
     segments, positions = dispense(state.queue, len(devices), cfg.segment_size)
     devices = accumulate(devices, segments, cfg.train_set)
 
-    by_size = sorted(devices, key=lambda d: -len(d.data))
+    by_size = sorted(range(len(devices)), key=lambda r: -len(devices[r].data))
     width = _block_width(cfg.model_spec, cfg.batch_size)
     blocks = [by_size[i : i + width] for i in range(0, len(by_size), width)]
-    train = partial(_train_block, state, cfg)
+    train = partial(_train_block, state, cfg, devices)
     if cfg.workers > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            trained = list(pool.map(train, blocks))
+            list(pool.map(train, blocks))  # drains the results, re-raising a block's error
     else:
-        trained = list(map(train, blocks))
-    by_id = {
-        d.device_id: model for block, models in zip(blocks, trained)
-        for d, model in zip(block, models)
-    }
-    local_models = [by_id[d.device_id] for d in devices]
+        for rows in blocks:
+            train(rows)
 
-    reports = [
-        EntropyReport(d.device_id, d.entropy, len(d.data)) for d in devices
-    ]
+    reports = [EntropyReport(d.device_id, d.entropy, len(d.data)) for d in devices]
 
     started = time.perf_counter()
     if cfg.policy.kind == "ddfl_entropy":
         merged, selected, fallback = aggregate_ddfl(
-            local_models, reports, cfg.policy.selection_fraction
+            state.bank, state.global_model.layout, reports, cfg.policy.selection_fraction
         )
     else:
         counts = [len(d.data) for d in devices]
-        merged = aggregate_fedavg(local_models, counts)
+        merged = aggregate_fedavg(state.bank, state.global_model.layout, counts)
         selected = [d.device_id for d in devices]
         fallback = False
     agg_time = time.perf_counter() - started
 
     test_stats = evaluate(merged, cfg.test_set, cfg.model_spec.activation)
 
-    new_devices = [
-        replace(device, model=model) for device, model in zip(devices, local_models)
-    ]
-    new_state = FederationState(
-        devices=new_devices,
-        queue=state.queue,
-        global_model=merged,
-        round_index=state.round_index + 1,
+    new_state = replace(
+        state, devices=devices, global_model=merged, round_index=state.round_index + 1
     )
     report = RoundReport(
         round_index=state.round_index,

@@ -15,9 +15,10 @@ file values. Every run writes into its output directory:
     dispense_trace.jsonl   optional audit log of dispensed samples (their
                            positions in the queue pool)
 
-Seed discipline: the master seed is split into labelled streams ("data",
-"queue", "partition", "init", and ("train", round, device)), so results do
-not depend on execution order or worker count.
+The divergence columns come from the round's (K, P) bank of local models in
+a few array operations. Seed discipline: the master seed is split into
+labelled streams ("data", "queue", "partition", "init", and ("train",
+round, device)), so results do not depend on execution order or workers.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import bias_term, weight_divergence
+# bias_term and weight_divergence have no caller here; bench/spans.py traces them
+from .analysis import bank_divergence, bias_term, weight_divergence  # noqa: F401
 from .data import DatasetMeta, LabeledSet, load_cifar, load_mnist, make_synthetic
 from .errors import ConfigInvalid, EmptyInput, InvalidParam, NumericalDivergence
 from .federation import (
@@ -158,8 +160,6 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     for key in _FLOAT_KEYS:
         if not _is_finite_number(getattr(cfg, key)):
             raise ConfigInvalid(f"{key} must be a finite number")
-    if cfg.dataset == "synthetic":
-        _check_synthetic_params(cfg.dataset_params)
     if cfg.segment_size is not None and not _is_int(cfg.segment_size):
         raise ConfigInvalid("segment_size must be an integer or null")
     if not isinstance(cfg.hidden_dims, (list, tuple)) or not all(
@@ -172,6 +172,10 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     cfg.aggregator = aggregator
     if cfg.dataset not in DATASETS:
         raise ConfigInvalid(f"dataset must be one of {DATASETS}")
+    if cfg.dataset == "synthetic":
+        _check_synthetic_params(cfg.dataset_params)
+    elif cfg.dataset_params:
+        raise ConfigInvalid(f"dataset_params apply to synthetic data only, not {cfg.dataset}")
     if cfg.partition_mode not in PARTITION_MODES:
         raise ConfigInvalid(f"partition_mode must be one of {PARTITION_MODES}")
     if cfg.activation not in ACTIVATIONS:
@@ -316,28 +320,15 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             state, report = run_round(state, round_cfg)
             fallback_rounds += int(report.zero_entropy_fallback)
 
-            # run_round returns the devices in id order
+            # run_round returns the devices in id order, as the bank rows are
             entropies = np.array([d.entropy for d in state.devices])
-            divergences = [
-                weight_divergence(
-                    state.global_model,
-                    d.model,
-                    round_index=report.round_index,
-                    device_id=d.device_id,
-                )
-                for d in state.devices
-            ]
-            totals = np.array([d.total for d in divergences])
+            totals, per_layer = bank_divergence(state.global_model, state.bank)
             if not np.all(np.isfinite(totals)):
                 device_id = state.devices[int(np.argmin(np.isfinite(totals)))].device_id
                 raise NumericalDivergence(
                     f"round {report.round_index}: device {device_id} weight divergence "
                     "is not finite"
                 )
-            bias_norms = [
-                float(np.linalg.norm(bias_term(d.model, state.global_model).values))
-                for d in state.devices
-            ]
             row = MetricsRow(
                 round_index=report.round_index,
                 test_accuracy=report.test_accuracy,
@@ -346,7 +337,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 min_entropy=float(entropies.min()),
                 max_entropy=float(entropies.max()),
                 mean_weight_divergence=float(np.mean(totals)),
-                mean_bias_norm=float(np.mean(bias_norms)),
+                # ‖local − global‖ is ‖global − local‖, bit for bit
+                mean_bias_norm=float(np.mean(totals)),
                 agg_time_ms=report.agg_time * 1000.0,
                 selected_ids=list(report.selected_ids),
             )
@@ -361,7 +353,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                     files["entropy"].write(
                         f"{row.round_index},{d.device_id},{_format_float(d.entropy)}\n"
                     )
-                layer_means = np.mean([d.per_layer for d in divergences], axis=0)
+                layer_means = np.mean(per_layer, axis=0)
                 for layer, value in enumerate(layer_means):
                     files["layers"].write(
                         f"{row.round_index},{layer},{_format_float(value)}\n"

@@ -209,8 +209,9 @@ def local_train(
     cfg: TrainConfig,
     data: LabeledSet,
     activation: str = "relu",
-) -> list[ParamVector]:
-    """Mini-batch SGD from `model` on each shard; returns one model per shard.
+) -> np.ndarray:
+    """Mini-batch SGD from `model` on each shard; returns a (K, P) array whose
+    row k is the parameters trained on shard k.
 
     A shard is an array of sample indices into `data`. Each epoch visits
     each shard once in a freshly shuffled order (seed `cfg.seeds[k] + epoch`
@@ -220,7 +221,8 @@ def local_train(
     result is exactly that of training its shard alone. Raises
     NumericalDivergence, naming the shard's position in `shards`, if any
     parameter ends non-finite: a NaN or inf never turns finite under later
-    SGD steps, so the check on the returned vectors catches every blow-up.
+    SGD steps, so the check on the returned rows catches every blow-up; of
+    several, it names the first to train (the largest shard first).
     """
     if not shards:
         raise EmptyDataset("at least one shard is required")
@@ -250,17 +252,11 @@ def local_train(
                 run = [(w[lo:hi], b[lo:hi]) for w, b in layers]
                 grad = _gradient_values(run, activation, data.features[idx], data.labels[idx])
                 values[lo:hi] -= cfg.learning_rate * grad
-    trained = [None] * len(rank)
-    for row, k in enumerate(rank):
-        try:
-            # a copy: a view would keep the whole stack alive while any one
-            # device's model lives, which raised peak RSS on 1,000 devices
-            trained[k] = ParamVector(values[row].copy(), model.layout)
-        except ValueError as exc:
-            raise NumericalDivergence(
-                f"shard {k} trained to non-finite parameters", shard=k
-            ) from exc
-    return trained
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        k = rank[int(np.argmin(finite))]
+        raise NumericalDivergence(f"shard {k} trained to non-finite parameters", shard=k)
+    return values[np.argsort(rank)]
 
 
 def evaluate(model: ParamVector, data: LabeledSet, activation: str = "relu") -> EvalMetrics:

@@ -1,7 +1,7 @@
 """Flat model-parameter vectors with an explicit per-layer layout.
 
-A ParamVector is the unit every federation operation works on: local updates,
-weighted averaging, divergence and bias measurements. The layout records
+A ParamVector holds one model: the global model, or one row of a round's
+(K, P) bank of local models taken out alone. The layout records
 (rows, cols, bias_len) for each dense layer, so vectors from different
 architectures can never be combined by accident.
 """

@@ -29,7 +29,6 @@ from .errors import (
     InvalidParam,
     TooFewSamples,
 )
-from .params import ParamVector
 from .seeds import derive_seed
 
 PARTITION_MODES = ("iid", "one_class")
@@ -71,13 +70,13 @@ class GlobalQueue:
 @dataclass(frozen=True)
 class DeviceState:
     """One device's cumulative data (train-set indices, so `len(data)` is its
-    sample count), class histogram, entropy, and local model."""
+    sample count), class histogram and entropy; its local model is a row of
+    the federation's model bank."""
 
     device_id: int
     data: np.ndarray
     histogram: np.ndarray
     entropy: float
-    model: ParamVector | None = None
 
 
 def normalized_entropies(hists) -> np.ndarray:
@@ -286,5 +285,5 @@ def accumulate(
     for k, hist, entropy in zip(grown, hists, normalized_entropies(hists).tolist()):
         d = devices[k]
         data = np.concatenate([d.data, segments[k]])
-        out[k] = DeviceState(d.device_id, data, hist, entropy, d.model)
+        out[k] = DeviceState(d.device_id, data, hist, entropy)
     return out

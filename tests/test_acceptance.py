@@ -99,23 +99,23 @@ def test_criterion_02_aggregation_identities():
     layout = ((4, 3, 3),)
     for _ in range(50):
         k = int(rng.integers(2, 8))
-        models = [fs.ParamVector(rng.normal(size=15), layout) for _ in range(k)]
+        models = rng.normal(size=(k, 15))
         reports = [
             fs.EntropyReport(i, fs.normalized_entropy([7, 7, 7]), 40) for i in range(k)
         ]
-        ddfl, selected, fallback = fs.aggregate_ddfl(models, reports, 1.0)
-        fedavg = fs.aggregate_fedavg(models, [40] * k)
+        ddfl, selected, fallback = fs.aggregate_ddfl(models, layout, reports, 1.0)
+        fedavg = fs.aggregate_fedavg(models, layout, [40] * k)
         assert selected == list(range(k)) and not fallback
         assert np.array_equal(ddfl.values, fedavg.values), "bit-exact identity failed"
 
     # convex-combination bound on 1000 random model sets
     for _ in range(1000):
         k = int(rng.integers(2, 6))
-        models = [fs.ParamVector(rng.normal(size=15), layout) for _ in range(k)]
+        models = rng.normal(size=(k, 15))
         weights = rng.uniform(0.0, 3.0, size=k)
         weights[int(rng.integers(k))] += 0.05
-        out = fs.aggregate_fedavg(models, weights).values
-        stacked = np.stack([m.values for m in models])
+        out = fs.aggregate_fedavg(models, layout, weights).values
+        stacked = models
         assert np.all(out >= stacked.min(axis=0) - 1e-12)
         assert np.all(out <= stacked.max(axis=0) + 1e-12)
 
@@ -161,7 +161,8 @@ def test_criterion_03_gradient_and_training():
     spec = fs.ModelSpec(6, (8,), 4)
     model = fs.init_model(spec, 0)
     cfg = fs.TrainConfig(0.0, 3, 8, seeds=[1])
-    [out] = fs.local_train(model, [np.arange(len(train))], cfg, train)
+    [values] = fs.local_train(model, [np.arange(len(train))], cfg, train)
+    out = fs.ParamVector(values, model.layout)
     assert np.array_equal(out.values, model.values), "zero-step fixpoint failed"
 
     elapsed = time.perf_counter() - started

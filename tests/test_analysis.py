@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsim.analysis import (
     BoundInputs,
+    bank_divergence,
     bias_term,
     convergence_bound,
     estimate_heterogeneity_gap,
@@ -21,7 +24,7 @@ from fedsim.errors import (
     ZeroMean,
 )
 from fedsim.nn import ModelSpec, TrainConfig, evaluate, init_model, local_train
-from fedsim.params import ParamVector
+from fedsim.params import ParamVector, layer_slices
 from fedsim.partition import PartitionPlan, partition
 
 
@@ -128,6 +131,43 @@ class TestBiasTerm:
         np.testing.assert_allclose(reconstructed, pooled, atol=1e-9)
 
 
+@st.composite
+def banks(draw):
+    """A global model and a (K, P) bank of models with its layout, at one
+    random scale."""
+    layout = tuple(
+        (rows, cols, draw(st.sampled_from([0, cols])))
+        for rows, cols in draw(
+            st.lists(st.tuples(st.integers(1, 40), st.integers(1, 40)), min_size=1, max_size=3)
+        )
+    )
+    size = sum(r * c + b for r, c, b in layout)
+    k = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-8, 8))
+    global_model = ParamVector(rng.normal(size=size) * scale, layout)
+    return global_model, global_model.values + rng.normal(size=(k, size)) * scale
+
+
+class TestBankDivergence:
+    @settings(max_examples=80, deadline=None)
+    @given(banks())
+    def test_rows_match_the_vector_norm_bit_for_bit(self, case):
+        global_model, bank = case
+        totals, per_layer = bank_divergence(global_model, bank)
+        assert totals.shape == (len(bank),)
+        assert per_layer.shape == (len(bank), len(global_model.layout))
+        for k, row in enumerate(bank):
+            diff = global_model.values - row
+            assert totals[k] == np.linalg.norm(diff)
+            for layer, s in enumerate(layer_slices(global_model.layout)):
+                assert per_layer[k, layer] == np.linalg.norm(diff[s])
+
+    def test_width_mismatch(self):
+        with pytest.raises(LayoutMismatch):
+            bank_divergence(vec([1.0, 2.0]), np.zeros((3, 4)))
+
+
 class TestReliabilityIndex:
     def test_constant_accuracies_score_one_hundred(self):
         record = reliability_index([0.85] * 12)
@@ -191,7 +231,8 @@ class TestHeterogeneityGap:
         def optimum_loss(shard, seed):
             model = init_model(spec, seed)
             cfg = TrainConfig(0.3, 60, 16, seeds=[seed])
-            [trained] = local_train(model, [shard], cfg, train)
+            [values] = local_train(model, [shard], cfg, train)
+            trained = ParamVector(values, model.layout)
             data = LabeledSet(train.features[shard], train.labels[shard], 4)
             return evaluate(trained, data).mean_loss
 

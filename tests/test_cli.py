@@ -110,9 +110,23 @@ class TestRunCommand:
             err = capsys.readouterr().err
             assert re.search(r"round \d+: device \d+ " + cause, err), err
 
+    def test_dataset_params_on_a_real_dataset(self, tmp_path, capsys):
+        # they would be ignored: the loaders take none, so the run rejects them
+        # before it looks for the files
+        for dataset in ("mnist", "cifar10", "cifar100"):
+            config = write_config(
+                tmp_path, dataset=dataset, data_dir=str(tmp_path), dataset_params={"bogus": 1}
+            )
+            assert main(["run", "--config", str(config)]) == EXIT_CONFIG, dataset
+            assert "dataset_params" in capsys.readouterr().err, dataset
+            config = write_config(
+                tmp_path, dataset=dataset, data_dir=str(tmp_path), dataset_params={}
+            )
+            assert main(["run", "--config", str(config)]) == EXIT_DATASET, dataset
+
     def test_missing_dataset_dir(self, tmp_path):
         config = write_config(
-            tmp_path, dataset="mnist", data_dir=str(tmp_path / "nowhere")
+            tmp_path, dataset="mnist", data_dir=str(tmp_path / "nowhere"), dataset_params={}
         )
         assert main(["run", "--config", str(config)]) == EXIT_DATASET
 

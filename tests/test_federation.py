@@ -1,8 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from fedsim import federation
 from fedsim.data import LabeledSet
 from fedsim.errors import EmptyHistogram, LayoutMismatch, NoReports, ZeroTotalWeight
 from fedsim.federation import (
@@ -15,7 +17,7 @@ from fedsim.federation import (
     run_round,
     select_devices,
 )
-from fedsim.nn import ModelSpec, init_model
+from fedsim.nn import ModelSpec, TrainConfig, init_model, local_train
 from fedsim.params import ParamVector
 from fedsim.partition import (
     PartitionPlan,
@@ -23,6 +25,7 @@ from fedsim.partition import (
     partition,
     split_global_queue,
 )
+from fedsim.seeds import derive_seed
 
 
 def entropy_oracle(counts):
@@ -41,6 +44,12 @@ def vec(values, layout=None):
     if layout is None:
         layout = ((1, values.size, 0),)
     return ParamVector(values, layout)
+
+
+def bank(*rows):
+    """A (K, P) model bank of `rows` and its one-layer layout."""
+    values = np.asarray(rows, dtype=float)
+    return values, ((1, values.shape[1], 0),)
 
 
 class TestNormalizedEntropy:
@@ -144,87 +153,88 @@ class TestSelectDevices:
 
 class TestAggregateFedavg:
     def test_uniform_mean(self):
-        out = aggregate_fedavg([vec([1, 2]), vec([3, 4])], [1, 1])
+        out = aggregate_fedavg(*bank([1, 2], [3, 4]), [1, 1])
         np.testing.assert_array_equal(out.values, [2.0, 3.0])
 
     def test_count_weighted_mean(self):
-        out = aggregate_fedavg([vec([0, 0]), vec([4, 8])], [1, 3])
+        out = aggregate_fedavg(*bank([0, 0], [4, 8]), [1, 3])
         np.testing.assert_array_equal(out.values, [3.0, 6.0])
 
     def test_single_model_identity(self):
         model = vec([0.7, -0.3, 2.0])
-        out = aggregate_fedavg([model], [17])
+        out = aggregate_fedavg(*bank(model.values), [17])
         np.testing.assert_array_equal(out.values, model.values)
 
     def test_zero_total_weight(self):
         with pytest.raises(ZeroTotalWeight):
-            aggregate_fedavg([vec([1.0]), vec([2.0])], [0, 0])
+            aggregate_fedavg(*bank([1.0], [2.0]), [0, 0])
 
     def test_layout_mismatch(self):
-        a = vec([1, 2])
-        b = ParamVector(np.zeros(2), ((2, 1, 0),))
+        # two-wide rows against a layout of four parameters
+        models, _ = bank([1, 2], [0, 0])
         with pytest.raises(LayoutMismatch):
-            aggregate_fedavg([a, b], [1, 1])
+            aggregate_fedavg(models, ((2, 2, 0),), [1, 1])
 
     def test_convex_combination_bounds(self):
         rng = np.random.default_rng(1)
         for _ in range(300):
             k = int(rng.integers(2, 6))
-            models = [vec(rng.normal(size=7)) for _ in range(k)]
+            models = rng.normal(size=(k, 7))
             weights = rng.uniform(0.0, 5.0, size=k)
             weights[int(rng.integers(k))] += 0.1  # keep the total positive
-            out = aggregate_fedavg(models, weights).values
-            stacked = np.stack([m.values for m in models])
+            out = aggregate_fedavg(models, ((1, 7, 0),), weights).values
+            stacked = models
             assert np.all(out >= stacked.min(axis=0) - 1e-12)
             assert np.all(out <= stacked.max(axis=0) + 1e-12)
 
 
 class TestAggregateDdfl:
     def test_equal_entropies_equal_uniform_mean(self):
-        models = [vec([1.0, 5.0]), vec([3.0, 7.0])]
+        models = bank([1.0, 5.0], [3.0, 7.0])
         reports = [EntropyReport(0, 0.5, 10), EntropyReport(1, 0.5, 10)]
-        out, selected, fallback = aggregate_ddfl(models, reports, 1.0)
+        out, selected, fallback = aggregate_ddfl(*models, reports, 1.0)
         assert selected == [0, 1] and not fallback
         np.testing.assert_allclose(out.values, [2.0, 6.0], rtol=1e-15)
 
     def test_entropy_weighted_two_models(self):
-        models = [vec([0.0]), vec([4.0])]
+        models = bank([0.0], [4.0])
         reports = [EntropyReport(0, 0.25, 5), EntropyReport(1, 0.75, 5)]
-        out, selected, fallback = aggregate_ddfl(models, reports, 1.0)
+        out, selected, fallback = aggregate_ddfl(*models, reports, 1.0)
         assert selected == [0, 1] and not fallback
         np.testing.assert_allclose(out.values, [3.0], rtol=1e-15)
 
     def test_zero_entropies_fall_back_to_uniform(self):
-        models = [vec([2.0]), vec([4.0]), vec([6.0])]
+        models = bank([2.0], [4.0], [6.0])
         reports = [EntropyReport(i, 0.0, 5) for i in range(3)]
-        out, selected, fallback = aggregate_ddfl(models, reports, 1.0)
+        out, selected, fallback = aggregate_ddfl(*models, reports, 1.0)
         assert fallback
         assert selected == [0, 1, 2]
         np.testing.assert_allclose(out.values, [4.0], rtol=1e-15)
 
     def test_selection_drops_lowest_entropy(self):
-        models = [vec([0.0]), vec([10.0]), vec([20.0])]
+        models = bank([0.0], [10.0], [20.0])
         reports = [
             EntropyReport(0, 0.9, 5),
             EntropyReport(1, 0.1, 5),
             EntropyReport(2, 0.8, 5),
         ]
-        out, selected, _ = aggregate_ddfl(models, reports, 0.67)
+        out, selected, _ = aggregate_ddfl(*models, reports, 0.67)
         assert selected == [0, 2]
         expected = (0.9 * 0.0 + 0.8 * 20.0) / 1.7
         np.testing.assert_allclose(out.values, [expected], rtol=1e-15)
 
     def test_permutation_invariance_bit_exact(self):
         rng = np.random.default_rng(9)
-        models = [vec(rng.normal(size=5)) for _ in range(6)]
+        models = rng.normal(size=(6, 5))
+        layout = ((1, 5, 0),)
         reports = [
             EntropyReport(i, float(e), 10)
             for i, e in enumerate(rng.uniform(0.1, 1.0, size=6))
         ]
-        out_a, sel_a, _ = aggregate_ddfl(models, reports, 0.5)
+        out_a, sel_a, _ = aggregate_ddfl(models, layout, reports, 0.5)
         order = rng.permutation(6)
         out_b, sel_b, _ = aggregate_ddfl(
-            [models[i] for i in order], [reports[i] for i in order], 0.5
+            models[order], layout, [reports[i] for i in order], 0.5
         )
         assert sel_a == sel_b
         np.testing.assert_array_equal(out_a.values, out_b.values)
@@ -232,21 +242,21 @@ class TestAggregateDdfl:
     def test_weights_renormalized_over_subset(self):
         # identical models must aggregate to themselves regardless of weights
         model = vec([1.25, -2.5, 0.5])
-        models = [model, model, model]
+        models = np.stack([model.values] * 3)
         reports = [
             EntropyReport(0, 0.2, 5),
             EntropyReport(1, 0.5, 5),
             EntropyReport(2, 0.9, 5),
         ]
-        out, _, _ = aggregate_ddfl(models, reports, 0.7)
+        out, _, _ = aggregate_ddfl(models, model.layout, reports, 0.7)
         np.testing.assert_allclose(out.values, model.values, rtol=1e-12)
 
     def test_errors(self):
         with pytest.raises(NoReports):
-            aggregate_ddfl([], [], 0.5)
+            aggregate_ddfl(np.empty((0, 1)), ((1, 1, 0),), [], 0.5)
         reports = [EntropyReport(0, 0.5, 5), EntropyReport(1, 0.5, 5)]
         with pytest.raises(ValueError):
-            aggregate_ddfl([vec([1.0])], reports, 0.5)
+            aggregate_ddfl(*bank([1.0]), reports, 0.5)
 
 
 def small_federation(mode="one_class", num_devices=4, num_classes=4, seed=0,
@@ -283,7 +293,7 @@ class TestRunRound:
         cfg = RoundConfig(spec, 0.2, 1, 8, AggregationPolicy("ddfl_entropy", 1.0),
                           1, seed=3, **sets)
         new_state, report = run_round(state, cfg)
-        local = new_state.devices[0].model
+        local = ParamVector(new_state.bank[0], spec.layout())
         np.testing.assert_array_equal(new_state.global_model.values, local.values)
         assert report.selected_ids == [0]
 
@@ -333,6 +343,38 @@ class TestRunRound:
         )
         assert rep_a.selected_ids == rep_b.selected_ids
 
+    def test_shuffled_devices_fill_the_bank_in_id_order(self):
+        state_a, spec, sets = small_federation(mode="iid", num_devices=6, seed=2)
+        state_b, _, _ = small_federation(mode="iid", num_devices=6, seed=2)
+        rng = np.random.default_rng(0)
+        state_b.devices = [state_b.devices[i] for i in rng.permutation(6)]
+        cfg = RoundConfig(spec, 0.2, 1, 8, AggregationPolicy("ddfl_entropy", 0.5),
+                          1, seed=9, **sets)
+        out_a, _ = run_round(state_a, cfg)
+        out_b, _ = run_round(state_b, cfg)
+        np.testing.assert_array_equal(
+            out_a.global_model.values, out_b.global_model.values
+        )
+        np.testing.assert_array_equal(out_a.bank, out_b.bank)
+        # row k is device k trained alone from the round's global model
+        for k, device in enumerate(out_a.devices):
+            assert device.device_id == k
+            train_cfg = TrainConfig(0.2, 1, 8, [derive_seed(9, "train", 0, k)])
+            [alone] = local_train(
+                state_a.global_model, [device.data], train_cfg, sets["train_set"]
+            )
+            np.testing.assert_array_equal(out_a.bank[k], alone)
+
+    def test_bank_is_reused_across_rounds(self):
+        state, spec, sets = small_federation()
+        cfg = RoundConfig(spec, 0.2, 1, 8, AggregationPolicy("fedavg_count", 1.0),
+                          1, seed=9, **sets)
+        bank = state.bank
+        for _ in range(2):
+            state, _ = run_round(state, cfg)
+            assert state.bank is bank
+        assert bank.shape == (4, len(state.global_model))
+
     def test_worker_count_does_not_matter(self):
         state_a, spec, sets = small_federation(seed=4)
         state_b, _, _ = small_federation(seed=4)
@@ -345,6 +387,25 @@ class TestRunRound:
         np.testing.assert_array_equal(
             out_a.global_model.values, out_b.global_model.values
         )
+
+    def test_threads_fill_disjoint_bank_rows(self, monkeypatch):
+        # one device per block and more workers than cores, with frequent
+        # thread switches: a lost or misplaced row write changes the bank
+        monkeypatch.setattr(federation, "_BLOCK_FLOATS", 1)
+        banks = []
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 8):
+                state, spec, sets = small_federation(mode="iid", num_devices=12, seed=6)
+                cfg = RoundConfig(spec, 0.2, 2, 4, AggregationPolicy("fedavg_count", 1.0),
+                                  1, seed=9, **sets, workers=workers)
+                for _ in range(2):
+                    state, _ = run_round(state, cfg)
+                banks.append(state.bank.copy())
+        finally:
+            sys.setswitchinterval(switch)
+        np.testing.assert_array_equal(banks[0], banks[1])
 
     def test_report_contents(self):
         state, spec, sets = small_federation()

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import tracemalloc
 
@@ -60,7 +61,7 @@ class TestConfig:
             dict(seed=-1),
             dict(workers=0),
             dict(hidden_dims=(0,)),
-            dict(dataset="mnist"),  # no data_dir
+            dict(dataset="mnist", dataset_params={}),  # no data_dir
         ]
         for overrides in bad:
             with pytest.raises(ConfigInvalid):
@@ -167,6 +168,68 @@ class TestRunExperiment:
                 assert sorted(blocks) == sorted(per_round * 3)  # 3 rounds
                 outputs.add((out / "metrics.csv").read_bytes())
             assert len(outputs) == 1, name
+
+    @pytest.mark.parametrize("overrides", [{}, dict(devices=16, hidden_dims=(256,))])
+    def test_block_width_does_not_change_outputs(self, tmp_path, monkeypatch, overrides):
+        # one device per block, the default blocks, and the whole round in
+        # one block
+        blocks = []
+        original = federation.local_train
+
+        def counted(model, shards, *args):
+            blocks.append(len(shards))
+            return original(model, shards, *args)
+
+        monkeypatch.setattr(federation, "local_train", counted)
+        devices = overrides.get("devices", 4)
+        outputs = set()
+        for budget in (1, federation._BLOCK_FLOATS, 2**40):
+            monkeypatch.setattr(federation, "_BLOCK_FLOATS", budget)
+            blocks.clear()
+            out = tmp_path / f"budget_{budget}"
+            run_experiment(tiny_config(output_dir=str(out), **overrides))
+            assert sum(blocks) == 3 * devices
+            if budget == 1:
+                assert len(blocks) == 3 * devices
+            if budget == 2**40:
+                assert len(blocks) == 3
+            outputs.add(
+                tuple((out / name).read_bytes() for name in ("metrics.csv", "divergence_layers.csv"))
+            )
+        assert len(outputs) == 1
+
+    @pytest.mark.parametrize(
+        "aggregator, digests",
+        [
+            ("fedavg_count", {"divergence_layers.csv": "afdd8523fd1f1a9b",
+                              "device_entropy.csv": "49f99aee624cccf5"}),
+            ("ddfl_entropy", {"divergence_layers.csv": "6541aed7f2c7c093",
+                              "device_entropy.csv": "4096dd5b9a88360b"}),
+        ],
+    )
+    def test_trend_side_files_are_pinned(self, tmp_path, aggregator, digests):
+        # sha256 prefixes of the files beside metrics.csv, for the acceptance
+        # gates' trend config at seed 1 (test_criterion_11 pins metrics.csv)
+        cfg = ExperimentConfig(
+            dataset_params={"num_classes": 10, "per_class": 125, "input_dim": 16, "spread": 0.2},
+            devices=10,
+            rounds=50,
+            batch_size=20,
+            learning_rate=0.5,
+            queue_fraction=0.1,
+            selection_fraction=0.9,
+            partition_mode="one_class",
+            aggregator=aggregator,
+            hidden_dims=(32,),
+            seed=1,
+            output_dir=str(tmp_path),
+        )
+        run_experiment(cfg)
+        got = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:16]
+            for name in digests
+        }
+        assert got == digests
 
     @pytest.mark.parametrize("aggregator", ["fedavg_count", "ddfl_entropy"])
     def test_peak_memory_below_twice_the_features(self, aggregator):

@@ -35,6 +35,11 @@ def everything(data):
     return [np.arange(len(data))]
 
 
+def as_models(rows, layout):
+    """The rows `local_train` returns, one model per shard."""
+    return [ParamVector(row, layout) for row in rows]
+
+
 def random_batch(rng, n, dim, num_classes):
     return LabeledSet(
         rng.uniform(0.0, 1.0, size=(n, dim)),
@@ -131,7 +136,10 @@ class TestLocalTrain:
         train, _, _ = make_synthetic(3, 10, 4, 0.2, seed=0)
         spec = ModelSpec(4, (6,), 3)
         model = init_model(spec, 2)
-        [out] = local_train(model, everything(train), TrainConfig(0.0, 3, 4, seeds=[9]), train)
+        [out] = as_models(
+            local_train(model, everything(train), TrainConfig(0.0, 3, 4, seeds=[9]), train),
+            model.layout,
+        )
         np.testing.assert_array_equal(out.values, model.values)
 
     def test_input_model_not_mutated(self):
@@ -148,7 +156,10 @@ class TestLocalTrain:
         model = init_model(spec, 5)
         batch = random_batch(rng, 1, 3, 2)
         eta = 0.3
-        [out] = local_train(model, everything(batch), TrainConfig(eta, 1, 1, seeds=[0]), batch)
+        [out] = as_models(
+            local_train(model, everything(batch), TrainConfig(eta, 1, 1, seeds=[0]), batch),
+            model.layout,
+        )
         step = eta * gradient(model, batch).values
         np.testing.assert_array_equal(out.values, model.values - step)
         # corroborate the analytic gradient with the finite-difference oracle
@@ -162,7 +173,10 @@ class TestLocalTrain:
         spec = ModelSpec(4, (8,), 2)
         model = init_model(spec, 1)
         before = evaluate(model, train).mean_loss
-        [out] = local_train(model, everything(train), TrainConfig(0.2, 5, 8, seeds=[4]), train)
+        [out] = as_models(
+            local_train(model, everything(train), TrainConfig(0.2, 5, 8, seeds=[4]), train),
+            model.layout,
+        )
         after = evaluate(out, train).mean_loss
         assert after <= before
 
@@ -172,11 +186,14 @@ class TestLocalTrain:
         model = init_model(spec, 7)
         base_seed = 1234
         shard = everything(train)
-        [multi] = local_train(model, shard, TrainConfig(0.1, 3, 5, seeds=[base_seed]), train)
+        [multi] = as_models(
+            local_train(model, shard, TrainConfig(0.1, 3, 5, seeds=[base_seed]), train),
+            model.layout,
+        )
         step = model
         for epoch in range(3):
             cfg = TrainConfig(0.1, 1, 5, seeds=[base_seed + epoch])
-            [step] = local_train(step, shard, cfg, train)
+            [step] = as_models(local_train(step, shard, cfg, train), model.layout)
         np.testing.assert_array_equal(multi.values, step.values)
 
     def test_deterministic(self):
@@ -184,8 +201,8 @@ class TestLocalTrain:
         spec = ModelSpec(4, (5,), 3)
         model = init_model(spec, 7)
         cfg = TrainConfig(0.1, 2, 5, seeds=[11])
-        [a] = local_train(model, everything(train), cfg, train)
-        [b] = local_train(model, everything(train), cfg, train)
+        [a] = as_models(local_train(model, everything(train), cfg, train), model.layout)
+        [b] = as_models(local_train(model, everything(train), cfg, train), model.layout)
         np.testing.assert_array_equal(a.values, b.values)
 
     # 24 samples: batches of 5 give several minibatches, 24 a single one, so
@@ -225,17 +242,20 @@ class TestLocalTrain:
         data = random_batch(rng, 40, 4, 3)
         shards = [rng.permutation(40)[:n] for n in (7, 12, 1, 12, 5, 9)]
         seeds = [40, 41, 42, 43, 44, 45]
-        together = local_train(
-            model, shards, TrainConfig(0.2, 2, batch_size, seeds), data, activation
+        together = as_models(
+            local_train(model, shards, TrainConfig(0.2, 2, batch_size, seeds), data, activation),
+            model.layout,
         )
         assert len(together) == len(shards)
         for shard, seed, out in zip(shards, seeds, together):
             cfg = TrainConfig(0.2, 2, batch_size, [seed])
-            [alone] = local_train(model, [shard], cfg, data, activation)
+            [alone] = as_models(local_train(model, [shard], cfg, data, activation), model.layout)
             np.testing.assert_array_equal(out.values, alone.values)
             # the same as training on a copy of the shard's rows
             copy = LabeledSet(data.features[shard], data.labels[shard], 3)
-            [copied] = local_train(model, everything(copy), cfg, copy, activation)
+            [copied] = as_models(
+                local_train(model, everything(copy), cfg, copy, activation), model.layout
+            )
             np.testing.assert_array_equal(out.values, copied.values)
 
     def test_stacked_gradient_equals_per_device_gradient(self):
