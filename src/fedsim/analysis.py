@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, InvalidInputs, LayoutMismatch, LengthMismatch, ZeroMean
 from .params import ParamVector, check_same_layout, layer_slices
 
 
@@ -34,7 +33,7 @@ def bank_divergence(global_model: ParamVector, bank: np.ndarray) -> tuple[np.nda
     """`weight_divergence` of each row of a (K, P) model bank, bit for bit:
     the (K,) totals and the (K, L) per-layer norms."""
     if bank.shape[1] != len(global_model):
-        raise LayoutMismatch(f"bank width {bank.shape[1]} != model size {len(global_model)}")
+        raise ValueError(f"bank width {bank.shape[1]} != model size {len(global_model)}")
     diff = global_model.values - bank
     per_layer = np.stack([_row_norms(diff[:, s]) for s in layer_slices(global_model.layout)], 1)
     return _row_norms(diff), per_layer
@@ -80,10 +79,10 @@ def reliability_index(accuracies, batch_size: int | None = None) -> ReliabilityR
     """
     values = np.asarray(accuracies, dtype=np.float64)
     if values.size == 0:
-        raise EmptyInput("need at least one accuracy value")
+        raise ValueError("need at least one accuracy value")
     mean = float(values.mean())
     if mean <= 0.0:
-        raise ZeroMean("mean accuracy must be positive")
+        raise ValueError("mean accuracy must be positive")
     std = float(values.std())
     return ReliabilityRecord(
         mean=mean, std=std, zeta=(1.0 - std / mean) * 100.0, batch_size=batch_size
@@ -94,7 +93,7 @@ def system_reliability_index(zetas) -> float:
     """Mean of per-setting reliability scores."""
     values = [r.zeta if isinstance(r, ReliabilityRecord) else float(r) for r in zetas]
     if not values:
-        raise EmptyInput("need at least one reliability score")
+        raise ValueError("need at least one reliability score")
     return float(np.mean(values))
 
 
@@ -111,9 +110,9 @@ def estimate_heterogeneity_gap(
     local_opt = np.asarray(local_opt_losses, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
     if local_opt.shape != w.shape:
-        raise LengthMismatch("losses and weights must have the same length")
+        raise ValueError("losses and weights must have the same length")
     if abs(float(w.sum()) - 1.0) > 1e-9:
-        raise InvalidInputs("weights must sum to 1")
+        raise ValueError("weights must sum to 1")
     return float(global_opt_loss - float(w @ local_opt))
 
 
@@ -174,15 +173,15 @@ def convergence_bound(inputs: BoundInputs) -> BoundResult:
     N = int(inputs.rounds)
 
     if mu <= 0 or L < mu:
-        raise InvalidInputs("need 0 < strong_convexity <= smoothness")
+        raise ValueError("need 0 < strong_convexity <= smoothness")
     if sigmas.shape != weights.shape or sigmas.shape != (K,):
-        raise InvalidInputs("need one variance and one weight per device")
+        raise ValueError("need one variance and one weight per device")
     if np.any(sigmas < 0) or G < 0 or gap < 0 or d0 < 0:
-        raise InvalidInputs("variances, gradient bound, gap, distance must be nonnegative")
+        raise ValueError("variances, gradient bound, gap, distance must be nonnegative")
     if abs(float(weights.sum()) - 1.0) > 1e-9:
-        raise InvalidInputs("weights must sum to 1")
+        raise ValueError("weights must sum to 1")
     if E < 1 or K < 1 or N < 1:
-        raise InvalidInputs("local_steps, num_devices, rounds must be positive")
+        raise ValueError("local_steps, num_devices, rounds must be positive")
 
     noise = (
         float((weights**2) @ (sigmas**2))

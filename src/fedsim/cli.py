@@ -1,7 +1,8 @@
 """Command-line interface: run, sweep, plot.
 
-Exit codes: 0 success, 1 configuration error, 2 dataset error, 3 runtime
-error.
+Exit codes: 0 success, 1 `ConfigInvalid` (a bad config value, flag, grid or
+plot kind), 2 `DatasetError` (a missing or malformed dataset file), 3 any
+other exception (`NumericalDivergence`, or a runtime failure).
 """
 
 from __future__ import annotations
@@ -11,21 +12,12 @@ import json
 import sys
 
 from . import harness
-from .errors import (
-    BadMagic,
-    ConfigInvalid,
-    CountMismatch,
-    DatasetMissing,
-    TruncatedFile,
-    UnknownVariant,
-)
+from .errors import ConfigInvalid, DatasetError
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_DATASET = 2
 EXIT_RUNTIME = 3
-
-_DATASET_ERRORS = (DatasetMissing, BadMagic, TruncatedFile, CountMismatch, UnknownVariant)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -120,7 +112,7 @@ def main(argv=None) -> int:
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _DATASET_ERRORS as exc:
+    except DatasetError as exc:
         print(f"dataset error: {exc}", file=sys.stderr)
         return EXIT_DATASET
     except Exception as exc:  # noqa: BLE001 - CLI boundary

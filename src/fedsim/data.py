@@ -30,15 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    BadMagic,
-    CountMismatch,
-    DatasetMissing,
-    DimensionMismatch,
-    InvalidParam,
-    TruncatedFile,
-    UnknownVariant,
-)
+from .errors import DatasetError
 
 _IMAGE_MAGIC = 0x00000803
 _LABEL_MAGIC = 0x00000801
@@ -66,9 +58,9 @@ class LabeledSet:
         self.features = np.asarray(self.features, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.features.ndim != 2:
-            raise DimensionMismatch("features must be a 2-D array (samples, dims)")
+            raise ValueError("features must be a 2-D array (samples, dims)")
         if self.labels.ndim != 1 or self.labels.shape[0] != self.features.shape[0]:
-            raise DimensionMismatch("labels must be 1-D and match the sample count")
+            raise ValueError("labels must be 1-D and match the sample count")
         if self.num_classes < 1:
             raise ValueError("num_classes must be positive")
         if len(self.labels) and (
@@ -86,9 +78,9 @@ class LabeledSet:
 
 def concat_sets(a: LabeledSet, b: LabeledSet) -> LabeledSet:
     if a.input_dim != b.input_dim:
-        raise DimensionMismatch("feature widths differ")
+        raise ValueError("feature widths differ")
     if a.num_classes != b.num_classes:
-        raise DimensionMismatch("class counts differ")
+        raise ValueError("class counts differ")
     return LabeledSet(
         np.concatenate([a.features, b.features]),
         np.concatenate([a.labels, b.labels]),
@@ -121,13 +113,13 @@ def class_histogram(samples, num_classes: int) -> np.ndarray:
 def _read_idx_images(path: Path) -> np.ndarray:
     raw = path.read_bytes()
     if len(raw) < 16:
-        raise TruncatedFile(f"{path.name}: header needs 16 bytes, file has {len(raw)}")
+        raise DatasetError(f"{path.name}: header needs 16 bytes, file has {len(raw)}")
     magic, count, rows, cols = struct.unpack(">IIII", raw[:16])
     if magic != _IMAGE_MAGIC:
-        raise BadMagic(f"{path.name}: magic {magic:#010x}, expected {_IMAGE_MAGIC:#010x}")
+        raise DatasetError(f"{path.name}: magic {magic:#010x}, expected {_IMAGE_MAGIC:#010x}")
     needed = 16 + count * rows * cols
     if len(raw) < needed:
-        raise TruncatedFile(f"{path.name}: expected {needed} bytes, found {len(raw)}")
+        raise DatasetError(f"{path.name}: expected {needed} bytes, found {len(raw)}")
     pixels = np.frombuffer(raw, dtype=np.uint8, count=count * rows * cols, offset=16)
     return pixels.reshape(count, rows * cols)
 
@@ -135,12 +127,12 @@ def _read_idx_images(path: Path) -> np.ndarray:
 def _read_idx_labels(path: Path) -> np.ndarray:
     raw = path.read_bytes()
     if len(raw) < 8:
-        raise TruncatedFile(f"{path.name}: header needs 8 bytes, file has {len(raw)}")
+        raise DatasetError(f"{path.name}: header needs 8 bytes, file has {len(raw)}")
     magic, count = struct.unpack(">II", raw[:8])
     if magic != _LABEL_MAGIC:
-        raise BadMagic(f"{path.name}: magic {magic:#010x}, expected {_LABEL_MAGIC:#010x}")
+        raise DatasetError(f"{path.name}: magic {magic:#010x}, expected {_LABEL_MAGIC:#010x}")
     if len(raw) < 8 + count:
-        raise TruncatedFile(f"{path.name}: expected {8 + count} bytes, found {len(raw)}")
+        raise DatasetError(f"{path.name}: expected {8 + count} bytes, found {len(raw)}")
     return np.frombuffer(raw, dtype=np.uint8, count=count, offset=8)
 
 
@@ -150,15 +142,13 @@ def load_mnist(dir_path) -> tuple[LabeledSet, LabeledSet, DatasetMeta]:
     paths = {key: base / name for key, name in _MNIST_FILES.items()}
     missing = [p.name for p in paths.values() if not p.is_file()]
     if missing:
-        raise DatasetMissing(f"missing MNIST files in {base}: {', '.join(missing)}")
+        raise DatasetError(f"missing MNIST files in {base}: {', '.join(missing)}")
 
     def _split(images_key: str, labels_key: str) -> LabeledSet:
         images = _read_idx_images(paths[images_key])
         labels = _read_idx_labels(paths[labels_key])
         if images.shape[0] != labels.shape[0]:
-            raise CountMismatch(
-                f"{images.shape[0]} images vs {labels.shape[0]} labels"
-            )
+            raise DatasetError(f"{images.shape[0]} images vs {labels.shape[0]} labels")
         return LabeledSet(np.divide(images, 255.0, dtype=np.float64), labels, num_classes=10)
 
     train = _split("train_images", "train_labels")
@@ -174,7 +164,7 @@ def load_mnist(dir_path) -> tuple[LabeledSet, LabeledSet, DatasetMeta]:
 def _read_cifar_file(path: Path, record: int, label_byte: int) -> tuple[np.ndarray, np.ndarray]:
     raw = path.read_bytes()
     if len(raw) == 0 or len(raw) % record != 0:
-        raise TruncatedFile(
+        raise DatasetError(
             f"{path.name}: size {len(raw)} is not a multiple of record size {record}"
         )
     rows = np.frombuffer(raw, dtype=np.uint8).reshape(-1, record)
@@ -193,11 +183,11 @@ def load_cifar(dir_path, variant: str) -> tuple[LabeledSet, LabeledSet, DatasetM
         train_files, test_files = ["train.bin"], ["test.bin"]
         record, label_byte, num_classes = 3074, 1, 100
     else:
-        raise UnknownVariant(f"variant must be cifar10 or cifar100, got {variant!r}")
+        raise DatasetError(f"variant must be cifar10 or cifar100, got {variant!r}")
 
     missing = [n for n in train_files + test_files if not (base / n).is_file()]
     if missing:
-        raise DatasetMissing(f"missing {variant} files in {base}: {', '.join(missing)}")
+        raise DatasetError(f"missing {variant} files in {base}: {', '.join(missing)}")
 
     def _load(names: list[str]) -> LabeledSet:
         parts = [_read_cifar_file(base / n, record, label_byte) for n in names]
@@ -242,13 +232,6 @@ def make_synthetic(
     Each class's draws go straight into its rows of the preallocated train
     and test matrices.
     """
-    sizes = {"num_classes": num_classes, "per_class": per_class, "input_dim": input_dim}
-    for key, value in sizes.items():
-        if value < 2:
-            raise InvalidParam(f"{key} must be at least 2")
-    if spread < 0:
-        raise InvalidParam("spread must be nonnegative")
-
     rng = np.random.default_rng(int(seed))
     means = _class_means(num_classes, input_dim)
     n_train = max(1, int(per_class * 0.8))

@@ -1,91 +1,24 @@
-"""Exception types raised across the package."""
+"""The exception types the CLI tells apart, and the exit code of each.
+
+    ConfigInvalid        1  a config value, flag, grid or plot request is invalid
+    DatasetError         2  a dataset file is missing or malformed
+    any other exception  3  NumericalDivergence, or a ValueError from a bad
+                            argument inside the package
+
+Config values are checked once, by `harness.validate_config`, and dataset
+bytes by the loaders; code past those two trusts what reaches it.
+"""
 
 
-class Error(Exception):
-    """Base class for all fedsim errors."""
+class ConfigInvalid(Exception):
+    """A config value is invalid; the message names its key."""
 
 
-class EmptyDataset(Error):
-    pass
+class DatasetError(Exception):
+    """A dataset file is missing, truncated or not in the expected format."""
 
 
-class DimensionMismatch(Error):
-    pass
-
-
-class LayoutMismatch(Error):
-    pass
-
-
-class BadMagic(Error):
-    pass
-
-
-class TruncatedFile(Error):
-    pass
-
-
-class CountMismatch(Error):
-    pass
-
-
-class UnknownVariant(Error):
-    pass
-
-
-class InvalidParam(Error):
-    pass
-
-
-class InvalidGamma(Error):
-    pass
-
-
-class TooFewSamples(Error):
-    pass
-
-
-class InfeasibleOneClass(Error):
-    pass
-
-
-class EmptyHistogram(Error):
-    pass
-
-
-class NoReports(Error):
-    pass
-
-
-class ZeroTotalWeight(Error):
-    pass
-
-
-class EmptyInput(Error):
-    pass
-
-
-class ZeroMean(Error):
-    pass
-
-
-class LengthMismatch(Error):
-    pass
-
-
-class InvalidInputs(Error):
-    pass
-
-
-class ConfigInvalid(Error):
-    pass
-
-
-class DatasetMissing(Error):
-    pass
-
-
-class NumericalDivergence(Error):
+class NumericalDivergence(Exception):
     """A model or a metric computed from it stopped being finite.
 
     `shard` is the position of the offending shard when `local_train`

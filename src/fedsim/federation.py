@@ -34,7 +34,7 @@ from functools import partial
 import numpy as np
 
 from .data import LabeledSet
-from .errors import LayoutMismatch, NoReports, NumericalDivergence, ZeroTotalWeight
+from .errors import NumericalDivergence
 from .nn import ModelSpec, TrainConfig, evaluate, local_train
 from .params import Layout, ParamVector, param_count
 from .partition import DeviceState, GlobalQueue, accumulate, dispense
@@ -54,23 +54,11 @@ class EntropyReport:
     entropy: float
     sample_count: int
 
-    def __post_init__(self):
-        if not (math.isfinite(self.entropy) and 0.0 <= self.entropy <= 1.0):
-            raise ValueError("entropy must be finite and in [0, 1]")
-        if self.sample_count < 0:
-            raise ValueError("sample_count must be nonnegative")
-
 
 @dataclass(frozen=True)
 class AggregationPolicy:
     kind: str
     selection_fraction: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in AGGREGATORS:
-            raise ValueError(f"kind must be one of {AGGREGATORS}")
-        if not 0.0 < self.selection_fraction <= 1.0:
-            raise ValueError("selection_fraction must lie in (0, 1]")
 
 
 def select_devices(reports: list[EntropyReport], selection_fraction: float) -> list[int]:
@@ -79,9 +67,7 @@ def select_devices(reports: list[EntropyReport], selection_fraction: float) -> l
     Ties break toward the lower device id; the result is sorted ascending.
     """
     if not reports:
-        raise NoReports("no entropy reports to select from")
-    if not 0.0 < selection_fraction <= 1.0:
-        raise ValueError("selection_fraction must lie in (0, 1]")
+        raise ValueError("no entropy reports to select from")
     # tiny slack so fraction*K that is mathematically integral is not floored
     keep = max(1, math.floor(selection_fraction * len(reports) + 1e-9))
     ranked = sorted(reports, key=lambda r: (-r.entropy, r.device_id))
@@ -91,9 +77,9 @@ def select_devices(reports: list[EntropyReport], selection_fraction: float) -> l
 def aggregate_fedavg(bank: np.ndarray, layout: Layout, weights) -> ParamVector:
     """Weighted mean of the rows of a (K, P) model bank; weights are normalized."""
     if not len(bank):
-        raise NoReports("no models to aggregate")
+        raise ValueError("no models to aggregate")
     if bank.shape[1] != param_count(layout):
-        raise LayoutMismatch(f"bank width {bank.shape[1]} != layout size {param_count(layout)}")
+        raise ValueError(f"bank width {bank.shape[1]} != layout size {param_count(layout)}")
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (len(bank),):
         raise ValueError("need exactly one weight per model")
@@ -101,7 +87,7 @@ def aggregate_fedavg(bank: np.ndarray, layout: Layout, weights) -> ParamVector:
         raise ValueError("weights must be nonnegative")
     total = float(w.sum())
     if total <= 0.0:
-        raise ZeroTotalWeight("weights sum to zero")
+        raise ValueError("weights sum to zero")
     p = w / total
     return ParamVector(p @ bank, layout)
 

@@ -34,7 +34,7 @@ import numpy as np
 # bias_term and weight_divergence have no caller here; bench/spans.py traces them
 from .analysis import bank_divergence, bias_term, weight_divergence  # noqa: F401
 from .data import DatasetMeta, LabeledSet, load_cifar, load_mnist, make_synthetic
-from .errors import ConfigInvalid, EmptyInput, InvalidParam, NumericalDivergence
+from .errors import ConfigInvalid, NumericalDivergence
 from .federation import (
     AGGREGATORS,
     AggregationPolicy,
@@ -50,6 +50,14 @@ from .seeds import derive_seed
 DATASETS = ("synthetic", "mnist", "cifar10", "cifar100")
 
 _AGGREGATOR_ALIASES = {"ddfl": "ddfl_entropy", "fedavg": "fedavg_count"}
+
+# string fields and the values each may take
+_CHOICES = {
+    "aggregator": AGGREGATORS + tuple(_AGGREGATOR_ALIASES),
+    "dataset": DATASETS,
+    "partition_mode": PARTITION_MODES,
+    "activation": ACTIVATIONS,
+}
 
 _SYNTHETIC_DEFAULTS = {"num_classes": 10, "per_class": 125, "input_dim": 16, "spread": 0.3}
 
@@ -109,7 +117,7 @@ class ExperimentResult:
 
 
 def load_config(path) -> ExperimentConfig:
-    """Read a JSON config file; unknown keys are rejected."""
+    """Read and validate a JSON config file; unknown keys are rejected."""
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
@@ -123,11 +131,13 @@ def load_config(path) -> ExperimentConfig:
     unknown = set(raw) - known
     if unknown:
         raise ConfigInvalid(f"unknown config keys: {', '.join(sorted(unknown))}")
-    cfg = ExperimentConfig(**raw)
-    return cfg
+    return validate_config(ExperimentConfig(**raw))
 
 
-_INT_KEYS = ("devices", "rounds", "local_epochs", "batch_size", "seed", "workers")
+# integer fields and the least value each may take
+_INT_KEYS = {
+    "devices": 1, "rounds": 1, "local_epochs": 1, "batch_size": 1, "seed": 0, "workers": 1
+}
 _FLOAT_KEYS = ("learning_rate", "queue_fraction", "selection_fraction")
 
 
@@ -146,60 +156,52 @@ def _check_synthetic_params(params) -> None:
     if unknown:
         raise ConfigInvalid(f"unknown synthetic params: {', '.join(sorted(unknown))}")
     for key, value in params.items():
-        if key == "spread" and not _is_finite_number(value):
-            raise ConfigInvalid("dataset_params.spread must be a finite number")
-        if key != "spread" and not _is_int(value):
-            raise ConfigInvalid(f"dataset_params.{key} must be an integer")
+        if key == "spread" and not (_is_finite_number(value) and value >= 0):
+            raise ConfigInvalid("dataset_params.spread must be a nonnegative finite number")
+        if key != "spread" and not (_is_int(value) and value >= 2):
+            raise ConfigInvalid(f"dataset_params.{key} must be an integer of at least 2")
 
 
 def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
-    """Normalize aliases and check every field; raises ConfigInvalid."""
-    for key in _INT_KEYS:
-        if not _is_int(getattr(cfg, key)):
-            raise ConfigInvalid(f"{key} must be an integer")
+    """Normalize aliases and check every field; raises ConfigInvalid naming
+    the key. This is the one place config values are checked: the code they
+    reach trusts them."""
+    for key, low in _INT_KEYS.items():
+        value = getattr(cfg, key)
+        if not _is_int(value) or value < low:
+            raise ConfigInvalid(f"{key} must be an integer of at least {low}")
     for key in _FLOAT_KEYS:
         if not _is_finite_number(getattr(cfg, key)):
             raise ConfigInvalid(f"{key} must be a finite number")
-    if cfg.segment_size is not None and not _is_int(cfg.segment_size):
-        raise ConfigInvalid("segment_size must be an integer or null")
-    if not isinstance(cfg.hidden_dims, (list, tuple)) or not all(
-        _is_int(h) for h in cfg.hidden_dims
-    ):
-        raise ConfigInvalid("hidden_dims must be a list of integers")
-    aggregator = _AGGREGATOR_ALIASES.get(cfg.aggregator, cfg.aggregator)
-    if aggregator not in AGGREGATORS:
-        raise ConfigInvalid(f"aggregator must be one of {AGGREGATORS} (or ddfl/fedavg)")
-    cfg.aggregator = aggregator
-    if cfg.dataset not in DATASETS:
-        raise ConfigInvalid(f"dataset must be one of {DATASETS}")
-    if cfg.dataset == "synthetic":
-        _check_synthetic_params(cfg.dataset_params)
-    elif cfg.dataset_params:
-        raise ConfigInvalid(f"dataset_params apply to synthetic data only, not {cfg.dataset}")
-    if cfg.partition_mode not in PARTITION_MODES:
-        raise ConfigInvalid(f"partition_mode must be one of {PARTITION_MODES}")
-    if cfg.activation not in ACTIVATIONS:
-        raise ConfigInvalid(f"activation must be one of {ACTIVATIONS}")
-    if cfg.devices < 1 or cfg.rounds < 1:
-        raise ConfigInvalid("devices and rounds must be at least 1")
-    if cfg.local_epochs < 1 or cfg.batch_size < 1:
-        raise ConfigInvalid("local_epochs and batch_size must be at least 1")
     if cfg.learning_rate < 0:
         raise ConfigInvalid("learning_rate must be nonnegative")
     if not 0.0 <= cfg.queue_fraction < 1.0:
         raise ConfigInvalid("queue_fraction must lie in [0, 1)")
     if not 0.0 < cfg.selection_fraction <= 1.0:
         raise ConfigInvalid("selection_fraction must lie in (0, 1]")
-    if cfg.segment_size is not None and cfg.segment_size < 0:
-        raise ConfigInvalid("segment_size must be nonnegative")
-    if cfg.seed < 0:
-        raise ConfigInvalid("seed must be nonnegative")
-    if cfg.workers < 1:
-        raise ConfigInvalid("workers must be at least 1")
+    if cfg.segment_size is not None and not (_is_int(cfg.segment_size) and cfg.segment_size >= 0):
+        raise ConfigInvalid("segment_size must be a nonnegative integer or null")
+    if not isinstance(cfg.hidden_dims, (list, tuple)) or not all(
+        _is_int(h) and h >= 1 for h in cfg.hidden_dims
+    ):
+        raise ConfigInvalid("hidden_dims must be a list of positive integers")
     cfg.hidden_dims = tuple(cfg.hidden_dims)
-    if any(h < 1 for h in cfg.hidden_dims):
-        raise ConfigInvalid("hidden_dims must be positive")
-    if cfg.dataset != "synthetic" and cfg.data_dir is None:
+    for key, choices in _CHOICES.items():
+        value = getattr(cfg, key)
+        if not isinstance(value, str) or value not in choices:
+            raise ConfigInvalid(f"{key} must be one of {choices}")
+    cfg.aggregator = _AGGREGATOR_ALIASES.get(cfg.aggregator, cfg.aggregator)
+    for key in ("data_dir", "output_dir"):
+        value = getattr(cfg, key)
+        if value is not None and not isinstance(value, str):
+            raise ConfigInvalid(f"{key} must be a string or null")
+    if not isinstance(cfg.trace_dispense, bool):
+        raise ConfigInvalid("trace_dispense must be true or false")
+    if cfg.dataset == "synthetic":
+        _check_synthetic_params(cfg.dataset_params)
+    elif cfg.dataset_params:
+        raise ConfigInvalid(f"dataset_params apply to synthetic data only, not {cfg.dataset}")
+    elif cfg.data_dir is None:
         raise ConfigInvalid(f"dataset {cfg.dataset!r} needs data_dir")
     return cfg
 
@@ -207,10 +209,7 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
 def _load_dataset(cfg: ExperimentConfig) -> tuple[LabeledSet, LabeledSet, DatasetMeta]:
     if cfg.dataset == "synthetic":
         params = {**_SYNTHETIC_DEFAULTS, **cfg.dataset_params}
-        try:
-            return make_synthetic(**params, seed=derive_seed(cfg.seed, "data"))
-        except InvalidParam as exc:
-            raise ConfigInvalid(f"dataset_params: {exc}") from exc
+        return make_synthetic(**params, seed=derive_seed(cfg.seed, "data"))
     if cfg.dataset == "mnist":
         return load_mnist(cfg.data_dir)
     return load_cifar(cfg.data_dir, cfg.dataset)
@@ -487,11 +486,11 @@ PLOT_KINDS = ("accuracy_curve", "entropy_heatmap", "divergence_bars")
 def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
     lines = [ln for ln in path.read_text(encoding="ascii").splitlines() if ln.strip()]
     if not lines:
-        raise EmptyInput(f"{path}: empty file")
+        raise ValueError(f"{path}: empty file")
     header = lines[0].split(",")
     rows = [ln.split(",") for ln in lines[1:]]
     if not rows:
-        raise EmptyInput(f"{path}: no data rows")
+        raise ValueError(f"{path}: no data rows")
     return header, rows
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledSet
-from .errors import DimensionMismatch, EmptyDataset, NumericalDivergence
+from .errors import NumericalDivergence
 from .params import Layout, ParamVector, split_layers
 
 ACTIVATIONS = ("relu", "tanh")
@@ -40,17 +40,6 @@ class ModelSpec:
     hidden_dims: tuple[int, ...]
     num_classes: int
     activation: str = "relu"
-
-    def __post_init__(self):
-        object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
-        if self.input_dim < 1:
-            raise ValueError("input_dim must be positive")
-        if any(h < 1 for h in self.hidden_dims):
-            raise ValueError("hidden dims must be positive")
-        if self.num_classes < 2:
-            raise ValueError("num_classes must be at least 2")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"activation must be one of {ACTIVATIONS}")
 
     def layout(self) -> Layout:
         dims = (self.input_dim, *self.hidden_dims, self.num_classes)
@@ -69,18 +58,7 @@ class TrainConfig:
     learning_rate: float
     local_epochs: int
     batch_size: int
-    seeds: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "seeds", tuple(self.seeds))
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be nonnegative")
-        if self.local_epochs < 1:
-            raise ValueError("local_epochs must be at least 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        if any(seed < 0 for seed in self.seeds):
-            raise ValueError("seeds must be nonnegative")
+    seeds: list[int]
 
 
 @dataclass(frozen=True)
@@ -106,14 +84,14 @@ def init_model(spec: ModelSpec, seed: int) -> ParamVector:
 
 def _check_inputs(model: ParamVector, data: LabeledSet) -> None:
     if len(data) == 0:
-        raise EmptyDataset("at least one labeled sample is required")
+        raise ValueError("at least one labeled sample is required")
     if data.features.shape[1] != model.layout[0][0]:
-        raise DimensionMismatch(
+        raise ValueError(
             f"model expects {model.layout[0][0]} features, data has "
             f"{data.features.shape[1]}"
         )
     if data.num_classes != model.layout[-1][1]:
-        raise DimensionMismatch(
+        raise ValueError(
             f"model has {model.layout[-1][1]} outputs, data declares "
             f"{data.num_classes} classes"
         )
@@ -225,12 +203,12 @@ def local_train(
     several, it names the first to train (the largest shard first).
     """
     if not shards:
-        raise EmptyDataset("at least one shard is required")
+        raise ValueError("at least one shard is required")
     if len(cfg.seeds) != len(shards):
         raise ValueError(f"need one seed per shard, got {len(cfg.seeds)} for {len(shards)}")
     _check_inputs(model, data)
     if any(len(shard) == 0 for shard in shards):
-        raise EmptyDataset("at least one labeled sample is required")
+        raise ValueError("at least one labeled sample is required")
     # Largest shard first, so at every step the shards whose batch has the
     # same size form one contiguous run of rows.
     rank = sorted(range(len(shards)), key=lambda k: -len(shards[k]))

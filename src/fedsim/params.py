@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LayoutMismatch
-
 # (rows, cols, bias_len) per layer; rows is the layer input width.
 Layout = tuple[tuple[int, int, int], ...]
 
@@ -86,4 +84,4 @@ def layer_slices(layout: Layout) -> list[slice]:
 
 def check_same_layout(a: ParamVector, b: ParamVector) -> None:
     if a.layout != b.layout:
-        raise LayoutMismatch(f"layouts differ: {a.layout} vs {b.layout}")
+        raise ValueError(f"layouts differ: {a.layout} vs {b.layout}")

@@ -22,13 +22,7 @@ import numpy as np
 
 # concat_sets has no caller here; bench/spans.py traces it under this module
 from .data import LabeledSet, class_histogram, concat_sets  # noqa: F401
-from .errors import (
-    EmptyHistogram,
-    InfeasibleOneClass,
-    InvalidGamma,
-    InvalidParam,
-    TooFewSamples,
-)
+from .errors import ConfigInvalid
 from .seeds import derive_seed
 
 PARTITION_MODES = ("iid", "one_class")
@@ -39,12 +33,6 @@ class PartitionPlan:
     mode: str
     num_devices: int
     seed: int
-
-    def __post_init__(self):
-        if self.mode not in PARTITION_MODES:
-            raise InvalidParam(f"mode must be one of {PARTITION_MODES}")
-        if self.num_devices < 1:
-            raise InvalidParam("num_devices must be at least 1")
 
 
 @dataclass
@@ -89,12 +77,12 @@ def normalized_entropies(hists) -> np.ndarray:
     """
     hists = np.asarray(hists)
     if hists.shape[1] == 0:
-        raise EmptyHistogram("histogram has no classes")
+        raise ValueError("histogram has no classes")
     if np.any(hists < 0):
         raise ValueError("counts must be nonnegative")
     totals = hists.sum(axis=1)
     if np.any(totals <= 0):
-        raise EmptyHistogram("histogram has no samples")
+        raise ValueError("histogram has no samples")
     nonzero = hists > 0
     widths = nonzero.sum(axis=1)
     uniform = np.all(hists == hists[:, :1], axis=1) & (widths > 1)
@@ -150,8 +138,6 @@ def split_global_queue(
     Returns the queue and the residual, the train-set indices of everything
     else in their original order.
     """
-    if not 0.0 <= queue_fraction < 1.0:
-        raise InvalidGamma("queue_fraction must lie in [0, 1)")
     n = len(train)
     target = int(round(queue_fraction * n))
     counts = class_histogram(train, train.num_classes)
@@ -183,14 +169,16 @@ def partition(
     per-device class counts are balanced within one sample. one_class gives
     device k every sample of class floor(k*C/K); a class shared by several
     devices is split evenly among them. Shards are disjoint and cover the
-    residual exactly; each device's data holds its train-set indices.
+    residual exactly; each device's data holds its train-set indices. A
+    plan the residual cannot fill is a config error naming `devices`, or
+    `queue_fraction` when it leaves no residual.
     """
     n = len(residual)
     if n == 0:
-        raise TooFewSamples("residual dataset is empty")
+        raise ConfigInvalid("queue_fraction leaves no samples for the devices")
     K = plan.num_devices
     if n < K:
-        raise TooFewSamples(f"{n} samples cannot cover {K} devices")
+        raise ConfigInvalid(f"devices: {n} samples cannot cover {K} devices")
     num_classes = train.num_classes
     labels = train.labels[residual]
 
@@ -206,8 +194,8 @@ def partition(
         shards = [deck[k::K] for k in range(K)]
     else:
         if K < num_classes:
-            raise InfeasibleOneClass(
-                f"one_class needs at least one device per class ({K} < {num_classes})"
+            raise ConfigInvalid(
+                f"devices: one_class needs at least one device per class ({K} < {num_classes})"
             )
         shards = [None] * K
         device_class = [(k * num_classes) // K for k in range(K)]
@@ -215,8 +203,8 @@ def partition(
             owners = [k for k in range(K) if device_class[k] == c]
             class_idx = np.flatnonzero(labels == c)
             if len(class_idx) < len(owners):
-                raise TooFewSamples(
-                    f"class {c} has {len(class_idx)} samples for {len(owners)} devices"
+                raise ConfigInvalid(
+                    f"devices: class {c} has {len(class_idx)} samples for {len(owners)} devices"
                 )
             order = np.random.default_rng(derive_seed(plan.seed, "class", c)).permutation(
                 len(class_idx)
@@ -241,8 +229,6 @@ def dispense(
     device's segment as train-set indices, and the same samples' positions
     in the pool (for audit traces).
     """
-    if segment_size < 0:
-        raise InvalidParam("segment_size must be nonnegative")
     empty = np.empty(0, dtype=np.int64)
     if segment_size == 0 or len(queue.pool) == 0:
         return [empty] * num_devices, [empty] * num_devices

@@ -54,6 +54,14 @@ INVALID_VALUES = [
     ("dataset_params.per_class", 2.5),
     ("dataset_params.per_class", 1),
     ("dataset_params.input_dim", 1),
+    # infeasible for the 64 residual samples of 4 classes that the base config leaves
+    ("devices", 3),
+    ("devices", 200),
+    ("queue_fraction", 0.999),
+    ("aggregator", []),
+    ("output_dir", 5),
+    ("data_dir", 7),
+    ("trace_dispense", "no"),
 ]
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fedsim import federation
-from fedsim.errors import ConfigInvalid, EmptyInput
+from fedsim.errors import ConfigInvalid
 from fedsim.harness import (
     ExperimentConfig,
     derived_segment_size,
@@ -54,9 +54,13 @@ class TestConfig:
             dict(rounds=0),
             dict(devices=0),
             dict(batch_size=0),
+            dict(local_epochs=0),
+            dict(activation="sigmoid"),
             dict(learning_rate=-1.0),
             dict(queue_fraction=1.0),
+            dict(queue_fraction=-0.1),
             dict(selection_fraction=0.0),
+            dict(selection_fraction=1.5),
             dict(segment_size=-1),
             dict(seed=-1),
             dict(workers=0),
@@ -373,7 +377,7 @@ class TestEmitPlotData:
     def test_empty_input(self, tmp_path):
         path = tmp_path / "rows.csv"
         path.write_text("round_index,test_accuracy\n")
-        with pytest.raises(EmptyInput):
+        with pytest.raises(ValueError, match="no data rows"):
             emit_plot_data(path, "accuracy_curve")
 
     def test_explicit_output_path(self, run_dir, tmp_path):

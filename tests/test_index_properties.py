@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
 from fedsim.data import LabeledSet
-from fedsim.errors import InfeasibleOneClass, TooFewSamples
+from fedsim.errors import ConfigInvalid
 from fedsim.partition import (
     PartitionPlan,
     accumulate,
@@ -60,7 +60,7 @@ def histogram_of(train, indices):
 def partition_or_reject(train, residual, mode, num_devices, seed):
     try:
         return partition(train, residual, PartitionPlan(mode, num_devices, seed))
-    except (TooFewSamples, InfeasibleOneClass):
+    except ConfigInvalid:
         reject()
 
 

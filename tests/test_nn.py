@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fedsim.data import LabeledSet, make_synthetic
-from fedsim.errors import DimensionMismatch, EmptyDataset, NumericalDivergence
+from fedsim.errors import NumericalDivergence
 from fedsim.nn import (
     ModelSpec,
     TrainConfig,
@@ -73,14 +73,6 @@ class TestInitModel:
         # last two entries are the output bias
         np.testing.assert_array_equal(model.values[-2:], 0.0)
 
-    def test_invalid_spec(self):
-        with pytest.raises(ValueError):
-            ModelSpec(4, (3,), 1)
-        with pytest.raises(ValueError):
-            ModelSpec(4, (0,), 3)
-        with pytest.raises(ValueError):
-            ModelSpec(4, (3,), 3, activation="sigmoid")
-
 
 class TestGradient:
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
@@ -124,10 +116,10 @@ class TestGradient:
         spec = ModelSpec(4, (3,), 2)
         model = init_model(spec, 0)
         empty = LabeledSet(np.empty((0, 4)), np.empty(0, dtype=int), 2)
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(ValueError, match="at least one labeled sample"):
             gradient(model, empty)
         wrong_dim = LabeledSet(np.zeros((2, 5)), np.zeros(2, dtype=int), 2)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValueError, match="model expects 4 features"):
             gradient(model, wrong_dim)
 
 
@@ -280,20 +272,10 @@ class TestLocalTrain:
         shard = np.arange(len(train))
         with pytest.raises(ValueError, match="one seed per shard"):
             local_train(model, [shard, shard], TrainConfig(0.1, 1, 4, [1]), train)
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(ValueError, match="at least one shard"):
             local_train(model, [], TrainConfig(0.1, 1, 4, []), train)
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(ValueError, match="at least one labeled sample"):
             local_train(model, [shard, shard[:0]], TrainConfig(0.1, 1, 4, [1, 2]), train)
-
-    def test_invalid_train_config(self):
-        with pytest.raises(ValueError):
-            TrainConfig(-0.1, 1, 1, seeds=[0])
-        with pytest.raises(ValueError):
-            TrainConfig(0.1, 0, 1, seeds=[0])
-        with pytest.raises(ValueError):
-            TrainConfig(0.1, 1, 0, seeds=[0])
-        with pytest.raises(ValueError):
-            TrainConfig(0.1, 1, 1, seeds=[0, -1])
 
 
 class TestEvaluate:
@@ -321,7 +303,7 @@ class TestEvaluate:
         spec = ModelSpec(4, (3,), 2)
         model = init_model(spec, 0)
         empty = LabeledSet(np.empty((0, 4)), np.empty(0, dtype=int), 2)
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(ValueError, match="at least one labeled sample"):
             evaluate(model, empty)
 
     def test_loss_finite_for_extreme_weights(self):

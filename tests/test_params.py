@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from fedsim.errors import LayoutMismatch
 from fedsim.params import (
     ParamVector,
     check_same_layout,
@@ -76,5 +75,5 @@ def test_check_same_layout():
     b = ParamVector(np.ones(6), ((2, 2, 2),))
     check_same_layout(a, b)
     c = ParamVector(np.zeros(9), ((2, 3, 3),))
-    with pytest.raises(LayoutMismatch):
+    with pytest.raises(ValueError, match="layouts differ"):
         check_same_layout(a, c)
