@@ -32,8 +32,6 @@ from .data import (
     make_synthetic,
 )
 from .federation import (
-    AggregationPolicy,
-    EntropyReport,
     FederationState,
     RoundConfig,
     RoundReport,

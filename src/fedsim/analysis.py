@@ -20,8 +20,6 @@ class DivergenceRecord:
 
     per_layer: tuple[float, ...]
     total: float
-    round_index: int | None = None
-    device_id: int | None = None
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
@@ -39,21 +37,11 @@ def bank_divergence(global_model: ParamVector, bank: np.ndarray) -> tuple[np.nda
     return _row_norms(diff), per_layer
 
 
-def weight_divergence(
-    global_model: ParamVector,
-    local_model: ParamVector,
-    round_index: int | None = None,
-    device_id: int | None = None,
-) -> DivergenceRecord:
+def weight_divergence(global_model: ParamVector, local_model: ParamVector) -> DivergenceRecord:
     """Per-layer and total Euclidean distance; symmetric in its arguments."""
     check_same_layout(global_model, local_model)
     totals, per_layer = bank_divergence(global_model, local_model.values[None, :])
-    return DivergenceRecord(
-        per_layer=tuple(per_layer[0].tolist()),
-        total=float(totals[0]),
-        round_index=round_index,
-        device_id=device_id,
-    )
+    return DivergenceRecord(per_layer=tuple(per_layer[0].tolist()), total=float(totals[0]))
 
 
 def bias_term(local_model: ParamVector, global_model: ParamVector) -> ParamVector:

@@ -19,12 +19,5 @@ class DatasetError(Exception):
 
 
 class NumericalDivergence(Exception):
-    """A model or a metric computed from it stopped being finite.
-
-    `shard` is the position of the offending shard when `local_train`
-    raises it, so the round loop can name the device.
-    """
-
-    def __init__(self, message: str, shard: int | None = None):
-        super().__init__(message)
-        self.shard = shard
+    """A model or a metric computed from it stopped being finite; the message
+    names the round and the device."""

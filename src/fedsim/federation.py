@@ -1,9 +1,11 @@
 """The per-round federation protocol and both aggregation rules.
 
 A round runs: dispense queue segments, accumulate them into device data
-(both index arrays into the run's train set), broadcast the global model,
-train every device locally, collect entropy reports, aggregate, and
-evaluate on the test set. Two aggregators are provided:
+(both index arrays into the run's train set) and class counts, broadcast the
+global model, train every device locally, aggregate, and evaluate on the
+test set. Row k of the state's histograms, entropies and model bank is
+device k, so both aggregators read the rows as they stand. Two aggregators
+are provided:
 
 * fedavg_count: weighted mean of all device models, weights proportional to
   device sample counts (the classic baseline).
@@ -37,7 +39,7 @@ from .data import LabeledSet
 from .errors import NumericalDivergence
 from .nn import ModelSpec, TrainConfig, evaluate, local_train
 from .params import Layout, ParamVector, param_count
-from .partition import DeviceState, GlobalQueue, accumulate, dispense
+from .partition import DeviceState, GlobalQueue, accumulate, dispense, normalized_entropies
 from .seeds import derive_seed
 
 AGGREGATORS = ("fedavg_count", "ddfl_entropy")
@@ -48,30 +50,17 @@ AGGREGATORS = ("fedavg_count", "ddfl_entropy")
 _BLOCK_FLOATS = 2**15
 
 
-@dataclass(frozen=True)
-class EntropyReport:
-    device_id: int
-    entropy: float
-    sample_count: int
+def select_devices(entropies, selection_fraction: float) -> list[int]:
+    """Rows of the max(1, floor(fraction*K)) highest of K device entropies.
 
-
-@dataclass(frozen=True)
-class AggregationPolicy:
-    kind: str
-    selection_fraction: float = 1.0
-
-
-def select_devices(reports: list[EntropyReport], selection_fraction: float) -> list[int]:
-    """Ids of the max(1, floor(fraction*K)) highest-entropy devices.
-
-    Ties break toward the lower device id; the result is sorted ascending.
+    Ties break toward the lower row; the result is sorted ascending.
     """
-    if not reports:
-        raise ValueError("no entropy reports to select from")
+    entropies = np.asarray(entropies, dtype=np.float64)
+    if not len(entropies):
+        raise ValueError("no entropies to select from")
     # tiny slack so fraction*K that is mathematically integral is not floored
-    keep = max(1, math.floor(selection_fraction * len(reports) + 1e-9))
-    ranked = sorted(reports, key=lambda r: (-r.entropy, r.device_id))
-    return sorted(r.device_id for r in ranked[:keep])
+    keep = max(1, math.floor(selection_fraction * len(entropies) + 1e-9))
+    return sorted(np.argsort(-entropies, kind="stable")[:keep].tolist())
 
 
 def aggregate_fedavg(bank: np.ndarray, layout: Layout, weights) -> ParamVector:
@@ -95,32 +84,33 @@ def aggregate_fedavg(bank: np.ndarray, layout: Layout, weights) -> ParamVector:
 def aggregate_ddfl(
     bank: np.ndarray,
     layout: Layout,
-    reports: list[EntropyReport],
+    entropies,
     selection_fraction: float,
 ) -> tuple[ParamVector, list[int], bool]:
     """Entropy-ranked selection followed by entropy-weighted averaging.
 
-    Row i of the (K, P) `bank` is the model of `reports[i]`. Returns the
-    aggregated model, the sorted selected ids, and a flag that is True when
-    all selected entropies were zero and a uniform mean was used instead.
+    `entropies[k]` belongs to the model in row k of the (K, P) `bank`.
+    Returns the aggregated model, the selected rows in ascending order, and
+    a flag that is True when all selected entropies were zero and a uniform
+    mean was used instead.
     """
-    if len(bank) != len(reports):
-        raise ValueError("need exactly one model per report")
-    selected = select_devices(reports, selection_fraction)
-    position = {r.device_id: i for i, r in enumerate(reports)}
-    picked = [position[device_id] for device_id in selected]
-    entropies = np.array([reports[i].entropy for i in picked])
-    fallback = bool(entropies.sum() <= 0.0)
-    weights = np.ones(len(picked)) if fallback else entropies
-    merged = aggregate_fedavg(bank[picked], layout, weights)
+    entropies = np.asarray(entropies, dtype=np.float64)
+    if len(bank) != len(entropies):
+        raise ValueError("need exactly one entropy per model")
+    selected = select_devices(entropies, selection_fraction)
+    weights = entropies[selected]
+    fallback = bool(weights.sum() <= 0.0)
+    if fallback:
+        weights = np.ones(len(selected))
+    merged = aggregate_fedavg(bank[selected], layout, weights)
     return merged, selected, fallback
 
 
 @dataclass
 class RoundReport:
-    """What one round observed; the merged model, the devices (in id order)
-    and their trained models (the bank) are in the state that run_round
-    returns with it."""
+    """What one round observed; the merged model, the devices and their
+    class counts, entropies and trained models are in the state that
+    run_round returns with it."""
 
     round_index: int
     selected_ids: list[int]
@@ -133,17 +123,24 @@ class RoundReport:
 
 @dataclass
 class FederationState:
-    """Between rounds. `bank` (K, P) holds the latest round's local models,
-    row k for the k-th device in id order; it is allocated once, and each
-    run_round overwrites it and hands it on to the state it returns."""
+    """Between rounds. Row k of `histograms` (K, C) int64, `entropies` (K,)
+    and `bank` (K, P) belongs to `devices[k]`, whose id is k: its class
+    counts, its data entropy and its latest local model. The entropies
+    default to those of the histograms, and the bank is allocated once; each
+    run_round updates all three in place and hands them on to the state it
+    returns."""
 
     devices: list[DeviceState]
     queue: GlobalQueue
     global_model: ParamVector
+    histograms: np.ndarray
     round_index: int = 0
+    entropies: np.ndarray | None = None
     bank: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.entropies is None:
+            self.entropies = normalized_entropies(self.histograms)
         if self.bank is None:
             self.bank = np.empty((len(self.devices), len(self.global_model)))
 
@@ -154,7 +151,8 @@ class RoundConfig:
     learning_rate: float
     local_epochs: int
     batch_size: int
-    policy: AggregationPolicy
+    aggregator: str
+    selection_fraction: float
     segment_size: int
     seed: int
     train_set: LabeledSet  # what device data and the queue pool index into
@@ -172,34 +170,29 @@ def _block_width(spec: ModelSpec, batch_size: int) -> int:
 def _train_block(
     state: FederationState, cfg: RoundConfig, devices: list[DeviceState], rows: list[int]
 ) -> None:
-    """Train `devices[r]` for each r in `rows` and write them to those bank rows."""
-    block = [devices[r] for r in rows]
+    """Train device r for each r in `rows` and write its model to bank row r."""
     train_cfg = TrainConfig(
         learning_rate=cfg.learning_rate,
         local_epochs=cfg.local_epochs,
         batch_size=cfg.batch_size,
-        seeds=[derive_seed(cfg.seed, "train", state.round_index, d.device_id) for d in block],
+        seeds=[derive_seed(cfg.seed, "train", state.round_index, r) for r in rows],
     )
-    try:
-        state.bank[rows] = local_train(
-            state.global_model,
-            [d.data for d in block],
-            train_cfg,
-            cfg.train_set,
-            cfg.model_spec.activation,
-        )
-    except NumericalDivergence as exc:
-        device_id = block[exc.shard].device_id
-        raise NumericalDivergence(
-            f"round {state.round_index}: device {device_id} trained to non-finite parameters"
-        ) from exc
+    state.bank[rows] = local_train(
+        state.global_model,
+        [devices[r].data for r in rows],
+        train_cfg,
+        cfg.train_set,
+        cfg.model_spec.activation,
+    )
 
 
 def run_round(state: FederationState, cfg: RoundConfig) -> tuple[FederationState, RoundReport]:
-    """Execute one communication round; the queue and bank change in place."""
-    devices = sorted(state.devices, key=lambda d: d.device_id)
-    segments, positions = dispense(state.queue, len(devices), cfg.segment_size)
-    devices = accumulate(devices, segments, cfg.train_set)
+    """Execute one communication round; the queue, histograms, entropies and
+    bank change in place."""
+    segments, positions = dispense(state.queue, len(state.devices), cfg.segment_size)
+    devices = accumulate(
+        state.devices, state.histograms, state.entropies, segments, cfg.train_set
+    )
 
     by_size = sorted(range(len(devices)), key=lambda r: -len(devices[r].data))
     width = _block_width(cfg.model_spec, cfg.batch_size)
@@ -211,18 +204,24 @@ def run_round(state: FederationState, cfg: RoundConfig) -> tuple[FederationState
     else:
         for rows in blocks:
             train(rows)
-
-    reports = [EntropyReport(d.device_id, d.entropy, len(d.data)) for d in devices]
+    # a NaN or inf never turns finite under later SGD steps, so one check of
+    # the trained rows catches every blow-up; it names the lowest device
+    finite = np.isfinite(state.bank).all(axis=1)
+    if not finite.all():
+        raise NumericalDivergence(
+            f"round {state.round_index}: device {int(np.argmin(finite))} "
+            "trained to non-finite parameters"
+        )
 
     started = time.perf_counter()
-    if cfg.policy.kind == "ddfl_entropy":
+    if cfg.aggregator == "ddfl_entropy":
         merged, selected, fallback = aggregate_ddfl(
-            state.bank, state.global_model.layout, reports, cfg.policy.selection_fraction
+            state.bank, state.global_model.layout, state.entropies, cfg.selection_fraction
         )
     else:
-        counts = [len(d.data) for d in devices]
+        counts = state.histograms.sum(axis=1)
         merged = aggregate_fedavg(state.bank, state.global_model.layout, counts)
-        selected = [d.device_id for d in devices]
+        selected = list(range(len(devices)))
         fallback = False
     agg_time = time.perf_counter() - started
 

@@ -1,8 +1,8 @@
 """Experiment runner: configuration, the round loop, metric files, sweeps.
 
 Configuration is a single JSON object (see ExperimentConfig for keys and
-defaults; the JSON key for `lam` is "selection_fraction"). CLI flags override
-file values. Every run writes into its output directory:
+defaults). CLI flags override file values. Every run writes into its output
+directory:
 
     config_resolved.json   fully resolved config, including derived defaults
     metrics.csv            one row per round (flushed as rounds complete)
@@ -35,13 +35,7 @@ import numpy as np
 from .analysis import bank_divergence, bias_term, weight_divergence  # noqa: F401
 from .data import DatasetMeta, LabeledSet, load_cifar, load_mnist, make_synthetic
 from .errors import ConfigInvalid, NumericalDivergence
-from .federation import (
-    AGGREGATORS,
-    AggregationPolicy,
-    FederationState,
-    RoundConfig,
-    run_round,
-)
+from .federation import AGGREGATORS, FederationState, RoundConfig, run_round
 from .nn import ACTIVATIONS, ModelSpec, init_model
 from .params import ParamVector
 from .partition import PARTITION_MODES, PartitionPlan, partition, split_global_queue
@@ -270,17 +264,17 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         num_devices=cfg.devices,
         seed=derive_seed(cfg.seed, "partition"),
     )
-    devices = partition(train, residual, plan)
+    devices, histograms = partition(train, residual, plan)
     global_model = init_model(spec, derive_seed(cfg.seed, "init"))
     segment_size = derived_segment_size(cfg, len(queue.pool))
 
-    policy = AggregationPolicy(cfg.aggregator, cfg.selection_fraction)
     round_cfg = RoundConfig(
         model_spec=spec,
         learning_rate=cfg.learning_rate,
         local_epochs=cfg.local_epochs,
         batch_size=cfg.batch_size,
-        policy=policy,
+        aggregator=cfg.aggregator,
+        selection_fraction=cfg.selection_fraction,
         segment_size=segment_size,
         seed=cfg.seed,
         train_set=train,
@@ -311,7 +305,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         if cfg.trace_dispense:
             files["trace"] = (out_dir / "dispense_trace.jsonl").open("w", encoding="ascii")
 
-    state = FederationState(devices, queue, global_model)
+    state = FederationState(devices, queue, global_model, histograms)
     rows: list[MetricsRow] = []
     fallback_rounds = 0
     try:
@@ -319,14 +313,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             state, report = run_round(state, round_cfg)
             fallback_rounds += int(report.zero_entropy_fallback)
 
-            # run_round returns the devices in id order, as the bank rows are
-            entropies = np.array([d.entropy for d in state.devices])
+            entropies = state.entropies
             totals, per_layer = bank_divergence(state.global_model, state.bank)
-            if not np.all(np.isfinite(totals)):
-                device_id = state.devices[int(np.argmin(np.isfinite(totals)))].device_id
+            finite = np.isfinite(totals)
+            if not finite.all():
                 raise NumericalDivergence(
-                    f"round {report.round_index}: device {device_id} weight divergence "
-                    "is not finite"
+                    f"round {report.round_index}: device {int(np.argmin(finite))} weight "
+                    "divergence is not finite"
                 )
             row = MetricsRow(
                 round_index=report.round_index,
@@ -348,9 +341,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 files["timings"].write(
                     f"{row.round_index},{_format_float(row.agg_time_ms)}\n"
                 )
-                for d in state.devices:
+                for device_id, entropy in enumerate(entropies.tolist()):
                     files["entropy"].write(
-                        f"{row.round_index},{d.device_id},{_format_float(d.entropy)}\n"
+                        f"{row.round_index},{device_id},{_format_float(entropy)}\n"
                     )
                 layer_means = np.mean(per_layer, axis=0)
                 for layer, value in enumerate(layer_means):
@@ -484,13 +477,24 @@ PLOT_KINDS = ("accuracy_curve", "entropy_heatmap", "divergence_bars")
 
 
 def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
-    lines = [ln for ln in path.read_text(encoding="ascii").splitlines() if ln.strip()]
+    """Header and rows of a run's CSV file; any fault in it is a ConfigInvalid
+    naming the path."""
+    try:
+        text = path.read_text(encoding="ascii")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigInvalid(f"{path}: cannot read rows file ({exc})") from exc
+    lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
-        raise ValueError(f"{path}: empty file")
+        raise ConfigInvalid(f"{path}: empty file")
     header = lines[0].split(",")
     rows = [ln.split(",") for ln in lines[1:]]
     if not rows:
-        raise ValueError(f"{path}: no data rows")
+        raise ConfigInvalid(f"{path}: no data rows")
+    for number, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise ConfigInvalid(
+                f"{path}: line {number} has {len(row)} fields, the header {len(header)}"
+            )
     return header, rows
 
 
@@ -520,6 +524,12 @@ def emit_plot_data(rows_path, kind: str, out_path=None) -> Path:
             )
         return [header.index(n) for n in names]
 
+    def _integers(i: int) -> list[int]:
+        try:
+            return [int(row[i]) for row in rows]
+        except ValueError as exc:
+            raise ConfigInvalid(f"{rows_path}: {header[i]} must hold integers") from exc
+
     if kind == "accuracy_curve":
         idx = _columns("round_index", "test_accuracy")
         out_header = "round_index,test_accuracy"
@@ -530,11 +540,11 @@ def emit_plot_data(rows_path, kind: str, out_path=None) -> Path:
         out_rows = [[row[i] for i in idx] for row in rows]
     else:
         idx = _columns("round_index", "layer", "mean_divergence")
-        last_round = max(int(row[idx[0]]) for row in rows)
+        rounds = _integers(idx[0])
+        _integers(idx[1])
+        last_round = max(rounds)
         out_header = "layer,mean_divergence"
-        out_rows = [
-            [row[idx[1]], row[idx[2]]] for row in rows if int(row[idx[0]]) == last_round
-        ]
+        out_rows = [[row[idx[1]], row[idx[2]]] for row, r in zip(rows, rounds) if r == last_round]
 
     with out_path.open("w", encoding="ascii") as fh:
         fh.write(out_header + "\n")

@@ -8,9 +8,12 @@ devices accumulate permanently, so device class histograms and entropies
 evolve over the run. Samples never move: the queue pool, the residual, each
 segment and each device's data are int64 index arrays into the train set.
 
-Queue mutation (cursor advance, reshuffle) must stay confined to a single
-round loop; DeviceState values are immutable snapshots exchanged between
-rounds.
+Device k's class counts and entropy are row k of a (K, C) and a (K,)
+array, as its local model is row k of the federation's model bank:
+`partition` returns the devices in id order with their histograms, and
+`accumulate` updates the rows of the devices that grew, in place. Queue
+mutation (cursor advance, reshuffle) must stay confined to a single round
+loop.
 """
 
 from __future__ import annotations
@@ -57,14 +60,12 @@ class GlobalQueue:
 
 @dataclass(frozen=True)
 class DeviceState:
-    """One device's cumulative data (train-set indices, so `len(data)` is its
-    sample count), class histogram and entropy; its local model is a row of
-    the federation's model bank."""
+    """One device's cumulative data: train-set indices, so `len(data)` is its
+    sample count. Its class counts, entropy and local model are row
+    `device_id` of the federation state's arrays."""
 
     device_id: int
     data: np.ndarray
-    histogram: np.ndarray
-    entropy: float
 
 
 def normalized_entropies(hists) -> np.ndarray:
@@ -162,8 +163,11 @@ def split_global_queue(
 
 def partition(
     train: LabeledSet, residual: np.ndarray, plan: PartitionPlan
-) -> list[DeviceState]:
+) -> tuple[list[DeviceState], np.ndarray]:
     """Split the residual (train-set indices) across devices per the plan.
+
+    Returns the devices, device k at position k, and their (K, C) int64
+    class counts, row k for device k.
 
     iid deals a per-class shuffled deck round-robin, so device sizes and
     per-device class counts are balanced within one sample. one_class gives
@@ -213,9 +217,8 @@ def partition(
                 shards[owner] = chunk
 
     data = [residual[shard] for shard in shards]
-    hists = _stacked_histograms(data, train.labels, num_classes)
-    entropies = normalized_entropies(hists).tolist()
-    return [DeviceState(k, data[k], hists[k], entropies[k]) for k in range(K)]
+    devices = [DeviceState(k, data[k]) for k in range(K)]
+    return devices, _stacked_histograms(data, train.labels, num_classes)
 
 
 def dispense(
@@ -251,25 +254,33 @@ def dispense(
 
 
 def accumulate(
-    devices: list[DeviceState], segments: list[np.ndarray], train: LabeledSet
+    devices: list[DeviceState],
+    histograms: np.ndarray,
+    entropies: np.ndarray,
+    segments: list[np.ndarray],
+    train: LabeledSet,
 ) -> list[DeviceState]:
     """Extend each device's data with its segment of train-set indices.
 
-    `segments[k]` goes to `devices[k]`. One bincount adds every segment's
-    class counts to the stacked histograms and one row-wise pass recomputes
-    the entropies; a device whose segment is empty is returned as it was.
+    `segments[k]` goes to `devices[k]`, whose class counts and entropy are
+    row k of `histograms` and `entropies`. One bincount adds the segments'
+    class counts to the rows of the devices that grew and one row-wise pass
+    recomputes their entropies, both in place; a device whose segment is
+    empty is returned as it was.
     """
     if len(segments) != len(devices):
         raise ValueError("need exactly one segment per device")
     grown = [k for k, segment in enumerate(segments) if len(segment)]
     if not grown:
         return list(devices)
-    hists = np.stack([devices[k].histogram for k in grown]) + _stacked_histograms(
+    histograms[grown] += _stacked_histograms(
         [segments[k] for k in grown], train.labels, train.num_classes
     )
+    entropies[grown] = normalized_entropies(histograms[grown])
+    # a new list, not devices replaced in place: the caller drops all the old
+    # arrays at once, where freeing each as its successor is built fragments
+    # the heap (many_devices peak RSS rose about 5 %)
     out = list(devices)
-    for k, hist, entropy in zip(grown, hists, normalized_entropies(hists).tolist()):
-        d = devices[k]
-        data = np.concatenate([d.data, segments[k]])
-        out[k] = DeviceState(d.device_id, data, hist, entropy)
+    for k in grown:
+        out[k] = DeviceState(devices[k].device_id, np.concatenate([devices[k].data, segments[k]]))
     return out

@@ -100,10 +100,8 @@ def test_criterion_02_aggregation_identities():
     for _ in range(50):
         k = int(rng.integers(2, 8))
         models = rng.normal(size=(k, 15))
-        reports = [
-            fs.EntropyReport(i, fs.normalized_entropy([7, 7, 7]), 40) for i in range(k)
-        ]
-        ddfl, selected, fallback = fs.aggregate_ddfl(models, layout, reports, 1.0)
+        entropies = [fs.normalized_entropy([7, 7, 7])] * k
+        ddfl, selected, fallback = fs.aggregate_ddfl(models, layout, entropies, 1.0)
         fedavg = fs.aggregate_fedavg(models, layout, [40] * k)
         assert selected == list(range(k)) and not fallback
         assert np.array_equal(ddfl.values, fedavg.values), "bit-exact identity failed"

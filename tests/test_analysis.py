@@ -81,11 +81,6 @@ class TestWeightDivergence:
         with pytest.raises(ValueError, match="layouts differ"):
             weight_divergence(vec([1.0, 2.0]), vec([1.0, 2.0, 3.0]))
 
-    def test_context_fields(self):
-        a, b = random_pair(np.random.default_rng(2))
-        record = weight_divergence(a, b, round_index=7, device_id=3)
-        assert record.round_index == 7 and record.device_id == 3
-
 
 class TestBiasTerm:
     def test_zero_for_identical(self):
@@ -233,7 +228,7 @@ class TestHeterogeneityGap:
         pooled = optimum_loss(everything, 0)
         gaps = {}
         for mode in ("iid", "one_class"):
-            shards = partition(train, everything, PartitionPlan(mode, 4, seed=3))
+            shards, _ = partition(train, everything, PartitionPlan(mode, 4, seed=3))
             losses = [optimum_loss(d.data, 1 + d.device_id) for d in shards]
             weights = np.array([len(d.data) for d in shards], dtype=float)
             weights /= weights.sum()

@@ -180,7 +180,11 @@ class TestPlotCommand:
     def test_unknown_kind_is_config_error(self, tmp_path):
         assert main(["plot", "--rows", "x.csv", "--kind", "scatter"]) == EXIT_CONFIG
 
-    def test_missing_rows_file_is_runtime_error(self, tmp_path):
-        missing = tmp_path / "rows.csv"
-        code = main(["plot", "--rows", str(missing), "--kind", "accuracy_curve"])
-        assert code == EXIT_RUNTIME
+    def test_bad_rows_file_is_config_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        header_only = tmp_path / "rows.csv"
+        header_only.write_text("round_index,test_accuracy\n")
+        for path in (missing, header_only):
+            code = main(["plot", "--rows", str(path), "--kind", "accuracy_curve"])
+            assert code == EXIT_CONFIG, path
+            assert str(path) in capsys.readouterr().err, path

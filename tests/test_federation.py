@@ -3,12 +3,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsim import federation
 from fedsim.data import LabeledSet
+from fedsim.errors import NumericalDivergence
 from fedsim.federation import (
-    AggregationPolicy,
-    EntropyReport,
     FederationState,
     RoundConfig,
     aggregate_ddfl,
@@ -20,6 +21,7 @@ from fedsim.nn import ModelSpec, TrainConfig, init_model, local_train
 from fedsim.params import ParamVector
 from fedsim.partition import (
     PartitionPlan,
+    normalized_entropies,
     normalized_entropy,
     partition,
     split_global_queue,
@@ -107,20 +109,14 @@ class TestNormalizedEntropy:
 
 
 class TestSelectDevices:
-    def reports(self, entropies):
-        return [EntropyReport(i, e, 10) for i, e in enumerate(entropies)]
-
     def test_keeps_nine_of_ten(self):
-        reports = self.reports(np.linspace(0.1, 1.0, 10))
-        assert len(select_devices(reports, 0.9)) == 9
+        assert len(select_devices(np.linspace(0.1, 1.0, 10), 0.9)) == 9
 
     def test_full_fraction_keeps_all(self):
-        reports = self.reports([0.3, 0.2, 0.9])
-        assert select_devices(reports, 1.0) == [0, 1, 2]
+        assert select_devices([0.3, 0.2, 0.9], 1.0) == [0, 1, 2]
 
     def test_tie_break_toward_lower_id(self):
-        reports = self.reports([0.5, 0.5, 0.1])
-        assert select_devices(reports, 0.67) == [0, 1]
+        assert select_devices([0.5, 0.5, 0.1], 0.67) == [0, 1]
 
     def test_matches_exhaustive_comparator(self):
         rng = np.random.default_rng(5)
@@ -128,8 +124,7 @@ class TestSelectDevices:
             k = int(rng.integers(1, 12))
             entropies = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], size=k)
             fraction = float(rng.uniform(0.05, 1.0))
-            reports = self.reports(entropies)
-            got = select_devices(reports, fraction)
+            got = select_devices(entropies, fraction)
             keep = max(1, math.floor(fraction * k + 1e-9))
             expected = sorted(
                 sorted(range(k), key=lambda i: (-entropies[i], i))[:keep]
@@ -139,12 +134,12 @@ class TestSelectDevices:
     def test_scale_invariance(self):
         rng = np.random.default_rng(8)
         entropies = rng.uniform(0.01, 0.5, size=9)
-        base = select_devices(self.reports(entropies), 0.6)
-        scaled = select_devices(self.reports(entropies * 2.0), 0.6)
+        base = select_devices(entropies, 0.6)
+        scaled = select_devices(entropies * 2.0, 0.6)
         assert base == scaled
 
     def test_no_reports(self):
-        with pytest.raises(ValueError, match="no entropy reports"):
+        with pytest.raises(ValueError, match="no entropies"):
             select_devices([], 0.5)
 
 
@@ -188,72 +183,70 @@ class TestAggregateFedavg:
 class TestAggregateDdfl:
     def test_equal_entropies_equal_uniform_mean(self):
         models = bank([1.0, 5.0], [3.0, 7.0])
-        reports = [EntropyReport(0, 0.5, 10), EntropyReport(1, 0.5, 10)]
-        out, selected, fallback = aggregate_ddfl(*models, reports, 1.0)
+        out, selected, fallback = aggregate_ddfl(*models, [0.5, 0.5], 1.0)
         assert selected == [0, 1] and not fallback
         np.testing.assert_allclose(out.values, [2.0, 6.0], rtol=1e-15)
 
     def test_entropy_weighted_two_models(self):
         models = bank([0.0], [4.0])
-        reports = [EntropyReport(0, 0.25, 5), EntropyReport(1, 0.75, 5)]
-        out, selected, fallback = aggregate_ddfl(*models, reports, 1.0)
+        out, selected, fallback = aggregate_ddfl(*models, [0.25, 0.75], 1.0)
         assert selected == [0, 1] and not fallback
         np.testing.assert_allclose(out.values, [3.0], rtol=1e-15)
 
     def test_zero_entropies_fall_back_to_uniform(self):
         models = bank([2.0], [4.0], [6.0])
-        reports = [EntropyReport(i, 0.0, 5) for i in range(3)]
-        out, selected, fallback = aggregate_ddfl(*models, reports, 1.0)
+        out, selected, fallback = aggregate_ddfl(*models, np.zeros(3), 1.0)
         assert fallback
         assert selected == [0, 1, 2]
         np.testing.assert_allclose(out.values, [4.0], rtol=1e-15)
 
     def test_selection_drops_lowest_entropy(self):
         models = bank([0.0], [10.0], [20.0])
-        reports = [
-            EntropyReport(0, 0.9, 5),
-            EntropyReport(1, 0.1, 5),
-            EntropyReport(2, 0.8, 5),
-        ]
-        out, selected, _ = aggregate_ddfl(*models, reports, 0.67)
+        out, selected, _ = aggregate_ddfl(*models, [0.9, 0.1, 0.8], 0.67)
         assert selected == [0, 2]
         expected = (0.9 * 0.0 + 0.8 * 20.0) / 1.7
         np.testing.assert_allclose(out.values, [expected], rtol=1e-15)
-
-    def test_permutation_invariance_bit_exact(self):
-        rng = np.random.default_rng(9)
-        models = rng.normal(size=(6, 5))
-        layout = ((1, 5, 0),)
-        reports = [
-            EntropyReport(i, float(e), 10)
-            for i, e in enumerate(rng.uniform(0.1, 1.0, size=6))
-        ]
-        out_a, sel_a, _ = aggregate_ddfl(models, layout, reports, 0.5)
-        order = rng.permutation(6)
-        out_b, sel_b, _ = aggregate_ddfl(
-            models[order], layout, [reports[i] for i in order], 0.5
-        )
-        assert sel_a == sel_b
-        np.testing.assert_array_equal(out_a.values, out_b.values)
 
     def test_weights_renormalized_over_subset(self):
         # identical models must aggregate to themselves regardless of weights
         model = vec([1.25, -2.5, 0.5])
         models = np.stack([model.values] * 3)
-        reports = [
-            EntropyReport(0, 0.2, 5),
-            EntropyReport(1, 0.5, 5),
-            EntropyReport(2, 0.9, 5),
-        ]
-        out, _, _ = aggregate_ddfl(models, model.layout, reports, 0.7)
+        out, _, _ = aggregate_ddfl(models, model.layout, [0.2, 0.5, 0.9], 0.7)
         np.testing.assert_allclose(out.values, model.values, rtol=1e-12)
 
     def test_errors(self):
-        with pytest.raises(ValueError, match="no entropy reports"):
+        with pytest.raises(ValueError, match="no entropies"):
             aggregate_ddfl(np.empty((0, 1)), ((1, 1, 0),), [], 0.5)
-        reports = [EntropyReport(0, 0.5, 5), EntropyReport(1, 0.5, 5)]
-        with pytest.raises(ValueError):
-            aggregate_ddfl(*bank([1.0]), reports, 0.5)
+        with pytest.raises(ValueError, match="one entropy per model"):
+            aggregate_ddfl(*bank([1.0]), [0.5, 0.5], 0.5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    k=st.integers(1, 12),
+    width=st.integers(1, 6),
+    fraction=st.floats(0.0, 1.0, exclude_min=True),
+    data=st.data(),
+)
+def test_ddfl_merges_the_top_entropy_rows_convexly(k, width, fraction, data):
+    finite = st.floats(-1e6, 1e6)
+    models = np.array(data.draw(st.lists(finite, min_size=k * width, max_size=k * width)))
+    models = models.reshape(k, width)
+    # a few distinct values, zero among them, so ties and all-zero picks occur
+    entropy = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+    entropies = data.draw(st.lists(entropy, min_size=k, max_size=k))
+    out, selected, fallback = aggregate_ddfl(models, ((1, width, 0),), entropies, fraction)
+
+    # fraction * k within 1e-9 of an integer counts as that integer
+    nearest = round(fraction * k)
+    keep = max(1, nearest if abs(fraction * k - nearest) <= 1e-9 else math.floor(fraction * k))
+    reference = sorted(range(k), key=lambda row: (-entropies[row], row))
+    assert selected == sorted(reference[:keep])
+    assert fallback == all(entropies[row] == 0.0 for row in selected)
+    picked = models[selected]
+    slack = 1e-12 * (1.0 + np.abs(picked).max())
+    assert np.all(out.values >= picked.min(axis=0) - slack)
+    assert np.all(out.values <= picked.max(axis=0) + slack)
 
 
 def small_federation(mode="one_class", num_devices=4, num_classes=4, seed=0,
@@ -264,18 +257,19 @@ def small_federation(mode="one_class", num_devices=4, num_classes=4, seed=0,
     test = LabeledSet(rng.uniform(size=(20, 6)),
                       rng.integers(0, num_classes, size=20), num_classes)
     queue, residual = split_global_queue(train, queue_fraction, seed=seed)
-    devices = partition(
+    devices, histograms = partition(
         train, residual, PartitionPlan(mode, num_devices, seed=seed)
     )
     spec = ModelSpec(6, (5,), num_classes)
     model = init_model(spec, seed)
-    return FederationState(devices, queue, model), spec, dict(train_set=train, test_set=test)
+    state = FederationState(devices, queue, model, histograms)
+    return state, spec, dict(train_set=train, test_set=test)
 
 
 class TestRunRound:
     def test_zero_learning_rate_keeps_global_model(self):
         state, spec, sets = small_federation()
-        cfg = RoundConfig(spec, 0.0, 1, 8, AggregationPolicy("ddfl_entropy", 0.9),
+        cfg = RoundConfig(spec, 0.0, 1, 8, "ddfl_entropy", 0.9,
                           1, seed=3, **sets)
         before = state.global_model.values.copy()
         before_acc = None
@@ -287,7 +281,7 @@ class TestRunRound:
 
     def test_single_device_full_selection_returns_local_model(self):
         state, spec, sets = small_federation(mode="iid", num_devices=1)
-        cfg = RoundConfig(spec, 0.2, 1, 8, AggregationPolicy("ddfl_entropy", 1.0),
+        cfg = RoundConfig(spec, 0.2, 1, 8, "ddfl_entropy", 1.0,
                           1, seed=3, **sets)
         new_state, report = run_round(state, cfg)
         local = ParamVector(new_state.bank[0], spec.layout())
@@ -301,9 +295,9 @@ class TestRunRound:
         kwargs = dict(mode="iid", num_devices=4, seed=5, queue_fraction=0.0)
         state_a, spec, sets = small_federation(**kwargs)
         state_b, _, _ = small_federation(**kwargs)
-        cfg_a = RoundConfig(spec, 0.3, 1, 8, AggregationPolicy("fedavg_count", 1.0),
+        cfg_a = RoundConfig(spec, 0.3, 1, 8, "fedavg_count", 1.0,
                             0, seed=7, **sets)
-        cfg_b = RoundConfig(spec, 0.3, 1, 8, AggregationPolicy("ddfl_entropy", 1.0),
+        cfg_b = RoundConfig(spec, 0.3, 1, 8, "ddfl_entropy", 1.0,
                             0, seed=7, **sets)
         out_a, _ = run_round(state_a, cfg_a)
         out_b, _ = run_round(state_b, cfg_b)
@@ -313,7 +307,7 @@ class TestRunRound:
 
     def test_round_one_of_one_class_flags_fallback(self):
         state, spec, sets = small_federation(mode="one_class", queue_fraction=0.0)
-        cfg = RoundConfig(spec, 0.1, 1, 8, AggregationPolicy("ddfl_entropy", 0.9),
+        cfg = RoundConfig(spec, 0.1, 1, 8, "ddfl_entropy", 0.9,
                           0, seed=1, **sets)
         _, report = run_round(state, cfg)
         assert report.zero_entropy_fallback
@@ -322,49 +316,47 @@ class TestRunRound:
 
     def test_selected_count_matches_fraction(self):
         state, spec, sets = small_federation(num_devices=4)
-        cfg = RoundConfig(spec, 0.1, 1, 8, AggregationPolicy("ddfl_entropy", 0.5),
+        cfg = RoundConfig(spec, 0.1, 1, 8, "ddfl_entropy", 0.5,
                           1, seed=1, **sets)
         _, report = run_round(state, cfg)
         assert len(report.selected_ids) == max(1, math.floor(0.5 * 4))
 
-    def test_device_order_does_not_matter(self):
-        state_a, spec, sets = small_federation(seed=2)
-        state_b, _, _ = small_federation(seed=2)
-        state_b.devices = list(reversed(state_b.devices))
-        cfg = RoundConfig(spec, 0.2, 1, 8, AggregationPolicy("ddfl_entropy", 0.9),
+    def test_shuffled_devices_fill_the_bank_in_id_order(self, monkeypatch):
+        # one_class gives these six devices 9, 9, 18, 9, 9 and 18 samples, and
+        # one device per block trains them largest first, out of id order
+        monkeypatch.setattr(federation, "_BLOCK_FLOATS", 1)
+        state, spec, sets = small_federation(num_devices=6, seed=2)
+        assert [len(d.data) for d in state.devices] == [9, 9, 18, 9, 9, 18]
+        cfg = RoundConfig(spec, 0.2, 1, 8, "ddfl_entropy", 0.5,
                           1, seed=9, **sets)
-        out_a, rep_a = run_round(state_a, cfg)
-        out_b, rep_b = run_round(state_b, cfg)
-        np.testing.assert_array_equal(
-            out_a.global_model.values, out_b.global_model.values
-        )
-        assert rep_a.selected_ids == rep_b.selected_ids
-
-    def test_shuffled_devices_fill_the_bank_in_id_order(self):
-        state_a, spec, sets = small_federation(mode="iid", num_devices=6, seed=2)
-        state_b, _, _ = small_federation(mode="iid", num_devices=6, seed=2)
-        rng = np.random.default_rng(0)
-        state_b.devices = [state_b.devices[i] for i in rng.permutation(6)]
-        cfg = RoundConfig(spec, 0.2, 1, 8, AggregationPolicy("ddfl_entropy", 0.5),
-                          1, seed=9, **sets)
-        out_a, _ = run_round(state_a, cfg)
-        out_b, _ = run_round(state_b, cfg)
-        np.testing.assert_array_equal(
-            out_a.global_model.values, out_b.global_model.values
-        )
-        np.testing.assert_array_equal(out_a.bank, out_b.bank)
+        out, _ = run_round(state, cfg)
         # row k is device k trained alone from the round's global model
-        for k, device in enumerate(out_a.devices):
+        for k, device in enumerate(out.devices):
             assert device.device_id == k
             train_cfg = TrainConfig(0.2, 1, 8, [derive_seed(9, "train", 0, k)])
             [alone] = local_train(
-                state_a.global_model, [device.data], train_cfg, sets["train_set"]
+                state.global_model, [device.data], train_cfg, sets["train_set"]
             )
-            np.testing.assert_array_equal(out_a.bank[k], alone)
+            np.testing.assert_array_equal(out.bank[k], alone)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_devices_name_the_lowest_id(self):
+        # devices 3 and 5 hold infinite features; 5 is larger and trains first
+        state, spec, sets = small_federation(num_devices=6, seed=2)
+        for k in (3, 5):
+            sets["train_set"].features[state.devices[k].data] = np.inf
+        cfg = RoundConfig(spec, 0.2, 1, 8, "ddfl_entropy", 0.5,
+                          0, seed=9, **sets)
+        with pytest.raises(
+            NumericalDivergence, match="round 0: device 3 trained to non-finite parameters"
+        ):
+            run_round(state, cfg)
+        finite = np.isfinite(state.bank).all(axis=1)
+        np.testing.assert_array_equal(finite, [True, True, True, False, True, False])
 
     def test_bank_is_reused_across_rounds(self):
         state, spec, sets = small_federation()
-        cfg = RoundConfig(spec, 0.2, 1, 8, AggregationPolicy("fedavg_count", 1.0),
+        cfg = RoundConfig(spec, 0.2, 1, 8, "fedavg_count", 1.0,
                           1, seed=9, **sets)
         bank = state.bank
         for _ in range(2):
@@ -375,9 +367,9 @@ class TestRunRound:
     def test_worker_count_does_not_matter(self):
         state_a, spec, sets = small_federation(seed=4)
         state_b, _, _ = small_federation(seed=4)
-        cfg_1 = RoundConfig(spec, 0.2, 2, 8, AggregationPolicy("ddfl_entropy", 0.9),
+        cfg_1 = RoundConfig(spec, 0.2, 2, 8, "ddfl_entropy", 0.9,
                             1, seed=9, **sets, workers=1)
-        cfg_4 = RoundConfig(spec, 0.2, 2, 8, AggregationPolicy("ddfl_entropy", 0.9),
+        cfg_4 = RoundConfig(spec, 0.2, 2, 8, "ddfl_entropy", 0.9,
                             1, seed=9, **sets, workers=4)
         out_a, _ = run_round(state_a, cfg_1)
         out_b, _ = run_round(state_b, cfg_4)
@@ -395,7 +387,7 @@ class TestRunRound:
         try:
             for workers in (1, 8):
                 state, spec, sets = small_federation(mode="iid", num_devices=12, seed=6)
-                cfg = RoundConfig(spec, 0.2, 2, 4, AggregationPolicy("fedavg_count", 1.0),
+                cfg = RoundConfig(spec, 0.2, 2, 4, "fedavg_count", 1.0,
                                   1, seed=9, **sets, workers=workers)
                 for _ in range(2):
                     state, _ = run_round(state, cfg)
@@ -406,7 +398,7 @@ class TestRunRound:
 
     def test_report_contents(self):
         state, spec, sets = small_federation()
-        cfg = RoundConfig(spec, 0.2, 1, 8, AggregationPolicy("fedavg_count", 1.0),
+        cfg = RoundConfig(spec, 0.2, 1, 8, "fedavg_count", 1.0,
                           1, seed=9, **sets)
         new_state, report = run_round(state, cfg)
         assert report.round_index == 0
@@ -415,4 +407,11 @@ class TestRunRound:
         assert 0.0 <= report.test_accuracy <= 1.0
         assert [d.device_id for d in new_state.devices] == [0, 1, 2, 3]
         assert report.agg_time >= 0.0
-        assert all(0.0 <= d.entropy <= 1.0 for d in new_state.devices)
+        assert np.all((new_state.entropies >= 0.0) & (new_state.entropies <= 1.0))
+        # row k holds device k's class counts and their entropy
+        np.testing.assert_array_equal(
+            new_state.histograms.sum(axis=1), [len(d.data) for d in new_state.devices]
+        )
+        np.testing.assert_array_equal(
+            new_state.entropies, normalized_entropies(new_state.histograms)
+        )

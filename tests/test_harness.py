@@ -375,10 +375,26 @@ class TestEmitPlotData:
             emit_plot_data(run_dir / "metrics.csv", "entropy_heatmap")
 
     def test_empty_input(self, tmp_path):
-        path = tmp_path / "rows.csv"
-        path.write_text("round_index,test_accuracy\n")
-        with pytest.raises(ValueError, match="no data rows"):
-            emit_plot_data(path, "accuracy_curve")
+        # every fault of the rows file is a config error that names the file;
+        # None stands for a file that does not exist
+        cases = [
+            ("accuracy_curve", "round_index,test_accuracy\n", "no data rows"),
+            ("accuracy_curve", "", "empty file"),
+            ("accuracy_curve", None, "cannot read rows file"),
+            ("accuracy_curve", "round_index,loss\n0,1.5\n", "missing columns test_accuracy"),
+            ("accuracy_curve", "round_index,test_accuracy\n0\n", "line 2 has 1 fields"),
+            ("divergence_bars", "round_index,layer,mean_divergence\nlast,0,1.5\n",
+             "round_index must hold integers"),
+            ("divergence_bars", "round_index,layer,mean_divergence\n0,w1,1.5\n",
+             "layer must hold integers"),
+        ]
+        for number, (kind, text, message) in enumerate(cases):
+            path = tmp_path / f"rows_{number}.csv"
+            if text is not None:
+                path.write_text(text)
+            with pytest.raises(ConfigInvalid, match=message) as caught:
+                emit_plot_data(path, kind)
+            assert str(path) in str(caught.value), kind
 
     def test_explicit_output_path(self, run_dir, tmp_path):
         target = tmp_path / "curve.csv"

@@ -2,7 +2,7 @@
 
 The queue pool, the residual, every dispensed segment and every device's
 data are int64 index arrays into the one train set, and `accumulate`
-derives histograms and entropies from them in batches. These properties
+derives the (K, C) histograms and (K,) entropies from them in batches. These properties
 hold for any labels, fractions, partition plans and dispense sequences.
 """
 
@@ -84,13 +84,13 @@ def test_pool_and_residual_are_disjoint_and_cover_the_train_set(train, fraction,
 )
 def test_shards_are_disjoint_and_cover_the_residual(train, fraction, mode, num_devices, seed):
     _, residual = split_global_queue(train, fraction, seed)
-    devices = partition_or_reject(train, residual, mode, num_devices, seed)
+    devices, hists = partition_or_reject(train, residual, mode, num_devices, seed)
     held = np.concatenate([d.data for d in devices])
     np.testing.assert_array_equal(np.sort(held), residual)
-    for d in devices:
+    for k, d in enumerate(devices):
+        assert d.device_id == k
         assert len(d.data) > 0
-        np.testing.assert_array_equal(d.histogram, histogram_of(train, d.data))
-        assert d.entropy == scalar_normalized_entropy(d.histogram)
+        np.testing.assert_array_equal(hists[k], histogram_of(train, d.data))
 
 
 @SETTINGS
@@ -132,7 +132,8 @@ def test_histograms_follow_the_data_under_any_accumulate_sequence(
     train, mode, num_devices, seed, data
 ):
     everything = np.arange(len(train))
-    devices = partition_or_reject(train, everything, mode, num_devices, seed)
+    devices, hists = partition_or_reject(train, everything, mode, num_devices, seed)
+    entropies = normalized_entropies(hists)
     rounds = data.draw(st.integers(1, 4))
     index = st.integers(0, len(train) - 1)
     for _ in range(rounds):
@@ -141,13 +142,13 @@ def test_histograms_follow_the_data_under_any_accumulate_sequence(
             for _ in devices
         ]
         before = devices
-        devices = accumulate(devices, segments, train)
-        for old, new, segment in zip(before, devices, segments):
+        devices = accumulate(devices, hists, entropies, segments, train)
+        for k, (old, new, segment) in enumerate(zip(before, devices, segments)):
             if len(segment) == 0:
                 assert new is old
             np.testing.assert_array_equal(new.data, np.concatenate([old.data, segment]))
-            np.testing.assert_array_equal(new.histogram, histogram_of(train, new.data))
-            assert new.entropy == scalar_normalized_entropy(new.histogram)
+            np.testing.assert_array_equal(hists[k], histogram_of(train, new.data))
+            assert entropies[k] == scalar_normalized_entropy(hists[k])
             # training reads the same rows as a copied shard would hold
             np.testing.assert_array_equal(train.features[new.data, 0], new.data)
 

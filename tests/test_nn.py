@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from fedsim.data import LabeledSet, make_synthetic
-from fedsim.errors import NumericalDivergence
 from fedsim.nn import (
     ModelSpec,
     TrainConfig,
@@ -201,26 +200,27 @@ class TestLocalTrain:
     # the blow-up lands either before later updates or in the last update
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("batch_size", [5, 24])
-    def test_non_finite_update_raises(self, batch_size):
+    def test_non_finite_update_stays_non_finite(self, batch_size):
+        # the round checks the trained rows once, so a blow-up in an early
+        # minibatch must still show after the later updates
         train, _, _ = make_synthetic(3, 10, 4, 0.2, seed=0)
         model = init_model(ModelSpec(4, (6,), 3), 2)
         cfg = TrainConfig(float("inf"), 1, batch_size, seeds=[9])
-        with pytest.raises(NumericalDivergence, match="shard 0") as caught:
-            local_train(model, everything(train), cfg, train)
-        assert caught.value.shard == 0
+        [values] = local_train(model, everything(train), cfg, train)
+        assert not np.isfinite(values).all()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_update_names_the_shard(self):
         # only the first shard blows up (its inputs are infinite); it is the
-        # smallest, so it trains in the last row of the stack
+        # smallest, so it trains in the last row of the stack, and its row of
+        # the result is the only non-finite one
         rng = np.random.default_rng(4)
         model = init_model(ModelSpec(4, (6,), 3), 2)
         data = random_batch(rng, 18, 4, 3)
         shards = [np.arange(0, 3), np.arange(3, 12), np.arange(12, 18)]
         data.features[shards[0]] = np.inf
-        with pytest.raises(NumericalDivergence) as caught:
-            local_train(model, shards, TrainConfig(0.1, 1, 4, [1, 2, 3]), data)
-        assert caught.value.shard == 0
+        values = local_train(model, shards, TrainConfig(0.1, 1, 4, [1, 2, 3]), data)
+        np.testing.assert_array_equal(np.isfinite(values).all(axis=1), [False, True, True])
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     @pytest.mark.parametrize("batch_size", [1, 5])

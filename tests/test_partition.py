@@ -9,6 +9,7 @@ from fedsim.partition import (
     PartitionPlan,
     accumulate,
     dispense,
+    normalized_entropies,
     normalized_entropy,
     partition,
     split_global_queue,
@@ -23,7 +24,8 @@ def balanced_set(num_classes=10, per_class=600, dim=4, seed=0):
 
 
 def partition_all(train, plan):
-    """Partition every sample of `train` (no queue held back)."""
+    """Partition every sample of `train` (no queue held back); returns the
+    devices and their histograms."""
     return partition(train, np.arange(len(train)), plan)
 
 
@@ -72,38 +74,35 @@ class TestPartition:
     def test_iid_balanced_data_gives_unit_entropy(self):
         train = balanced_set(per_class=100)
         plan = PartitionPlan("iid", 10, seed=5)
-        devices = partition_all(train, plan)
-        assert [d.entropy for d in devices] == [1.0] * 10
+        devices, hists = partition_all(train, plan)
+        assert normalized_entropies(hists).tolist() == [1.0] * 10
         assert all(len(d.data) == 100 for d in devices)
 
     def test_iid_sizes_balanced_within_one(self):
         rng = np.random.default_rng(0)
         labels = rng.integers(0, 7, size=503)
         train = LabeledSet(rng.uniform(size=(503, 3)), labels, 7)
-        devices = partition_all(train, PartitionPlan("iid", 10, seed=1))
+        devices, _ = partition_all(train, PartitionPlan("iid", 10, seed=1))
         sizes = [len(d.data) for d in devices]
         assert max(sizes) - min(sizes) <= 1
         assert sum(sizes) == 503
 
     def test_iid_shards_disjoint_and_cover(self):
         train = balanced_set(per_class=30)
-        devices = partition_all(train, PartitionPlan("iid", 4, seed=2))
-        total = np.zeros(10, dtype=np.int64)
-        for d in devices:
-            total += d.histogram
-        np.testing.assert_array_equal(total, class_histogram(train, 10))
+        _, hists = partition_all(train, PartitionPlan("iid", 4, seed=2))
+        np.testing.assert_array_equal(hists.sum(axis=0), class_histogram(train, 10))
 
     def test_one_class_matching_device_count(self):
         train = balanced_set(per_class=40)
-        devices = partition_all(train, PartitionPlan("one_class", 10, seed=3))
+        devices, hists = partition_all(train, PartitionPlan("one_class", 10, seed=3))
+        assert normalized_entropies(hists).tolist() == [0.0] * 10
         for k, d in enumerate(devices):
             assert set(np.unique(train.labels[d.data])) == {k}
-            assert d.entropy == 0.0
             assert len(d.data) == 40
 
     def test_one_class_two_devices_per_class(self):
         train = balanced_set(per_class=41)
-        devices = partition_all(train, PartitionPlan("one_class", 20, seed=3))
+        devices, _ = partition_all(train, PartitionPlan("one_class", 20, seed=3))
         for j in range(10):
             a, b = devices[2 * j], devices[2 * j + 1]
             assert set(np.unique(train.labels[a.data])) == {j}
@@ -122,14 +121,19 @@ class TestPartition:
         with pytest.raises(ConfigInvalid, match="devices: 2 samples cannot cover 10 devices"):
             partition_all(train, PartitionPlan("iid", 10, seed=0))
 
+    def test_device_k_is_row_k(self):
+        train = balanced_set(per_class=20)
+        for mode in ("iid", "one_class"):
+            devices, hists = partition_all(train, PartitionPlan(mode, 10, seed=7))
+            assert [d.device_id for d in devices] == list(range(10))
+            assert hists.shape == (10, 10) and hists.dtype == np.int64
+
     def test_histogram_matches_data(self):
         train = balanced_set(per_class=20)
         for mode in ("iid", "one_class"):
-            for d in partition_all(train, PartitionPlan(mode, 10, seed=7)):
-                np.testing.assert_array_equal(
-                    d.histogram, class_histogram(train.labels[d.data], 10)
-                )
-                assert d.entropy == normalized_entropy(d.histogram)
+            devices, hists = partition_all(train, PartitionPlan(mode, 10, seed=7))
+            for d, hist in zip(devices, hists):
+                np.testing.assert_array_equal(hist, class_histogram(train.labels[d.data], 10))
 
 
 def dispense_indices_by_loop(queue, num_devices, segment_size):
@@ -241,49 +245,65 @@ class TestDispense:
         assert np.any(trace(11) != trace(12))
 
 
+def partition_with_entropies(train, residual, plan):
+    devices, hists = partition(train, residual, plan)
+    return devices, hists, normalized_entropies(hists)
+
+
 class TestAccumulate:
     def test_entropy_after_single_cross_class_sample(self):
         train = LabeledSet(np.zeros((31, 2)), np.repeat([0, 1], [30, 1]), 10)
-        device = partition(train, np.arange(30), PartitionPlan("iid", 1, seed=0))[0]
-        assert device.entropy == 0.0
-        [updated] = accumulate([device], [np.array([30])], train)
+        devices, hists, entropies = partition_with_entropies(
+            train, np.arange(30), PartitionPlan("iid", 1, seed=0)
+        )
+        assert entropies[0] == 0.0
+        [updated] = accumulate(devices, hists, entropies, [np.array([30])], train)
         expected = -(
             (30 / 31) * math.log2(30 / 31) + (1 / 31) * math.log2(1 / 31)
         ) / math.log2(10)
-        assert updated.entropy == pytest.approx(expected, abs=1e-12)
+        assert entropies[0] == pytest.approx(expected, abs=1e-12)
+        np.testing.assert_array_equal(hists[0], [30, 1] + [0] * 8)
         assert len(updated.data) == 31
-        np.testing.assert_array_equal(updated.data, np.append(device.data, 30))
+        np.testing.assert_array_equal(updated.data, np.append(devices[0].data, 30))
 
     def test_empty_segment_is_identity(self):
         train = balanced_set(per_class=5)
-        devices = partition_all(train, PartitionPlan("iid", 2, seed=1))
+        devices, hists, entropies = partition_with_entropies(
+            train, np.arange(len(train)), PartitionPlan("iid", 2, seed=1)
+        )
+        before = hists.copy(), entropies.copy()
         empty = np.empty(0, dtype=np.int64)
-        updated = accumulate(devices, [empty, np.array([0])], train)
+        updated = accumulate(devices, hists, entropies, [empty, np.array([0])], train)
         assert updated[0] is devices[0]
         assert len(updated[1].data) == len(devices[1].data) + 1
+        np.testing.assert_array_equal(hists[0], before[0][0])
+        assert entropies[0] == before[1][0]
+        assert hists[1].sum() == before[0][1].sum() + 1
 
     def test_one_segment_per_device(self):
         train = balanced_set(per_class=5)
-        devices = partition_all(train, PartitionPlan("iid", 2, seed=1))
+        devices, hists, entropies = partition_with_entropies(
+            train, np.arange(len(train)), PartitionPlan("iid", 2, seed=1)
+        )
         with pytest.raises(ValueError):
-            accumulate(devices, [np.array([0])], train)
+            accumulate(devices, hists, entropies, [np.array([0])], train)
 
     def test_data_size_nondecreasing_and_consistent(self):
         train = balanced_set(per_class=12)
         queue, residual = split_global_queue(train, 0.25, seed=2)
-        devices = partition(train, residual, PartitionPlan("one_class", 10, seed=2))
+        devices, hists, entropies = partition_with_entropies(
+            train, residual, PartitionPlan("one_class", 10, seed=2)
+        )
         sizes = [len(d.data) for d in devices]
         for _ in range(3):
             segments, _ = dispense(queue, 10, 1)
-            devices = accumulate(devices, segments, train)
+            devices = accumulate(devices, hists, entropies, segments, train)
             new_sizes = [len(d.data) for d in devices]
             assert all(b >= a for a, b in zip(sizes, new_sizes))
             sizes = new_sizes
-            for d in devices:
-                np.testing.assert_array_equal(
-                    d.histogram, class_histogram(train.labels[d.data], 10)
-                )
-                assert d.entropy == normalized_entropy(d.histogram)
+            for d, hist, entropy in zip(devices, hists, entropies):
+                np.testing.assert_array_equal(hist, class_histogram(train.labels[d.data], 10))
+                assert entropy == normalized_entropy(hist)
 
 
 class TestConservation:
@@ -292,25 +312,28 @@ class TestConservation:
         # multiset stays a subset of the pool
         train = balanced_set(per_class=30)
         queue, residual = split_global_queue(train, 0.2, seed=6)
-        devices = partition(train, residual, PartitionPlan("one_class", 10, seed=6))
+        devices, hists, entropies = partition_with_entropies(
+            train, residual, PartitionPlan("one_class", 10, seed=6)
+        )
         train_hist = class_histogram(train, 10)
         for _ in range(5):
             segments, _ = dispense(queue, 10, 1)
-            devices = accumulate(devices, segments, train)
-            held = np.sum([d.histogram for d in devices], axis=0)
+            devices = accumulate(devices, hists, entropies, segments, train)
             remaining = queue.pool[queue.order[queue.cursor:]]
             queue_hist = class_histogram(train.labels[remaining], 10)
-            np.testing.assert_array_equal(held + queue_hist, train_hist)
+            np.testing.assert_array_equal(hists.sum(axis=0) + queue_hist, train_hist)
 
     def test_mean_entropy_nondecreasing_under_dispensing(self):
         for seed in (0, 1, 2):
             train = balanced_set(per_class=30)
             queue, residual = split_global_queue(train, 0.2, seed=seed)
-            devices = partition(train, residual, PartitionPlan("one_class", 10, seed=seed))
-            last = float(np.mean([d.entropy for d in devices]))
+            devices, hists, entropies = partition_with_entropies(
+                train, residual, PartitionPlan("one_class", 10, seed=seed)
+            )
+            last = float(np.mean(entropies))
             for _ in range(10):
                 segments, _ = dispense(queue, 10, 2)
-                devices = accumulate(devices, segments, train)
-                mean_entropy = float(np.mean([d.entropy for d in devices]))
+                devices = accumulate(devices, hists, entropies, segments, train)
+                mean_entropy = float(np.mean(entropies))
                 assert mean_entropy >= last
                 last = mean_entropy
