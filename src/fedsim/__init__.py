@@ -23,7 +23,6 @@ from .analysis import (
     weight_divergence,
 )
 from .data import (
-    DatasetMeta,
     LabeledSet,
     class_histogram,
     concat_sets,
@@ -43,7 +42,6 @@ from .federation import (
 from .harness import (
     ExperimentConfig,
     ExperimentResult,
-    MetricsRow,
     derived_segment_size,
     emit_plot_data,
     format_sweep_table,
@@ -66,7 +64,6 @@ from .params import Layout, ParamVector, param_count, split_layers
 from .partition import (
     DeviceState,
     GlobalQueue,
-    PartitionPlan,
     accumulate,
     dispense,
     normalized_entropy,

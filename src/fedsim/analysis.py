@@ -6,7 +6,6 @@ banks of them, or plain numbers, and are safe to call from any thread.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +21,9 @@ class DivergenceRecord:
     total: float
 
 
+_CHUNK_ROWS = 128  # rows per bank_divergence pass: a whole (K, P) difference was the peak memory
+
+
 def _row_norms(rows: np.ndarray) -> np.ndarray:
     # one dot per row, as np.linalg.norm of a vector does, so the bits match
     return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
@@ -29,12 +31,17 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
 
 def bank_divergence(global_model: ParamVector, bank: np.ndarray) -> tuple[np.ndarray, ...]:
     """`weight_divergence` of each row of a (K, P) model bank, bit for bit:
-    the (K,) totals and the (K, L) per-layer norms."""
+    the (K,) totals and the (K, L) per-layer norms. Each row's norms are its
+    own dots, so taking the rows `_CHUNK_ROWS` at a time keeps the bits."""
     if bank.shape[1] != len(global_model):
         raise ValueError(f"bank width {bank.shape[1]} != model size {len(global_model)}")
-    diff = global_model.values - bank
-    per_layer = np.stack([_row_norms(diff[:, s]) for s in layer_slices(global_model.layout)], 1)
-    return _row_norms(diff), per_layer
+    slices = layer_slices(global_model.layout)
+    totals, per_layer = np.empty(len(bank)), np.empty((len(bank), len(slices)))
+    for lo in range(0, len(bank), _CHUNK_ROWS):
+        diff = global_model.values - bank[lo : lo + _CHUNK_ROWS]
+        totals[lo : lo + len(diff)] = _row_norms(diff)
+        per_layer[lo : lo + len(diff)] = np.stack([_row_norms(diff[:, s]) for s in slices], 1)
+    return totals, per_layer
 
 
 def weight_divergence(global_model: ParamVector, local_model: ParamVector) -> DivergenceRecord:

@@ -3,9 +3,11 @@
 A dataset is a LabeledSet: a float64 feature matrix with values in [0, 1]
 plus an int64 label vector. Loaders exist for the two raw binary formats
 below; a synthetic Gaussian-blob generator covers fast, download-free runs.
-A run's train set is the only copy of its training samples: the server
-queue, the residual and every device's data are int64 index arrays into it
-(see `partition`), and training gathers each minibatch from it.
+Each loader returns a (train, test) pair of LabeledSets; the run reads the
+input width and class count off the train set. A run's train set is the
+only copy of its training samples: the server queue, the residual and every
+device's data are int64 index arrays into it (see `partition`), and
+training gathers each minibatch from it.
 
 MNIST IDX (big-endian):
     image file: magic 0x00000803, then count, rows, cols (uint32 each),
@@ -88,15 +90,6 @@ def concat_sets(a: LabeledSet, b: LabeledSet) -> LabeledSet:
     )
 
 
-@dataclass(frozen=True)
-class DatasetMeta:
-    name: str
-    num_classes: int
-    input_dim: int
-    train_size: int
-    test_size: int
-
-
 def class_histogram(samples, num_classes: int) -> np.ndarray:
     """Per-class counts (int64 vector of length `num_classes`)."""
     labels = samples.labels if isinstance(samples, LabeledSet) else np.asarray(samples)
@@ -136,8 +129,9 @@ def _read_idx_labels(path: Path) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.uint8, count=count, offset=8)
 
 
-def load_mnist(dir_path) -> tuple[LabeledSet, LabeledSet, DatasetMeta]:
-    """Load the four canonical MNIST IDX files from `dir_path`."""
+def load_mnist(dir_path) -> tuple[LabeledSet, LabeledSet]:
+    """Load the four canonical MNIST IDX files from `dir_path`; returns the
+    train and test sets."""
     base = Path(dir_path)
     paths = {key: base / name for key, name in _MNIST_FILES.items()}
     missing = [p.name for p in paths.values() if not p.is_file()]
@@ -151,10 +145,7 @@ def load_mnist(dir_path) -> tuple[LabeledSet, LabeledSet, DatasetMeta]:
             raise DatasetError(f"{images.shape[0]} images vs {labels.shape[0]} labels")
         return LabeledSet(np.divide(images, 255.0, dtype=np.float64), labels, num_classes=10)
 
-    train = _split("train_images", "train_labels")
-    test = _split("test_images", "test_labels")
-    meta = DatasetMeta("mnist", 10, train.input_dim, len(train), len(test))
-    return train, test, meta
+    return _split("train_images", "train_labels"), _split("test_images", "test_labels")
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +164,9 @@ def _read_cifar_file(path: Path, record: int, label_byte: int) -> tuple[np.ndarr
     return pixels, labels
 
 
-def load_cifar(dir_path, variant: str) -> tuple[LabeledSet, LabeledSet, DatasetMeta]:
-    """Load CIFAR binary batches; `variant` is "cifar10" or "cifar100"."""
+def load_cifar(dir_path, variant: str) -> tuple[LabeledSet, LabeledSet]:
+    """Load CIFAR binary batches; `variant` is "cifar10" or "cifar100".
+    Returns the train and test sets."""
     base = Path(dir_path)
     if variant == "cifar10":
         train_files, test_files = _CIFAR10_TRAIN, _CIFAR10_TEST
@@ -195,10 +187,7 @@ def load_cifar(dir_path, variant: str) -> tuple[LabeledSet, LabeledSet, DatasetM
         labels = np.concatenate([l for _, l in parts])
         return LabeledSet(np.divide(pixels, 255.0, dtype=np.float64), labels, num_classes)
 
-    train = _load(train_files)
-    test = _load(test_files)
-    meta = DatasetMeta(variant, num_classes, train.input_dim, len(train), len(test))
-    return train, test, meta
+    return _load(train_files), _load(test_files)
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +213,9 @@ def make_synthetic(
     input_dim: int,
     spread: float,
     seed: int,
-) -> tuple[LabeledSet, LabeledSet, DatasetMeta]:
-    """Gaussian class blobs with an 80/20 per-class train/test split.
+) -> tuple[LabeledSet, LabeledSet]:
+    """Gaussian class blobs with an 80/20 per-class train/test split; returns
+    the train and test sets.
 
     `per_class` counts samples per class before the split; `spread` is the
     per-coordinate standard deviation. Features are clipped to [0, 1].
@@ -248,7 +238,7 @@ def make_synthetic(
             np.clip(rows, 0.0, 1.0, out=rows)
 
     classes = np.arange(num_classes)
-    train = LabeledSet(train_x, np.repeat(classes, n_train), num_classes)
-    test = LabeledSet(test_x, np.repeat(classes, n_test), num_classes)
-    meta = DatasetMeta("synthetic", num_classes, input_dim, len(train), len(test))
-    return train, test, meta
+    return (
+        LabeledSet(train_x, np.repeat(classes, n_train), num_classes),
+        LabeledSet(test_x, np.repeat(classes, n_test), num_classes),
+    )

@@ -2,10 +2,16 @@
 
 A round runs: dispense queue segments, accumulate them into device data
 (both index arrays into the run's train set) and class counts, broadcast the
-global model, train every device locally, aggregate, and evaluate on the
-test set. Row k of the state's histograms, entropies and model bank is
-device k, so both aggregators read the rows as they stand. Two aggregators
-are provided:
+global model, train every device locally, aggregate, evaluate on the test
+set, and measure each local model's divergence from the merged one. Row k
+of the state's histograms, entropies and model bank is device k, so both
+aggregators read the rows as they stand. `run_round` returns the new state
+and the round's one record, a RoundReport: the `metrics.csv` row, the
+aggregation time and the per-layer divergence means; the harness only
+writes it out. The round's numeric-health checks live here too: a
+non-finite trained model, then a non-finite weight divergence, raises
+NumericalDivergence naming the round and the lowest such device. Two
+aggregators are provided:
 
 * fedavg_count: weighted mean of all device models, weights proportional to
   device sample counts (the classic baseline).
@@ -15,9 +21,10 @@ are provided:
   of a one-class partition) the round falls back to a uniform mean and is
   flagged.
 
-Devices train in blocks: sorted largest shard first and cut into blocks
-whose stacked parameters and batch activations fit a fixed float budget,
-each block one `local_train` call, and `workers` threads share the blocks.
+Devices train in blocks of one shard size: grouped by size, largest first
+and ids ascending within a group, and each group cut into blocks whose
+stacked parameters and batch activations fit a fixed float budget, each
+block one `local_train` call; `workers` threads share the blocks.
 Each block writes its models into its rows of the state's model bank, and
 both aggregators are one weighted sum over bank rows. Each device's result
 is a pure function of (model, device data, derived seed), the same bits
@@ -30,11 +37,12 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
 
+from .analysis import bank_divergence
 from .data import LabeledSet
 from .errors import NumericalDivergence
 from .nn import ModelSpec, TrainConfig, evaluate, local_train
@@ -108,17 +116,25 @@ def aggregate_ddfl(
 
 @dataclass
 class RoundReport:
-    """What one round observed; the merged model, the devices and their
-    class counts, entropies and trained models are in the state that
-    run_round returns with it."""
+    """What one round observed: the `metrics.csv` row, named as its columns,
+    then the aggregation wall time in seconds, the (L,) per-layer means of
+    the weight divergence and the zero-entropy fallback flag. The merged
+    model, the devices, their class counts, entropies and trained models,
+    and the dispensed pool positions are in the state that run_round
+    returns with it."""
 
     round_index: int
+    test_accuracy: float
+    mean_loss: float
+    mean_entropy: float
+    min_entropy: float
+    max_entropy: float
+    mean_weight_divergence: float
+    mean_bias_norm: float
     selected_ids: list[int]
     agg_time: float
-    test_accuracy: float
-    test_loss: float
+    layer_divergence: np.ndarray
     zero_entropy_fallback: bool = False
-    dispensed_indices: list[np.ndarray] = field(default_factory=list)
 
 
 @dataclass
@@ -127,8 +143,9 @@ class FederationState:
     and `bank` (K, P) belongs to `devices[k]`, whose id is k: its class
     counts, its data entropy and its latest local model. The entropies
     default to those of the histograms, and the bank is allocated once; each
-    run_round updates all three in place and hands them on to the state it
-    returns."""
+    run_round updates all three in place, replaces `devices` with the grown
+    list, and hands them on to the state it returns. `dispensed` holds the
+    latest round's (K, s) pool positions, row k those dispensed to device k."""
 
     devices: list[DeviceState]
     queue: GlobalQueue
@@ -137,6 +154,7 @@ class FederationState:
     round_index: int = 0
     entropies: np.ndarray | None = None
     bank: np.ndarray | None = None
+    dispensed: np.ndarray | None = None
 
     def __post_init__(self):
         if self.entropies is None:
@@ -167,9 +185,7 @@ def _block_width(spec: ModelSpec, batch_size: int) -> int:
     return max(1, _BLOCK_FLOATS // per_device)
 
 
-def _train_block(
-    state: FederationState, cfg: RoundConfig, devices: list[DeviceState], rows: list[int]
-) -> None:
+def _train_block(state: FederationState, cfg: RoundConfig, rows: list[int]) -> None:
     """Train device r for each r in `rows` and write its model to bank row r."""
     train_cfg = TrainConfig(
         learning_rate=cfg.learning_rate,
@@ -179,25 +195,37 @@ def _train_block(
     )
     state.bank[rows] = local_train(
         state.global_model,
-        [devices[r].data for r in rows],
+        [state.devices[r].data for r in rows],
         train_cfg,
         cfg.train_set,
         cfg.model_spec.activation,
     )
 
 
+def _require_finite(finite: np.ndarray, round_index: int, what: str) -> None:
+    """Raise NumericalDivergence naming the lowest device whose flag is False."""
+    if not finite.all():
+        raise NumericalDivergence(f"round {round_index}: device {int(np.argmin(finite))} {what}")
+
+
 def run_round(state: FederationState, cfg: RoundConfig) -> tuple[FederationState, RoundReport]:
-    """Execute one communication round; the queue, histograms, entropies and
-    bank change in place."""
+    """Execute one communication round; the queue, devices, histograms,
+    entropies and bank change in place."""
     segments, positions = dispense(state.queue, len(state.devices), cfg.segment_size)
-    devices = accumulate(
+    # the old device list goes at once, before training: held to the end of
+    # the round, it raised a many_devices process's peak RSS by 6 MB
+    state.devices = accumulate(
         state.devices, state.histograms, state.entropies, segments, cfg.train_set
     )
 
-    by_size = sorted(range(len(devices)), key=lambda r: -len(devices[r].data))
+    # a block holds shards of one size: largest size first, ids ascending
+    counts = state.histograms.sum(axis=1)
     width = _block_width(cfg.model_spec, cfg.batch_size)
-    blocks = [by_size[i : i + width] for i in range(0, len(by_size), width)]
-    train = partial(_train_block, state, cfg, devices)
+    blocks = []
+    for size in np.unique(counts)[::-1]:
+        group = np.flatnonzero(counts == size).tolist()
+        blocks += [group[i : i + width] for i in range(0, len(group), width)]
+    train = partial(_train_block, state, cfg)
     if cfg.workers > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
             list(pool.map(train, blocks))  # drains the results, re-raising a block's error
@@ -205,13 +233,9 @@ def run_round(state: FederationState, cfg: RoundConfig) -> tuple[FederationState
         for rows in blocks:
             train(rows)
     # a NaN or inf never turns finite under later SGD steps, so one check of
-    # the trained rows catches every blow-up; it names the lowest device
+    # the trained rows catches every blow-up
     finite = np.isfinite(state.bank).all(axis=1)
-    if not finite.all():
-        raise NumericalDivergence(
-            f"round {state.round_index}: device {int(np.argmin(finite))} "
-            "trained to non-finite parameters"
-        )
+    _require_finite(finite, state.round_index, "trained to non-finite parameters")
 
     started = time.perf_counter()
     if cfg.aggregator == "ddfl_entropy":
@@ -219,24 +243,32 @@ def run_round(state: FederationState, cfg: RoundConfig) -> tuple[FederationState
             state.bank, state.global_model.layout, state.entropies, cfg.selection_fraction
         )
     else:
-        counts = state.histograms.sum(axis=1)
         merged = aggregate_fedavg(state.bank, state.global_model.layout, counts)
-        selected = list(range(len(devices)))
+        selected = list(range(len(state.devices)))
         fallback = False
     agg_time = time.perf_counter() - started
 
     test_stats = evaluate(merged, cfg.test_set, cfg.model_spec.activation)
+    # finite models can still lie too far apart for a finite distance
+    totals, per_layer = bank_divergence(merged, state.bank)
+    _require_finite(np.isfinite(totals), state.round_index, "weight divergence is not finite")
 
     new_state = replace(
-        state, devices=devices, global_model=merged, round_index=state.round_index + 1
+        state, global_model=merged, round_index=state.round_index + 1, dispensed=positions
     )
     report = RoundReport(
         round_index=state.round_index,
+        test_accuracy=test_stats.accuracy,
+        mean_loss=test_stats.mean_loss,
+        mean_entropy=float(state.entropies.mean()),
+        min_entropy=float(state.entropies.min()),
+        max_entropy=float(state.entropies.max()),
+        mean_weight_divergence=float(np.mean(totals)),
+        # ‖local − global‖ is ‖global − local‖, bit for bit
+        mean_bias_norm=float(np.mean(totals)),
         selected_ids=selected,
         agg_time=agg_time,
-        test_accuracy=test_stats.accuracy,
-        test_loss=test_stats.mean_loss,
+        layer_divergence=np.mean(per_layer, axis=0),
         zero_entropy_fallback=fallback,
-        dispensed_indices=positions,
     )
     return new_state, report

@@ -15,10 +15,14 @@ directory:
     dispense_trace.jsonl   optional audit log of dispensed samples (their
                            positions in the queue pool)
 
-The divergence columns come from the round's (K, P) bank of local models in
-a few array operations. Seed discipline: the master seed is split into
-labelled streams ("data", "queue", "partition", "init", and ("train",
-round, device)), so results do not depend on execution order or workers.
+`run_round` builds each round's record, a RoundReport whose fields are the
+metrics.csv columns, and raises NumericalDivergence itself; this module
+validates the config, runs the loop and writes the files. Config values are
+checked once, in `validate_config`, and the rows files `emit_plot_data`
+reads are parsed column by column: a fault in either is a ConfigInvalid.
+Seed discipline: the master seed is split into labelled streams ("data",
+"queue", "partition", "init", and ("train", round, device)), so results do
+not depend on execution order or workers.
 """
 
 from __future__ import annotations
@@ -32,13 +36,13 @@ from pathlib import Path
 import numpy as np
 
 # bias_term and weight_divergence have no caller here; bench/spans.py traces them
-from .analysis import bank_divergence, bias_term, weight_divergence  # noqa: F401
-from .data import DatasetMeta, LabeledSet, load_cifar, load_mnist, make_synthetic
-from .errors import ConfigInvalid, NumericalDivergence
-from .federation import AGGREGATORS, FederationState, RoundConfig, run_round
+from .analysis import bias_term, weight_divergence  # noqa: F401
+from .data import LabeledSet, load_cifar, load_mnist, make_synthetic
+from .errors import ConfigInvalid
+from .federation import AGGREGATORS, FederationState, RoundConfig, RoundReport, run_round
 from .nn import ACTIVATIONS, ModelSpec, init_model
 from .params import ParamVector
-from .partition import PARTITION_MODES, PartitionPlan, partition, split_global_queue
+from .partition import PARTITION_MODES, partition, split_global_queue
 from .seeds import derive_seed
 
 DATASETS = ("synthetic", "mnist", "cifar10", "cifar100")
@@ -79,23 +83,8 @@ class ExperimentConfig:
     trace_dispense: bool = False
 
 
-@dataclass
-class MetricsRow:
-    """Per-round record; field order matches the metrics below."""
-
-    round_index: int
-    test_accuracy: float
-    mean_loss: float
-    mean_entropy: float
-    min_entropy: float
-    max_entropy: float
-    mean_weight_divergence: float
-    mean_bias_norm: float
-    agg_time_ms: float
-    selected_ids: list[int]
-
-
-# agg_time_ms is written to timings.csv; everything else is deterministic.
+# the RoundReport fields metrics.csv holds; its agg_time goes to timings.csv,
+# because wall-clock times are not reproducible
 _METRIC_COLUMNS = (
     "round_index,test_accuracy,mean_loss,mean_entropy,min_entropy,max_entropy,"
     "mean_weight_divergence,mean_bias_norm,selected_ids"
@@ -104,7 +93,7 @@ _METRIC_COLUMNS = (
 
 @dataclass
 class ExperimentResult:
-    rows: list[MetricsRow]
+    rows: list[RoundReport]
     final_model: ParamVector
     summary: dict
     output_dir: Path | None
@@ -200,7 +189,7 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     return cfg
 
 
-def _load_dataset(cfg: ExperimentConfig) -> tuple[LabeledSet, LabeledSet, DatasetMeta]:
+def _load_dataset(cfg: ExperimentConfig) -> tuple[LabeledSet, LabeledSet]:
     if cfg.dataset == "synthetic":
         params = {**_SYNTHETIC_DEFAULTS, **cfg.dataset_params}
         return make_synthetic(**params, seed=derive_seed(cfg.seed, "data"))
@@ -228,7 +217,7 @@ def _format_float(value: float) -> str:
     return repr(float(value))
 
 
-def _metrics_line(row: MetricsRow) -> str:
+def _metrics_line(row: RoundReport) -> str:
     ids = ";".join(str(i) for i in row.selected_ids)
     return ",".join(
         [
@@ -248,23 +237,20 @@ def _metrics_line(row: MetricsRow) -> str:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run the full round loop; writes metric files when output_dir is set."""
     cfg = validate_config(dataclasses.replace(cfg))
-    train, test, meta = _load_dataset(cfg)
+    train, test = _load_dataset(cfg)
 
     spec = ModelSpec(
-        input_dim=meta.input_dim,
+        input_dim=train.input_dim,
         hidden_dims=cfg.hidden_dims,
-        num_classes=meta.num_classes,
+        num_classes=train.num_classes,
         activation=cfg.activation,
     )
     queue, residual = split_global_queue(
         train, cfg.queue_fraction, derive_seed(cfg.seed, "queue")
     )
-    plan = PartitionPlan(
-        mode=cfg.partition_mode,
-        num_devices=cfg.devices,
-        seed=derive_seed(cfg.seed, "partition"),
+    devices, histograms = partition(
+        train, residual, cfg.partition_mode, cfg.devices, derive_seed(cfg.seed, "partition")
     )
-    devices, histograms = partition(train, residual, plan)
     global_model = init_model(spec, derive_seed(cfg.seed, "init"))
     segment_size = derived_segment_size(cfg, len(queue.pool))
 
@@ -289,8 +275,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         out_dir.mkdir(parents=True, exist_ok=True)
         resolved = dataclasses.asdict(cfg)
         resolved["segment_size"] = segment_size
-        resolved["input_dim"] = meta.input_dim
-        resolved["num_classes"] = meta.num_classes
+        resolved["input_dim"] = train.input_dim
+        resolved["num_classes"] = train.num_classes
         (out_dir / "config_resolved.json").write_text(
             json.dumps(resolved, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
@@ -306,64 +292,25 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             files["trace"] = (out_dir / "dispense_trace.jsonl").open("w", encoding="ascii")
 
     state = FederationState(devices, queue, global_model, histograms)
-    rows: list[MetricsRow] = []
-    fallback_rounds = 0
+    rows: list[RoundReport] = []
     try:
         for _ in range(cfg.rounds):
-            state, report = run_round(state, round_cfg)
-            fallback_rounds += int(report.zero_entropy_fallback)
-
-            entropies = state.entropies
-            totals, per_layer = bank_divergence(state.global_model, state.bank)
-            finite = np.isfinite(totals)
-            if not finite.all():
-                raise NumericalDivergence(
-                    f"round {report.round_index}: device {int(np.argmin(finite))} weight "
-                    "divergence is not finite"
-                )
-            row = MetricsRow(
-                round_index=report.round_index,
-                test_accuracy=report.test_accuracy,
-                mean_loss=report.test_loss,
-                mean_entropy=float(entropies.mean()),
-                min_entropy=float(entropies.min()),
-                max_entropy=float(entropies.max()),
-                mean_weight_divergence=float(np.mean(totals)),
-                # ‖local − global‖ is ‖global − local‖, bit for bit
-                mean_bias_norm=float(np.mean(totals)),
-                agg_time_ms=report.agg_time * 1000.0,
-                selected_ids=list(report.selected_ids),
-            )
+            state, row = run_round(state, round_cfg)
             rows.append(row)
-
-            if files:
-                files["metrics"].write(_metrics_line(row) + "\n")
-                files["timings"].write(
-                    f"{row.round_index},{_format_float(row.agg_time_ms)}\n"
-                )
-                for device_id, entropy in enumerate(entropies.tolist()):
-                    files["entropy"].write(
-                        f"{row.round_index},{device_id},{_format_float(entropy)}\n"
-                    )
-                layer_means = np.mean(per_layer, axis=0)
-                for layer, value in enumerate(layer_means):
-                    files["layers"].write(
-                        f"{row.round_index},{layer},{_format_float(value)}\n"
-                    )
-                if "trace" in files:
-                    for device_id, idx in enumerate(report.dispensed_indices):
-                        files["trace"].write(
-                            json.dumps(
-                                {
-                                    "round": row.round_index,
-                                    "device": device_id,
-                                    "sample_indices": [int(i) for i in idx],
-                                }
-                            )
-                            + "\n"
-                        )
-                for fh in files.values():
-                    fh.flush()
+            if not files:
+                continue
+            files["metrics"].write(_metrics_line(row) + "\n")
+            files["timings"].write(f"{row.round_index},{_format_float(row.agg_time * 1000.0)}\n")
+            for device_id, entropy in enumerate(state.entropies.tolist()):
+                files["entropy"].write(f"{row.round_index},{device_id},{_format_float(entropy)}\n")
+            for layer, value in enumerate(row.layer_divergence):
+                files["layers"].write(f"{row.round_index},{layer},{_format_float(value)}\n")
+            if "trace" in files:
+                for device_id, idx in enumerate(state.dispensed.tolist()):
+                    record = {"round": row.round_index, "device": device_id, "sample_indices": idx}
+                    files["trace"].write(json.dumps(record) + "\n")
+            for fh in files.values():
+                fh.flush()
     finally:
         for fh in files.values():
             fh.close()
@@ -375,10 +322,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         "best_accuracy": best.test_accuracy,
         "best_round": best.round_index,
         "final_loss": rows[-1].mean_loss,
-        "mean_agg_time_ms": float(np.mean([r.agg_time_ms for r in rows])),
+        "mean_agg_time_ms": float(np.mean([r.agg_time * 1000.0 for r in rows])),
         "first_mean_entropy": rows[0].mean_entropy,
         "final_mean_entropy": rows[-1].mean_entropy,
-        "zero_entropy_fallback_rounds": fallback_rounds,
+        "zero_entropy_fallback_rounds": sum(r.zero_entropy_fallback for r in rows),
         "segment_size": segment_size,
     }
     if out_dir is not None:
@@ -504,7 +451,10 @@ def emit_plot_data(rows_path, kind: str, out_path=None) -> Path:
     accuracy_curve reads metrics.csv and keeps (round_index, test_accuracy).
     entropy_heatmap validates and passes through device_entropy.csv triples.
     divergence_bars reads divergence_layers.csv and keeps the final round,
-    one (layer, mean_divergence) row per layer.
+    one (layer, mean_divergence) row per layer. Every kept column is parsed,
+    ids and indices as integers and values as finite numbers, and the kept
+    text is copied as it stands; a fault is a ConfigInvalid naming the path
+    and the column.
     """
     if kind not in PLOT_KINDS:
         raise ConfigInvalid(f"kind must be one of {PLOT_KINDS}")
@@ -524,30 +474,32 @@ def emit_plot_data(rows_path, kind: str, out_path=None) -> Path:
             )
         return [header.index(n) for n in names]
 
-    def _integers(i: int) -> list[int]:
+    def _parsed(i: int, parse, what: str) -> list:
         try:
-            return [int(row[i]) for row in rows]
+            values = [parse(row[i]) for row in rows]
         except ValueError as exc:
-            raise ConfigInvalid(f"{rows_path}: {header[i]} must hold integers") from exc
+            raise ConfigInvalid(f"{rows_path}: {header[i]} must hold {what}") from exc
+        if not all(math.isfinite(v) for v in values):
+            raise ConfigInvalid(f"{rows_path}: {header[i]} must hold {what}")
+        return values
 
-    if kind == "accuracy_curve":
-        idx = _columns("round_index", "test_accuracy")
-        out_header = "round_index,test_accuracy"
-        out_rows = [[row[i] for i in idx] for row in rows]
-    elif kind == "entropy_heatmap":
-        idx = _columns("round_index", "device_id", "entropy")
-        out_header = "round_index,device_id,entropy"
-        out_rows = [[row[i] for i in idx] for row in rows]
-    else:
-        idx = _columns("round_index", "layer", "mean_divergence")
-        rounds = _integers(idx[0])
-        _integers(idx[1])
+    # the columns each kind keeps: ids and indices, then one value column
+    kept = {
+        "accuracy_curve": ("round_index", "test_accuracy"),
+        "entropy_heatmap": ("round_index", "device_id", "entropy"),
+        "divergence_bars": ("round_index", "layer", "mean_divergence"),
+    }[kind]
+    idx = _columns(*kept)
+    rounds, *_ = [_parsed(i, int, "integers") for i in idx[:-1]]
+    _parsed(idx[-1], float, "finite numbers")
+    out_rows = [[row[i] for i in idx] for row in rows]
+    if kind == "divergence_bars":
         last_round = max(rounds)
-        out_header = "layer,mean_divergence"
-        out_rows = [[row[idx[1]], row[idx[2]]] for row, r in zip(rows, rounds) if r == last_round]
+        kept = kept[1:]
+        out_rows = [row[1:] for row, r in zip(out_rows, rounds) if r == last_round]
 
     with out_path.open("w", encoding="ascii") as fh:
-        fh.write(out_header + "\n")
+        fh.write(",".join(kept) + "\n")
         for row in out_rows:
             fh.write(",".join(row) + "\n")
     return out_path

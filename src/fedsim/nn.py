@@ -6,14 +6,15 @@ cross-entropy loss, exact analytic gradients, float64 arithmetic throughout.
 All functions are pure and deterministic given their explicit seeds, so they
 can run concurrently from any number of workers.
 
-`local_train` trains a list of shards together. A shard is an index array
-into one shared LabeledSet, and each minibatch is gathered straight from
-that set's matrix. The shards' parameters are stacked into one (K, P)
-array, and the forward and backward passes run over that leading device
-axis, one stacked matmul per layer per minibatch step. A stacked matmul
-makes the same BLAS call for each device as a single-device one, so each
-shard's result is bit for bit what training it alone gives, whichever
-shards share the call.
+`local_train` trains a list of shards of one size together. A shard is an
+index array into one shared LabeledSet, and each minibatch is gathered
+straight from that set's matrix. The shards' parameters are stacked into
+one (K, P) array, and the forward and backward passes run over that leading
+device axis, one stacked matmul per layer per minibatch step; as the shards
+are the same size, every step moves all K of them. A stacked matmul makes
+the same BLAS call for each device as a single-device one, so each shard's
+result is bit for bit what training it alone gives, whichever shards share
+the call; `federation` decides which do, grouping devices by shard size.
 """
 
 from __future__ import annotations
@@ -190,43 +191,36 @@ def local_train(
     """Mini-batch SGD from `model` on each shard; returns a (K, P) array whose
     row k is the parameters trained on shard k.
 
-    A shard is an array of sample indices into `data`. Each epoch visits
-    each shard once in a freshly shuffled order (seed `cfg.seeds[k] + epoch`
-    for shard k), so shard k's minibatches are rows `shards[k][perm]` of
-    `data`, including a final partial batch when the size does not divide
-    evenly; the input is not mutated. The shards train together, but each
-    result is exactly that of training its shard alone. A shard that blows
-    up leaves a non-finite row, and only its own: the caller checks.
+    A shard is an array of sample indices into `data`, and all shards hold
+    the same number of samples. Each epoch visits each shard once in a
+    freshly shuffled order (seed `cfg.seeds[k] + epoch` for shard k), so
+    shard k's minibatches are rows `shards[k][perm]` of `data`, including a
+    final partial batch when the size does not divide evenly; the input is
+    not mutated. The shards train together, but each result is exactly that
+    of training its shard alone. A shard that blows up leaves a non-finite
+    row, and only its own: the caller checks.
     """
     if not shards:
         raise ValueError("at least one shard is required")
     if len(cfg.seeds) != len(shards):
         raise ValueError(f"need one seed per shard, got {len(cfg.seeds)} for {len(shards)}")
     _check_inputs(model, data)
+    size = len(shards[0])
     if any(len(shard) == 0 for shard in shards):
         raise ValueError("at least one labeled sample is required")
-    # Largest shard first, so at every step the shards whose batch has the
-    # same size form one contiguous run of rows.
-    rank = sorted(range(len(shards)), key=lambda k: -len(shards[k]))
-    sizes = np.array([len(shards[k]) for k in rank])
-    values = np.tile(model.values, (len(rank), 1))
+    if any(len(shard) != size for shard in shards):
+        raise ValueError("shards must all hold the same number of samples")
+    values = np.tile(model.values, (len(shards), 1))
     layers = split_layers(values, model.layout)  # views: the update below moves them
-    orders = np.zeros((len(rank), sizes[0]), dtype=np.int64)
+    orders = np.empty((len(shards), size), dtype=np.int64)
     for epoch in range(cfg.local_epochs):
-        for row, k in enumerate(rank):
-            perm = np.random.default_rng(cfg.seeds[k] + epoch).permutation(sizes[row])
-            orders[row, : sizes[row]] = shards[k][perm]
-        for start in range(0, sizes[0], cfg.batch_size):
-            batch = np.clip(sizes - start, 0, cfg.batch_size)
-            edges = [0, *(np.flatnonzero(np.diff(batch)) + 1), len(batch)]
-            for lo, hi in zip(edges, edges[1:]):
-                if batch[lo] == 0:
-                    break
-                idx = orders[lo:hi, start : start + batch[lo]]
-                run = [(w[lo:hi], b[lo:hi]) for w, b in layers]
-                grad = _gradient_values(run, activation, data.features[idx], data.labels[idx])
-                values[lo:hi] -= cfg.learning_rate * grad
-    return values[np.argsort(rank)]
+        for k, shard in enumerate(shards):
+            orders[k] = shard[np.random.default_rng(cfg.seeds[k] + epoch).permutation(size)]
+        for start in range(0, size, cfg.batch_size):
+            idx = orders[:, start : start + cfg.batch_size]
+            grad = _gradient_values(layers, activation, data.features[idx], data.labels[idx])
+            values -= cfg.learning_rate * grad
+    return values
 
 
 def evaluate(model: ParamVector, data: LabeledSet, activation: str = "relu") -> EvalMetrics:

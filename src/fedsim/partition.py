@@ -10,10 +10,11 @@ segment and each device's data are int64 index arrays into the train set.
 
 Device k's class counts and entropy are row k of a (K, C) and a (K,)
 array, as its local model is row k of the federation's model bank:
-`partition` returns the devices in id order with their histograms, and
-`accumulate` updates the rows of the devices that grew, in place. Queue
-mutation (cursor advance, reshuffle) must stay confined to a single round
-loop.
+`partition` returns the devices in id order with their histograms. A round
+dispenses every device the same number s of samples, or none at all, so its
+segments are one (K, s) index array, with s = 0 when nothing is dispensed;
+`accumulate` adds them to the rows in place. Queue mutation (cursor advance,
+reshuffle) must stay confined to a single round loop.
 """
 
 from __future__ import annotations
@@ -29,13 +30,6 @@ from .errors import ConfigInvalid
 from .seeds import derive_seed
 
 PARTITION_MODES = ("iid", "one_class")
-
-
-@dataclass(frozen=True)
-class PartitionPlan:
-    mode: str
-    num_devices: int
-    seed: int
 
 
 @dataclass
@@ -54,17 +48,13 @@ class GlobalQueue:
     seed: int
     reshuffles: int = 0
 
-    def remaining(self) -> int:
-        return int(len(self.order) - self.cursor)
-
 
 @dataclass(frozen=True)
 class DeviceState:
     """One device's cumulative data: train-set indices, so `len(data)` is its
-    sample count. Its class counts, entropy and local model are row
-    `device_id` of the federation state's arrays."""
+    sample count. Device k's class counts, entropy and local model are row k
+    of the federation state's arrays."""
 
-    device_id: int
     data: np.ndarray
 
 
@@ -162,9 +152,9 @@ def split_global_queue(
 
 
 def partition(
-    train: LabeledSet, residual: np.ndarray, plan: PartitionPlan
+    train: LabeledSet, residual: np.ndarray, mode: str, num_devices: int, seed: int
 ) -> tuple[list[DeviceState], np.ndarray]:
-    """Split the residual (train-set indices) across devices per the plan.
+    """Split the residual (train-set indices) across `num_devices` devices.
 
     Returns the devices, device k at position k, and their (K, C) int64
     class counts, row k for device k.
@@ -174,23 +164,23 @@ def partition(
     device k every sample of class floor(k*C/K); a class shared by several
     devices is split evenly among them. Shards are disjoint and cover the
     residual exactly; each device's data holds its train-set indices. A
-    plan the residual cannot fill is a config error naming `devices`, or
-    `queue_fraction` when it leaves no residual.
+    device count the residual cannot fill is a config error naming
+    `devices`, or `queue_fraction` when it leaves no residual.
     """
     n = len(residual)
     if n == 0:
         raise ConfigInvalid("queue_fraction leaves no samples for the devices")
-    K = plan.num_devices
+    K = num_devices
     if n < K:
         raise ConfigInvalid(f"devices: {n} samples cannot cover {K} devices")
     num_classes = train.num_classes
     labels = train.labels[residual]
 
-    if plan.mode == "iid":
+    if mode == "iid":
         deck_parts = []
         for c in range(num_classes):
             class_idx = np.flatnonzero(labels == c)
-            order = np.random.default_rng(derive_seed(plan.seed, "class", c)).permutation(
+            order = np.random.default_rng(derive_seed(seed, "class", c)).permutation(
                 len(class_idx)
             )
             deck_parts.append(class_idx[order])
@@ -210,31 +200,33 @@ def partition(
                 raise ConfigInvalid(
                     f"devices: class {c} has {len(class_idx)} samples for {len(owners)} devices"
                 )
-            order = np.random.default_rng(derive_seed(plan.seed, "class", c)).permutation(
+            order = np.random.default_rng(derive_seed(seed, "class", c)).permutation(
                 len(class_idx)
             )
             for owner, chunk in zip(owners, np.array_split(class_idx[order], len(owners))):
                 shards[owner] = chunk
 
     data = [residual[shard] for shard in shards]
-    devices = [DeviceState(k, data[k]) for k in range(K)]
+    devices = [DeviceState(part) for part in data]
     return devices, _stacked_histograms(data, train.labels, num_classes)
 
 
 def dispense(
     queue: GlobalQueue, num_devices: int, segment_size: int
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Draw one disjoint segment per device in permutation order.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw one disjoint segment of `segment_size` samples per device in
+    permutation order.
 
     Advances the queue cursor in place. When fewer samples remain than are
     requested, the queue reshuffles under a derived seed and continues, so
-    repeats can only occur across a reshuffle boundary. Returns each
-    device's segment as train-set indices, and the same samples' positions
-    in the pool (for audit traces).
+    repeats can only occur across a reshuffle boundary. Returns two (K, s)
+    int64 arrays, row k for device k: the segments as train-set indices, and
+    the same samples' positions in the pool (for audit traces). s is 0 when
+    `segment_size` is 0 or the pool is empty.
     """
-    empty = np.empty(0, dtype=np.int64)
     if segment_size == 0 or len(queue.pool) == 0:
-        return [empty] * num_devices, [empty] * num_devices
+        empty = np.empty((num_devices, 0), dtype=np.int64)
+        return empty, empty
 
     need = num_devices * segment_size
     parts = []
@@ -250,37 +242,31 @@ def dispense(
         queue.cursor += len(part)
         need -= len(part)
     positions = np.concatenate(parts).reshape(num_devices, segment_size)
-    return list(queue.pool[positions]), list(positions)
+    return queue.pool[positions], positions
 
 
 def accumulate(
     devices: list[DeviceState],
     histograms: np.ndarray,
     entropies: np.ndarray,
-    segments: list[np.ndarray],
+    segments: np.ndarray,
     train: LabeledSet,
 ) -> list[DeviceState]:
     """Extend each device's data with its segment of train-set indices.
 
-    `segments[k]` goes to `devices[k]`, whose class counts and entropy are
-    row k of `histograms` and `entropies`. One bincount adds the segments'
-    class counts to the rows of the devices that grew and one row-wise pass
-    recomputes their entropies, both in place; a device whose segment is
-    empty is returned as it was.
+    Row k of the (K, s) `segments` goes to `devices[k]`, whose class counts
+    and entropy are row k of `histograms` and `entropies`. One bincount adds
+    the segments' class counts and one row-wise pass recomputes the
+    entropies, both in place; with s = 0 the devices are returned as they
+    were.
     """
     if len(segments) != len(devices):
         raise ValueError("need exactly one segment per device")
-    grown = [k for k, segment in enumerate(segments) if len(segment)]
-    if not grown:
+    if segments.shape[1] == 0:
         return list(devices)
-    histograms[grown] += _stacked_histograms(
-        [segments[k] for k in grown], train.labels, train.num_classes
-    )
-    entropies[grown] = normalized_entropies(histograms[grown])
+    histograms += _stacked_histograms(segments, train.labels, train.num_classes)
+    entropies[:] = normalized_entropies(histograms)
     # a new list, not devices replaced in place: the caller drops all the old
     # arrays at once, where freeing each as its successor is built fragments
     # the heap (many_devices peak RSS rose about 5 %)
-    out = list(devices)
-    for k in grown:
-        out[k] = DeviceState(devices[k].device_id, np.concatenate([devices[k].data, segments[k]]))
-    return out
+    return [DeviceState(np.concatenate([d.data, seg])) for d, seg in zip(devices, segments)]

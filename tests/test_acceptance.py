@@ -155,7 +155,7 @@ def test_criterion_03_gradient_and_training():
         np.testing.assert_allclose(analytic, numeric, rtol=1e-4, atol=1e-6)
 
     # zero step size is a bit-exact fixpoint
-    train, _, _ = fs.make_synthetic(4, 20, 6, 0.2, seed=0)
+    train, _ = fs.make_synthetic(4, 20, 6, 0.2, seed=0)
     spec = fs.ModelSpec(6, (8,), 4)
     model = fs.init_model(spec, 0)
     cfg = fs.TrainConfig(0.0, 3, 8, seeds=[1])

@@ -18,7 +18,7 @@ from fedsim.analysis import (
 from fedsim.data import LabeledSet, make_synthetic
 from fedsim.nn import ModelSpec, TrainConfig, evaluate, init_model, local_train
 from fedsim.params import ParamVector, layer_slices
-from fedsim.partition import PartitionPlan, partition
+from fedsim.partition import partition
 
 
 def vec(values, layout=None):
@@ -130,7 +130,8 @@ def banks(draw):
         )
     )
     size = sum(r * c + b for r, c, b in layout)
-    k = draw(st.integers(1, 12))
+    # beyond 128 rows, bank_divergence takes the rows in several passes
+    k = draw(st.one_of(st.integers(1, 12), st.integers(120, 300)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = 10.0 ** draw(st.integers(-8, 8))
     global_model = ParamVector(rng.normal(size=size) * scale, layout)
@@ -213,7 +214,7 @@ class TestHeterogeneityGap:
     def test_one_class_shards_have_larger_gap(self):
         # brute-force training oracle at small scale: pooled model loss vs
         # per-shard optimum losses under the same training budget
-        train, _, _ = make_synthetic(4, 50, 8, 0.25, seed=11)
+        train, _ = make_synthetic(4, 50, 8, 0.25, seed=11)
         spec = ModelSpec(8, (8,), 4)
 
         def optimum_loss(shard, seed):
@@ -228,8 +229,8 @@ class TestHeterogeneityGap:
         pooled = optimum_loss(everything, 0)
         gaps = {}
         for mode in ("iid", "one_class"):
-            shards, _ = partition(train, everything, PartitionPlan(mode, 4, seed=3))
-            losses = [optimum_loss(d.data, 1 + d.device_id) for d in shards]
+            shards, _ = partition(train, everything, mode, 4, seed=3)
+            losses = [optimum_loss(d.data, 1 + k) for k, d in enumerate(shards)]
             weights = np.array([len(d.data) for d in shards], dtype=float)
             weights /= weights.sum()
             gaps[mode] = estimate_heterogeneity_gap(pooled, losses, weights)

@@ -184,7 +184,9 @@ class TestPlotCommand:
         missing = tmp_path / "missing.csv"
         header_only = tmp_path / "rows.csv"
         header_only.write_text("round_index,test_accuracy\n")
-        for path in (missing, header_only):
+        bad_values = tmp_path / "values.csv"
+        bad_values.write_text("round_index,test_accuracy\n0,abc\nfoo,0.5\n")
+        for path in (missing, header_only, bad_values):
             code = main(["plot", "--rows", str(path), "--kind", "accuracy_curve"])
             assert code == EXIT_CONFIG, path
             assert str(path) in capsys.readouterr().err, path

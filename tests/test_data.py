@@ -82,10 +82,10 @@ class TestMnistLoader:
         train_labels = [5, 0, 4, 1, 9, 2]
         test_labels = [7, 2]
         make_mnist_dir(tmp_path, train_labels, test_labels)
-        train, test, meta = load_mnist(tmp_path)
-        assert meta.num_classes == 10
-        assert meta.input_dim == 16
-        assert (meta.train_size, meta.test_size) == (6, 2)
+        train, test = load_mnist(tmp_path)
+        assert train.num_classes == 10
+        assert train.input_dim == 16
+        assert (len(train), len(test)) == (6, 2)
         np.testing.assert_array_equal(train.labels, train_labels)
         # first training label mirrors byte 8 of the label file
         raw = (tmp_path / "train-labels-idx1-ubyte").read_bytes()
@@ -98,14 +98,14 @@ class TestMnistLoader:
         write_idx_labels(tmp_path / "train-labels-idx1-ubyte", [1])
         write_idx_images(tmp_path / "t10k-images-idx3-ubyte", imgs)
         write_idx_labels(tmp_path / "t10k-labels-idx1-ubyte", [1])
-        train, _, _ = load_mnist(tmp_path)
+        train, _ = load_mnist(tmp_path)
         np.testing.assert_array_equal(train.features, 128.0 / 255.0)
 
     def test_scaled_bytes_equal_a_float_copy_divided_by_255(self, tmp_path):
         make_mnist_dir(tmp_path, [5, 0, 4], [7], side=16)
         # the test image holds every byte value once
         write_idx_images(tmp_path / "t10k-images-idx3-ubyte", np.arange(256).reshape(1, 16, 16))
-        train, test, _ = load_mnist(tmp_path)
+        train, test = load_mnist(tmp_path)
         for data, name in ((train, "train-images-idx3-ubyte"), (test, "t10k-images-idx3-ubyte")):
             pixels = np.frombuffer((tmp_path / name).read_bytes()[16:], dtype=np.uint8)
             expected = pixels.reshape(len(data), -1).astype(np.float64) / 255.0
@@ -113,8 +113,8 @@ class TestMnistLoader:
 
     def test_repeated_loads_are_identical(self, tmp_path):
         make_mnist_dir(tmp_path, [1, 2, 3], [4])
-        first, _, _ = load_mnist(tmp_path)
-        second, _, _ = load_mnist(tmp_path)
+        first, _ = load_mnist(tmp_path)
+        second, _ = load_mnist(tmp_path)
         np.testing.assert_array_equal(first.features, second.features)
         np.testing.assert_array_equal(first.labels, second.labels)
 
@@ -150,9 +150,9 @@ def test_real_mnist_if_available():
     data_dir = os.environ.get("FEDSIM_MNIST_DIR")
     if not data_dir:
         pytest.skip("set FEDSIM_MNIST_DIR to run against the real files")
-    train, test, meta = load_mnist(data_dir)
-    assert (meta.train_size, meta.test_size) == (60_000, 10_000)
-    assert meta.input_dim == 784
+    train, test = load_mnist(data_dir)
+    assert (len(train), len(test)) == (60_000, 10_000)
+    assert train.input_dim == 784
     assert train.labels[0] == 5
     assert class_histogram(train, 10).sum() == 60_000
 
@@ -172,9 +172,9 @@ def write_cifar10_dir(tmp_path: Path, per_file=4) -> Path:
 class TestCifarLoader:
     def test_cifar10_shapes(self, tmp_path):
         write_cifar10_dir(tmp_path, per_file=4)
-        train, test, meta = load_cifar(tmp_path, "cifar10")
-        assert meta.num_classes == 10
-        assert meta.input_dim == 3072
+        train, test = load_cifar(tmp_path, "cifar10")
+        assert train.num_classes == 10
+        assert train.input_dim == 3072
         assert (len(train), len(test)) == (20, 4)
 
     def test_cifar100_uses_fine_label(self, tmp_path):
@@ -182,15 +182,15 @@ class TestCifarLoader:
         record = bytes([1, 77]) + pixels  # coarse label 1, fine label 77
         (tmp_path / "train.bin").write_bytes(record * 3)
         (tmp_path / "test.bin").write_bytes(record)
-        train, test, meta = load_cifar(tmp_path, "cifar100")
-        assert meta.num_classes == 100
+        train, test = load_cifar(tmp_path, "cifar100")
+        assert train.num_classes == 100
         np.testing.assert_array_equal(train.labels, [77, 77, 77])
         assert train.features[0, 0] == 0.0
         assert train.features[0, -1] == pytest.approx((3071 % 256) / 255.0)
 
     def test_scaled_bytes_equal_a_float_copy_divided_by_255(self, tmp_path):
         write_cifar10_dir(tmp_path, per_file=4)
-        train, test, _ = load_cifar(tmp_path, "cifar10")
+        train, test = load_cifar(tmp_path, "cifar10")
         for data, names in (
             (train, [f"data_batch_{i}.bin" for i in range(1, 6)]),
             (test, ["test_batch.bin"]),
@@ -220,27 +220,26 @@ class TestCifarLoader:
 
 class TestSynthetic:
     def test_split_arithmetic(self):
-        train, test, meta = make_synthetic(10, 100, 16, 0.3, seed=0)
+        train, test = make_synthetic(10, 100, 16, 0.3, seed=0)
         assert (len(train), len(test)) == (800, 200)
-        assert meta.train_size == 800 and meta.test_size == 200
         # exactly 80 train and 20 test samples per class
         np.testing.assert_array_equal(class_histogram(train, 10), 80)
         np.testing.assert_array_equal(class_histogram(test, 10), 20)
 
     def test_deterministic(self):
-        a_train, a_test, _ = make_synthetic(4, 30, 8, 0.2, seed=5)
-        b_train, b_test, _ = make_synthetic(4, 30, 8, 0.2, seed=5)
+        a_train, a_test = make_synthetic(4, 30, 8, 0.2, seed=5)
+        b_train, b_test = make_synthetic(4, 30, 8, 0.2, seed=5)
         np.testing.assert_array_equal(a_train.features, b_train.features)
         np.testing.assert_array_equal(a_test.features, b_test.features)
 
     def test_features_in_unit_interval(self):
-        train, test, _ = make_synthetic(5, 50, 6, 0.8, seed=2)
+        train, test = make_synthetic(5, 50, 6, 0.8, seed=2)
         for data in (train, test):
             assert data.features.min() >= 0.0
             assert data.features.max() <= 1.0
 
     def test_zero_spread_classified_by_nearest_mean(self):
-        train, test, _ = make_synthetic(6, 20, 8, 0.0, seed=9)
+        train, test = make_synthetic(6, 20, 8, 0.0, seed=9)
         # independent oracle: classify test points by the nearest class mean
         # estimated from the training data
         means = np.stack([

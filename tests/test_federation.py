@@ -1,5 +1,6 @@
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsim import federation
+from fedsim.analysis import bank_divergence
 from fedsim.data import LabeledSet
 from fedsim.errors import NumericalDivergence
 from fedsim.federation import (
@@ -20,7 +22,6 @@ from fedsim.federation import (
 from fedsim.nn import ModelSpec, TrainConfig, init_model, local_train
 from fedsim.params import ParamVector
 from fedsim.partition import (
-    PartitionPlan,
     normalized_entropies,
     normalized_entropy,
     partition,
@@ -257,9 +258,7 @@ def small_federation(mode="one_class", num_devices=4, num_classes=4, seed=0,
     test = LabeledSet(rng.uniform(size=(20, 6)),
                       rng.integers(0, num_classes, size=20), num_classes)
     queue, residual = split_global_queue(train, queue_fraction, seed=seed)
-    devices, histograms = partition(
-        train, residual, PartitionPlan(mode, num_devices, seed=seed)
-    )
+    devices, histograms = partition(train, residual, mode, num_devices, seed=seed)
     spec = ModelSpec(6, (5,), num_classes)
     model = init_model(spec, seed)
     state = FederationState(devices, queue, model, histograms)
@@ -332,7 +331,6 @@ class TestRunRound:
         out, _ = run_round(state, cfg)
         # row k is device k trained alone from the round's global model
         for k, device in enumerate(out.devices):
-            assert device.device_id == k
             train_cfg = TrainConfig(0.2, 1, 8, [derive_seed(9, "train", 0, k)])
             [alone] = local_train(
                 state.global_model, [device.data], train_cfg, sets["train_set"]
@@ -353,6 +351,20 @@ class TestRunRound:
             run_round(state, cfg)
         finite = np.isfinite(state.bank).all(axis=1)
         np.testing.assert_array_equal(finite, [True, True, True, False, True, False])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_divergence_names_the_device(self):
+        # tanh saturates, so at this step size every trained parameter stays
+        # finite and only the distance to the merged model overflows
+        state, spec, sets = small_federation(num_devices=6, seed=2)
+        spec = replace(spec, activation="tanh")
+        cfg = RoundConfig(spec, 1e200, 1, 8, "fedavg_count", 1.0,
+                          1, seed=9, **sets)
+        with pytest.raises(
+            NumericalDivergence, match="round 0: device 0 weight divergence is not finite"
+        ):
+            run_round(state, cfg)
+        assert np.isfinite(state.bank).all()
 
     def test_bank_is_reused_across_rounds(self):
         state, spec, sets = small_federation()
@@ -405,7 +417,7 @@ class TestRunRound:
         assert new_state.round_index == 1
         assert report.selected_ids == [0, 1, 2, 3]
         assert 0.0 <= report.test_accuracy <= 1.0
-        assert [d.device_id for d in new_state.devices] == [0, 1, 2, 3]
+        assert len(new_state.devices) == 4
         assert report.agg_time >= 0.0
         assert np.all((new_state.entropies >= 0.0) & (new_state.entropies <= 1.0))
         # row k holds device k's class counts and their entropy
@@ -415,3 +427,14 @@ class TestRunRound:
         np.testing.assert_array_equal(
             new_state.entropies, normalized_entropies(new_state.histograms)
         )
+        # the round's metrics row: entropy statistics and the divergence of
+        # each local model from the merged one
+        entropies = new_state.entropies
+        assert (report.mean_entropy, report.min_entropy, report.max_entropy) == (
+            entropies.mean(), entropies.min(), entropies.max()
+        )
+        totals, per_layer = bank_divergence(new_state.global_model, new_state.bank)
+        assert report.mean_weight_divergence == report.mean_bias_norm == np.mean(totals)
+        np.testing.assert_array_equal(report.layer_divergence, per_layer.mean(axis=0))
+        # one dispensed sample per device, as pool positions
+        assert new_state.dispensed.shape == (4, 1)

@@ -173,10 +173,13 @@ class TestRunExperiment:
                 outputs.add((out / "metrics.csv").read_bytes())
             assert len(outputs) == 1, name
 
-    @pytest.mark.parametrize("overrides", [{}, dict(devices=16, hidden_dims=(256,))])
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, dict(devices=16, hidden_dims=(256,)), dict(devices=7, partition_mode="iid")],
+    )
     def test_block_width_does_not_change_outputs(self, tmp_path, monkeypatch, overrides):
-        # one device per block, the default blocks, and the whole round in
-        # one block
+        # one device per block, the default blocks, and each shard size's
+        # devices in one block; 7 iid devices hold shards of two sizes
         blocks = []
         original = federation.local_train
 
@@ -186,6 +189,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(federation, "local_train", counted)
         devices = overrides.get("devices", 4)
+        sizes = 2 if devices == 7 else 1
         outputs = set()
         for budget in (1, federation._BLOCK_FLOATS, 2**40):
             monkeypatch.setattr(federation, "_BLOCK_FLOATS", budget)
@@ -196,7 +200,7 @@ class TestRunExperiment:
             if budget == 1:
                 assert len(blocks) == 3 * devices
             if budget == 2**40:
-                assert len(blocks) == 3
+                assert len(blocks) == 3 * sizes
             outputs.add(
                 tuple((out / name).read_bytes() for name in ("metrics.csv", "divergence_layers.csv"))
             )
@@ -387,6 +391,18 @@ class TestEmitPlotData:
              "round_index must hold integers"),
             ("divergence_bars", "round_index,layer,mean_divergence\n0,w1,1.5\n",
              "layer must hold integers"),
+            ("divergence_bars", "round_index,layer,mean_divergence\n0,0,abc\n",
+             "mean_divergence must hold finite numbers"),
+            ("accuracy_curve", "round_index,test_accuracy\n0,abc\nfoo,0.5\n",
+             "round_index must hold integers"),
+            ("accuracy_curve", "round_index,test_accuracy\n0,abc\n",
+             "test_accuracy must hold finite numbers"),
+            ("accuracy_curve", "round_index,test_accuracy\n0,inf\n",
+             "test_accuracy must hold finite numbers"),
+            ("entropy_heatmap", "round_index,device_id,entropy\n0,d1,0.5\n",
+             "device_id must hold integers"),
+            ("entropy_heatmap", "round_index,device_id,entropy\n0,1,nan\n",
+             "entropy must hold finite numbers"),
         ]
         for number, (kind, text, message) in enumerate(cases):
             path = tmp_path / f"rows_{number}.csv"

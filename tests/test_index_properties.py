@@ -2,8 +2,9 @@
 
 The queue pool, the residual, every dispensed segment and every device's
 data are int64 index arrays into the one train set, and `accumulate`
-derives the (K, C) histograms and (K,) entropies from them in batches. These properties
-hold for any labels, fractions, partition plans and dispense sequences.
+derives the (K, C) histograms and (K,) entropies from them in batches. These
+properties hold for any labels, fractions, partition modes and dispense
+sequences.
 """
 
 import math
@@ -15,7 +16,6 @@ from hypothesis import strategies as st
 from fedsim.data import LabeledSet
 from fedsim.errors import ConfigInvalid
 from fedsim.partition import (
-    PartitionPlan,
     accumulate,
     dispense,
     normalized_entropies,
@@ -59,7 +59,7 @@ def histogram_of(train, indices):
 
 def partition_or_reject(train, residual, mode, num_devices, seed):
     try:
-        return partition(train, residual, PartitionPlan(mode, num_devices, seed))
+        return partition(train, residual, mode, num_devices, seed)
     except ConfigInvalid:
         reject()
 
@@ -88,7 +88,6 @@ def test_shards_are_disjoint_and_cover_the_residual(train, fraction, mode, num_d
     held = np.concatenate([d.data for d in devices])
     np.testing.assert_array_equal(np.sort(held), residual)
     for k, d in enumerate(devices):
-        assert d.device_id == k
         assert len(d.data) > 0
         np.testing.assert_array_equal(hists[k], histogram_of(train, d.data))
 
@@ -109,6 +108,8 @@ def test_dispensed_samples_repeat_only_across_a_reshuffle(pool_size, calls, seed
     for num_devices, segment_size in calls:
         segments, positions = dispense(queue, num_devices, segment_size)
         assert len(segments) == len(positions) == num_devices
+        assert segments.shape == positions.shape == (num_devices, segment_size)
+        assert segments.dtype == positions.dtype == np.int64
         for segment, where in zip(segments, positions):
             assert len(segment) == segment_size
             np.testing.assert_array_equal(segment, queue.pool[where])
@@ -137,10 +138,10 @@ def test_histograms_follow_the_data_under_any_accumulate_sequence(
     rounds = data.draw(st.integers(1, 4))
     index = st.integers(0, len(train) - 1)
     for _ in range(rounds):
-        segments = [
-            np.array(data.draw(st.lists(index, max_size=4)), dtype=np.int64)
-            for _ in devices
-        ]
+        # every device gets s samples, s = 0 included, as a round dispenses
+        count = len(devices) * data.draw(st.integers(0, 4))
+        flat = data.draw(st.lists(index, min_size=count, max_size=count))
+        segments = np.array(flat, dtype=np.int64).reshape(len(devices), -1)
         before = devices
         devices = accumulate(devices, hists, entropies, segments, train)
         for k, (old, new, segment) in enumerate(zip(before, devices, segments)):

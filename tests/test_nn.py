@@ -124,7 +124,7 @@ class TestGradient:
 
 class TestLocalTrain:
     def test_zero_learning_rate_is_identity(self):
-        train, _, _ = make_synthetic(3, 10, 4, 0.2, seed=0)
+        train, _ = make_synthetic(3, 10, 4, 0.2, seed=0)
         spec = ModelSpec(4, (6,), 3)
         model = init_model(spec, 2)
         [out] = as_models(
@@ -134,7 +134,7 @@ class TestLocalTrain:
         np.testing.assert_array_equal(out.values, model.values)
 
     def test_input_model_not_mutated(self):
-        train, _, _ = make_synthetic(3, 10, 4, 0.2, seed=0)
+        train, _ = make_synthetic(3, 10, 4, 0.2, seed=0)
         spec = ModelSpec(4, (6,), 3)
         model = init_model(spec, 2)
         before = model.values.copy()
@@ -160,7 +160,7 @@ class TestLocalTrain:
         )
 
     def test_loss_decreases_on_separable_blobs(self):
-        train, _, _ = make_synthetic(2, 40, 4, 0.05, seed=3)
+        train, _ = make_synthetic(2, 40, 4, 0.05, seed=3)
         spec = ModelSpec(4, (8,), 2)
         model = init_model(spec, 1)
         before = evaluate(model, train).mean_loss
@@ -172,7 +172,7 @@ class TestLocalTrain:
         assert after <= before
 
     def test_epochs_equal_successive_single_epoch_calls(self):
-        train, _, _ = make_synthetic(3, 12, 4, 0.2, seed=6)
+        train, _ = make_synthetic(3, 12, 4, 0.2, seed=6)
         spec = ModelSpec(4, (5,), 3)
         model = init_model(spec, 7)
         base_seed = 1234
@@ -188,7 +188,7 @@ class TestLocalTrain:
         np.testing.assert_array_equal(multi.values, step.values)
 
     def test_deterministic(self):
-        train, _, _ = make_synthetic(3, 12, 4, 0.2, seed=6)
+        train, _ = make_synthetic(3, 12, 4, 0.2, seed=6)
         spec = ModelSpec(4, (5,), 3)
         model = init_model(spec, 7)
         cfg = TrainConfig(0.1, 2, 5, seeds=[11])
@@ -203,7 +203,7 @@ class TestLocalTrain:
     def test_non_finite_update_stays_non_finite(self, batch_size):
         # the round checks the trained rows once, so a blow-up in an early
         # minibatch must still show after the later updates
-        train, _, _ = make_synthetic(3, 10, 4, 0.2, seed=0)
+        train, _ = make_synthetic(3, 10, 4, 0.2, seed=0)
         model = init_model(ModelSpec(4, (6,), 3), 2)
         cfg = TrainConfig(float("inf"), 1, batch_size, seeds=[9])
         [values] = local_train(model, everything(train), cfg, train)
@@ -211,13 +211,13 @@ class TestLocalTrain:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_update_names_the_shard(self):
-        # only the first shard blows up (its inputs are infinite); it is the
-        # smallest, so it trains in the last row of the stack, and its row of
-        # the result is the only non-finite one
+        # only the first shard blows up (its inputs are infinite); it shares
+        # every stacked step, partial last batch included, with the others,
+        # and its row of the result is the only non-finite one
         rng = np.random.default_rng(4)
         model = init_model(ModelSpec(4, (6,), 3), 2)
         data = random_batch(rng, 18, 4, 3)
-        shards = [np.arange(0, 3), np.arange(3, 12), np.arange(12, 18)]
+        shards = [np.arange(0, 6), np.arange(6, 12), np.arange(12, 18)]
         data.features[shards[0]] = np.inf
         values = local_train(model, shards, TrainConfig(0.1, 1, 4, [1, 2, 3]), data)
         np.testing.assert_array_equal(np.isfinite(values).all(axis=1), [False, True, True])
@@ -225,14 +225,13 @@ class TestLocalTrain:
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     @pytest.mark.parametrize("batch_size", [1, 5])
     def test_shards_train_as_if_alone(self, activation, batch_size):
-        # ragged sizes, in no order: partial last batches at batch size 5,
-        # and shards that run out of batches while others keep stepping
+        # 12 samples per shard: a partial last batch at batch size 5
         rng = np.random.default_rng(3)
         spec = ModelSpec(4, (6, 5), 3, activation)
         model = init_model(spec, 2)
-        # shards index one shared set in scattered order, and two overlap
+        # shards index one shared set in scattered order, and overlap
         data = random_batch(rng, 40, 4, 3)
-        shards = [rng.permutation(40)[:n] for n in (7, 12, 1, 12, 5, 9)]
+        shards = [rng.permutation(40)[:12] for _ in range(6)]
         seeds = [40, 41, 42, 43, 44, 45]
         together = as_models(
             local_train(model, shards, TrainConfig(0.2, 2, batch_size, seeds), data, activation),
@@ -267,7 +266,7 @@ class TestLocalTrain:
             np.testing.assert_array_equal(grads[k], gradient(model, batch).values)
 
     def test_one_seed_per_shard(self):
-        train, _, _ = make_synthetic(3, 10, 4, 0.2, seed=0)
+        train, _ = make_synthetic(3, 10, 4, 0.2, seed=0)
         model = init_model(ModelSpec(4, (6,), 3), 2)
         shard = np.arange(len(train))
         with pytest.raises(ValueError, match="one seed per shard"):
@@ -276,6 +275,15 @@ class TestLocalTrain:
             local_train(model, [], TrainConfig(0.1, 1, 4, []), train)
         with pytest.raises(ValueError, match="at least one labeled sample"):
             local_train(model, [shard, shard[:0]], TrainConfig(0.1, 1, 4, [1, 2]), train)
+
+    def test_shards_of_different_sizes_are_rejected(self):
+        # a stacked step moves every shard; which shards share a call is the
+        # caller's choice, made by shard size
+        train, _ = make_synthetic(3, 10, 4, 0.2, seed=0)
+        model = init_model(ModelSpec(4, (6,), 3), 2)
+        shard = np.arange(len(train))
+        with pytest.raises(ValueError, match="same number of samples"):
+            local_train(model, [shard, shard[:5]], TrainConfig(0.1, 1, 4, [1, 2]), train)
 
 
 class TestEvaluate:

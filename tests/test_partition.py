@@ -6,7 +6,6 @@ import pytest
 from fedsim.data import LabeledSet, class_histogram, make_synthetic
 from fedsim.errors import ConfigInvalid
 from fedsim.partition import (
-    PartitionPlan,
     accumulate,
     dispense,
     normalized_entropies,
@@ -23,10 +22,10 @@ def balanced_set(num_classes=10, per_class=600, dim=4, seed=0):
     return LabeledSet(rng.uniform(size=(len(labels), dim)), labels, num_classes)
 
 
-def partition_all(train, plan):
+def partition_all(train, mode, num_devices, seed):
     """Partition every sample of `train` (no queue held back); returns the
     devices and their histograms."""
-    return partition(train, np.arange(len(train)), plan)
+    return partition(train, np.arange(len(train)), mode, num_devices, seed)
 
 
 class TestSplitGlobalQueue:
@@ -73,8 +72,7 @@ class TestSplitGlobalQueue:
 class TestPartition:
     def test_iid_balanced_data_gives_unit_entropy(self):
         train = balanced_set(per_class=100)
-        plan = PartitionPlan("iid", 10, seed=5)
-        devices, hists = partition_all(train, plan)
+        devices, hists = partition_all(train, "iid", 10, seed=5)
         assert normalized_entropies(hists).tolist() == [1.0] * 10
         assert all(len(d.data) == 100 for d in devices)
 
@@ -82,19 +80,19 @@ class TestPartition:
         rng = np.random.default_rng(0)
         labels = rng.integers(0, 7, size=503)
         train = LabeledSet(rng.uniform(size=(503, 3)), labels, 7)
-        devices, _ = partition_all(train, PartitionPlan("iid", 10, seed=1))
+        devices, _ = partition_all(train, "iid", 10, seed=1)
         sizes = [len(d.data) for d in devices]
         assert max(sizes) - min(sizes) <= 1
         assert sum(sizes) == 503
 
     def test_iid_shards_disjoint_and_cover(self):
         train = balanced_set(per_class=30)
-        _, hists = partition_all(train, PartitionPlan("iid", 4, seed=2))
+        _, hists = partition_all(train, "iid", 4, seed=2)
         np.testing.assert_array_equal(hists.sum(axis=0), class_histogram(train, 10))
 
     def test_one_class_matching_device_count(self):
         train = balanced_set(per_class=40)
-        devices, hists = partition_all(train, PartitionPlan("one_class", 10, seed=3))
+        devices, hists = partition_all(train, "one_class", 10, seed=3)
         assert normalized_entropies(hists).tolist() == [0.0] * 10
         for k, d in enumerate(devices):
             assert set(np.unique(train.labels[d.data])) == {k}
@@ -102,7 +100,7 @@ class TestPartition:
 
     def test_one_class_two_devices_per_class(self):
         train = balanced_set(per_class=41)
-        devices, _ = partition_all(train, PartitionPlan("one_class", 20, seed=3))
+        devices, _ = partition_all(train, "one_class", 20, seed=3)
         for j in range(10):
             a, b = devices[2 * j], devices[2 * j + 1]
             assert set(np.unique(train.labels[a.data])) == {j}
@@ -114,24 +112,24 @@ class TestPartition:
     def test_one_class_needs_enough_devices(self):
         train = balanced_set(num_classes=10, per_class=10)
         with pytest.raises(ConfigInvalid, match="devices: one_class needs at least one device"):
-            partition_all(train, PartitionPlan("one_class", 5, seed=0))
+            partition_all(train, "one_class", 5, seed=0)
 
     def test_too_few_samples(self):
         train = balanced_set(num_classes=2, per_class=1, dim=3)
         with pytest.raises(ConfigInvalid, match="devices: 2 samples cannot cover 10 devices"):
-            partition_all(train, PartitionPlan("iid", 10, seed=0))
+            partition_all(train, "iid", 10, seed=0)
 
     def test_device_k_is_row_k(self):
         train = balanced_set(per_class=20)
         for mode in ("iid", "one_class"):
-            devices, hists = partition_all(train, PartitionPlan(mode, 10, seed=7))
-            assert [d.device_id for d in devices] == list(range(10))
+            devices, hists = partition_all(train, mode, 10, seed=7)
+            assert len(devices) == 10
             assert hists.shape == (10, 10) and hists.dtype == np.int64
 
     def test_histogram_matches_data(self):
         train = balanced_set(per_class=20)
         for mode in ("iid", "one_class"):
-            devices, hists = partition_all(train, PartitionPlan(mode, 10, seed=7))
+            devices, hists = partition_all(train, mode, 10, seed=7)
             for d, hist in zip(devices, hists):
                 np.testing.assert_array_equal(hist, class_histogram(train.labels[d.data], 10))
 
@@ -193,7 +191,7 @@ class TestDispense:
             segments, indices = dispense(queue, 10, 6)
             assert all(len(s) == 6 for s in segments)
             seen.extend(np.concatenate(indices).tolist())
-        assert queue.remaining() == 0
+        assert queue.cursor == len(queue.order)
         assert queue.reshuffles == 0
         assert sorted(seen) == list(range(600))
 
@@ -211,7 +209,7 @@ class TestDispense:
         queue, _ = split_global_queue(train, 0.5, seed=3)
         _, first = dispense(queue, 5, 3)
         _, second = dispense(queue, 5, 3)
-        all_indices = np.concatenate(first + second)
+        all_indices = np.concatenate([*first, *second])
         assert len(np.unique(all_indices)) == len(all_indices)
 
     def test_reshuffle_on_exhaustion(self):
@@ -245,8 +243,8 @@ class TestDispense:
         assert np.any(trace(11) != trace(12))
 
 
-def partition_with_entropies(train, residual, plan):
-    devices, hists = partition(train, residual, plan)
+def partition_with_entropies(train, residual, mode, num_devices, seed):
+    devices, hists = partition(train, residual, mode, num_devices, seed)
     return devices, hists, normalized_entropies(hists)
 
 
@@ -254,10 +252,10 @@ class TestAccumulate:
     def test_entropy_after_single_cross_class_sample(self):
         train = LabeledSet(np.zeros((31, 2)), np.repeat([0, 1], [30, 1]), 10)
         devices, hists, entropies = partition_with_entropies(
-            train, np.arange(30), PartitionPlan("iid", 1, seed=0)
+            train, np.arange(30), "iid", 1, seed=0
         )
         assert entropies[0] == 0.0
-        [updated] = accumulate(devices, hists, entropies, [np.array([30])], train)
+        [updated] = accumulate(devices, hists, entropies, np.array([[30]]), train)
         expected = -(
             (30 / 31) * math.log2(30 / 31) + (1 / 31) * math.log2(1 / 31)
         ) / math.log2(10)
@@ -269,30 +267,29 @@ class TestAccumulate:
     def test_empty_segment_is_identity(self):
         train = balanced_set(per_class=5)
         devices, hists, entropies = partition_with_entropies(
-            train, np.arange(len(train)), PartitionPlan("iid", 2, seed=1)
+            train, np.arange(len(train)), "iid", 2, seed=1
         )
         before = hists.copy(), entropies.copy()
-        empty = np.empty(0, dtype=np.int64)
-        updated = accumulate(devices, hists, entropies, [empty, np.array([0])], train)
+        empty = np.empty((2, 0), dtype=np.int64)
+        updated = accumulate(devices, hists, entropies, empty, train)
         assert updated[0] is devices[0]
-        assert len(updated[1].data) == len(devices[1].data) + 1
-        np.testing.assert_array_equal(hists[0], before[0][0])
-        assert entropies[0] == before[1][0]
-        assert hists[1].sum() == before[0][1].sum() + 1
+        assert updated[1] is devices[1]
+        np.testing.assert_array_equal(hists, before[0])
+        np.testing.assert_array_equal(entropies, before[1])
 
     def test_one_segment_per_device(self):
         train = balanced_set(per_class=5)
         devices, hists, entropies = partition_with_entropies(
-            train, np.arange(len(train)), PartitionPlan("iid", 2, seed=1)
+            train, np.arange(len(train)), "iid", 2, seed=1
         )
         with pytest.raises(ValueError):
-            accumulate(devices, hists, entropies, [np.array([0])], train)
+            accumulate(devices, hists, entropies, np.array([[0]]), train)
 
     def test_data_size_nondecreasing_and_consistent(self):
         train = balanced_set(per_class=12)
         queue, residual = split_global_queue(train, 0.25, seed=2)
         devices, hists, entropies = partition_with_entropies(
-            train, residual, PartitionPlan("one_class", 10, seed=2)
+            train, residual, "one_class", 10, seed=2
         )
         sizes = [len(d.data) for d in devices]
         for _ in range(3):
@@ -313,7 +310,7 @@ class TestConservation:
         train = balanced_set(per_class=30)
         queue, residual = split_global_queue(train, 0.2, seed=6)
         devices, hists, entropies = partition_with_entropies(
-            train, residual, PartitionPlan("one_class", 10, seed=6)
+            train, residual, "one_class", 10, seed=6
         )
         train_hist = class_histogram(train, 10)
         for _ in range(5):
@@ -328,7 +325,7 @@ class TestConservation:
             train = balanced_set(per_class=30)
             queue, residual = split_global_queue(train, 0.2, seed=seed)
             devices, hists, entropies = partition_with_entropies(
-                train, residual, PartitionPlan("one_class", 10, seed=seed)
+                train, residual, "one_class", 10, seed=seed
             )
             last = float(np.mean(entropies))
             for _ in range(10):
