@@ -48,7 +48,7 @@ from .errors import NumericalDivergence
 from .nn import ModelSpec, TrainConfig, evaluate, local_train
 from .params import Layout, ParamVector, param_count
 from .partition import DeviceState, GlobalQueue, accumulate, dispense, normalized_entropies
-from .seeds import derive_seed
+from .seeds import derive_seeds
 
 AGGREGATORS = ("fedavg_count", "ddfl_entropy")
 
@@ -185,13 +185,16 @@ def _block_width(spec: ModelSpec, batch_size: int) -> int:
     return max(1, _BLOCK_FLOATS // per_device)
 
 
-def _train_block(state: FederationState, cfg: RoundConfig, rows: list[int]) -> None:
-    """Train device r for each r in `rows` and write its model to bank row r."""
+def _train_block(
+    state: FederationState, cfg: RoundConfig, seeds: list[int], rows: list[int]
+) -> None:
+    """Train device r for each r in `rows` from seed `seeds[r]` and write its
+    model to bank row r."""
     train_cfg = TrainConfig(
         learning_rate=cfg.learning_rate,
         local_epochs=cfg.local_epochs,
         batch_size=cfg.batch_size,
-        seeds=[derive_seed(cfg.seed, "train", state.round_index, r) for r in rows],
+        seeds=[seeds[r] for r in rows],
     )
     state.bank[rows] = local_train(
         state.global_model,
@@ -225,7 +228,9 @@ def run_round(state: FederationState, cfg: RoundConfig) -> tuple[FederationState
     for size in np.unique(counts)[::-1]:
         group = np.flatnonzero(counts == size).tolist()
         blocks += [group[i : i + width] for i in range(0, len(group), width)]
-    train = partial(_train_block, state, cfg)
+    # device k's seed is derive_seed(cfg.seed, "train", round, k)
+    seeds = derive_seeds(cfg.seed, "train", state.round_index, count=len(state.devices))
+    train = partial(_train_block, state, cfg, seeds)
     if cfg.workers > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
             list(pool.map(train, blocks))  # drains the results, re-raising a block's error

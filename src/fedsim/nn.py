@@ -15,17 +15,28 @@ are the same size, every step moves all K of them. A stacked matmul makes
 the same BLAS call for each device as a single-device one, so each shard's
 result is bit for bit what training it alone gives, whichever shards share
 the call; `federation` decides which do, grouping devices by shard size.
+
+Each shard's epoch order is `shard[default_rng(seed + epoch).permutation(n)]`,
+but no Generator is built per shard and epoch. `seeds.seed_sequence_words`
+hashes all the call's seeds in one array pass, as `SeedSequence` would,
+`seeds.pcg64_states` turns each into the state `PCG64` would start in, and
+one Generator per call is set to each state in turn and shuffles the
+shard's indices in place. Its draws are then numpy's own, and `shuffle`
+makes the same swaps as `permutation`, so the orders are bit for bit those
+of `default_rng`.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import LabeledSet
 from .params import Layout, ParamVector, split_layers
+from .seeds import pcg64_states, seed_sequence_words
 
 ACTIVATIONS = ("relu", "tanh")
 
@@ -51,8 +62,9 @@ class TrainConfig:
     """Local-training hyper-parameters, with one shuffle seed per shard.
 
     Shard `k` draws the shuffle order of epoch `i` from seed `seeds[k] + i`,
-    so one call with `local_epochs=e` matches `e` single-epoch calls whose
-    seeds advance by one each time.
+    exactly as `np.random.default_rng(seeds[k] + i)` would, so one call with
+    `local_epochs=e` matches `e` single-epoch calls whose seeds advance by
+    one each time. A seed must be an int in [0, 2**64 - local_epochs].
     """
 
     learning_rate: float
@@ -193,12 +205,15 @@ def local_train(
 
     A shard is an array of sample indices into `data`, and all shards hold
     the same number of samples. Each epoch visits each shard once in a
-    freshly shuffled order (seed `cfg.seeds[k] + epoch` for shard k), so
-    shard k's minibatches are rows `shards[k][perm]` of `data`, including a
-    final partial batch when the size does not divide evenly; the input is
-    not mutated. The shards train together, but each result is exactly that
-    of training its shard alone. A shard that blows up leaves a non-finite
-    row, and only its own: the caller checks.
+    freshly shuffled order: shard k's minibatches are rows `shards[k][perm]`
+    of `data`, including a final partial batch when the size does not
+    divide evenly, where perm is `default_rng(cfg.seeds[k] + epoch)
+    .permutation(size)`, drawn without building that Generator (see the
+    module docstring); the input is not mutated. A seed outside
+    [0, 2**64 - local_epochs] raises ValueError naming it. The shards train
+    together, but each result is exactly that of training its shard alone.
+    A shard that blows up leaves a non-finite row, and only its own: the
+    caller checks.
     """
     if not shards:
         raise ValueError("at least one shard is required")
@@ -210,12 +225,26 @@ def local_train(
         raise ValueError("at least one labeled sample is required")
     if any(len(shard) != size for shard in shards):
         raise ValueError("shards must all hold the same number of samples")
+    epochs = cfg.local_epochs
+    seeds = [operator.index(seed) for seed in cfg.seeds]
+    for seed in seeds:
+        if not 0 <= seed <= 2**64 - epochs:
+            raise ValueError(f"seed {seed} is outside [0, 2**64 - local_epochs]")
+    # epoch-major, the order the loop below takes them in
+    epoch_seeds = np.arange(epochs, dtype=np.uint64)[:, None] + np.array(seeds, np.uint64)
+    states = iter(pcg64_states(seed_sequence_words(epoch_seeds.ravel())))
+    # the call's own Generator: blocks train on worker threads, so it must
+    # not be shared; each shuffle first resets it to default_rng(seed)'s state
+    gen = np.random.default_rng(0)
+    bit_generator = gen.bit_generator
     values = np.tile(model.values, (len(shards), 1))
     layers = split_layers(values, model.layout)  # views: the update below moves them
     orders = np.empty((len(shards), size), dtype=np.int64)
-    for epoch in range(cfg.local_epochs):
-        for k, shard in enumerate(shards):
-            orders[k] = shard[np.random.default_rng(cfg.seeds[k] + epoch).permutation(size)]
+    for epoch in range(epochs):
+        for order, shard in zip(orders, shards):
+            bit_generator.state = next(states)
+            order[:] = shard
+            gen.shuffle(order)
         for start in range(0, size, cfg.batch_size):
             idx = orders[:, start : start + cfg.batch_size]
             grad = _gradient_values(layers, activation, data.features[idx], data.labels[idx])

@@ -1,6 +1,13 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fedsim import nn
 from fedsim.data import LabeledSet, make_synthetic
 from fedsim.nn import (
     ModelSpec,
@@ -284,6 +291,95 @@ class TestLocalTrain:
         shard = np.arange(len(train))
         with pytest.raises(ValueError, match="same number of samples"):
             local_train(model, [shard, shard[:5]], TrainConfig(0.1, 1, 4, [1, 2]), train)
+
+
+def visited_orders(shards, cfg, num_samples):
+    """The samples each shard's minibatches visit in each epoch, (K, E, n),
+    recorded from the batches `local_train` gathers (lr 0, no arithmetic)."""
+    # feature i of sample i, so a gathered batch names its samples
+    data = LabeledSet(np.arange(num_samples, dtype=np.float64)[:, None],
+                      np.zeros(num_samples, dtype=np.int64), 2)
+    model = init_model(ModelSpec(1, (2,), 2), 0)
+    batches = []
+
+    def record(layers, activation, X, y):
+        batches.append(X[..., 0].astype(np.int64))
+        return np.zeros((len(shards), len(model)))
+
+    with mock.patch.object(nn, "_gradient_values", record):
+        local_train(model, shards, cfg, data)
+    return np.concatenate(batches, axis=1).reshape(len(shards), cfg.local_epochs, -1)
+
+
+# 1, 2, odd and large shard sizes: the shuffle's edge cases and long streams
+shard_sizes = st.one_of(
+    st.sampled_from([1, 2]),
+    st.integers(1, 40).map(lambda i: 2 * i + 1),
+    st.integers(2000, 2300),
+)
+
+
+class TestShuffleOrders:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        size=shard_sizes,
+        count=st.integers(1, 3),
+        epochs=st.integers(1, 4),
+        batch_size=st.integers(1, 700),
+        data=st.data(),
+    )
+    def test_orders_equal_default_rng_permutations(self, size, count, epochs, batch_size, data):
+        seeds = data.draw(st.lists(
+            st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - epochs]),
+                      st.integers(0, 2**64 - epochs)),
+            min_size=count, max_size=count))
+        num_samples = size + 5
+        shards = [np.random.default_rng(k).permutation(num_samples)[:size] for k in range(count)]
+        orders = visited_orders(shards, TrainConfig(0.0, epochs, batch_size, seeds), num_samples)
+        for shard, seed, shard_orders in zip(shards, seeds, orders):
+            for epoch, order in enumerate(shard_orders):
+                expected = shard[np.random.default_rng(seed + epoch).permutation(size)]
+                np.testing.assert_array_equal(order, expected)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(max_value=-1))
+    def test_negative_seed_raises_naming_it(self, seed):
+        model = init_model(ModelSpec(4, (6,), 3), 2)
+        train, _ = make_synthetic(3, 4, 4, 0.2, seed=0)
+        with pytest.raises(ValueError, match=f"seed {seed} "):
+            local_train(model, everything(train), TrainConfig(0.1, 1, 4, [seed]), train)
+
+    def test_seed_past_the_last_epoch_stream_raises(self):
+        # shard seed s draws epoch e from s + e, which must stay below 2**64
+        model = init_model(ModelSpec(4, (6,), 3), 2)
+        train, _ = make_synthetic(3, 4, 4, 0.2, seed=0)
+        local_train(model, everything(train), TrainConfig(0.1, 2, 4, [2**64 - 2]), train)
+        with pytest.raises(ValueError, match=f"seed {2**64 - 1} "):
+            local_train(model, everything(train), TrainConfig(0.1, 2, 4, [2**64 - 1]), train)
+
+    def test_threads_give_the_serial_rows(self):
+        # calls on 4 threads at once (more than the cores), switching threads
+        # as often as the interpreter allows, train each call's shards as a
+        # serial call does; a Generator shared between calls fails this
+        rng = np.random.default_rng(8)
+        model = init_model(ModelSpec(4, (6,), 3), 2)
+        data = random_batch(rng, 60, 4, 3)
+        shards = [rng.permutation(60)[:20] for _ in range(16)]
+        configs = [TrainConfig(0.1, 3, 7, list(range(100 * i, 100 * i + 16))) for i in range(12)]
+
+        def train(cfg):
+            return local_train(model, shards, cfg, data)
+
+        serial = [train(cfg) for cfg in configs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(train, configs, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for alone, together in zip(serial, threaded, strict=True):
+            np.testing.assert_array_equal(alone, together)
 
 
 class TestEvaluate:
