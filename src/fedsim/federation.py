@@ -21,15 +21,16 @@ aggregators are provided:
   of a one-class partition) the round falls back to a uniform mean and is
   flagged.
 
-Devices train in blocks of one shard size: grouped by size, largest first
-and ids ascending within a group, and each group cut into blocks whose
-stacked parameters and batch activations fit a fixed float budget, each
-block one `local_train` call; `workers` threads share the blocks.
-Each block writes its models into its rows of the state's model bank, and
-both aggregators are one weighted sum over bank rows. Each device's result
+Devices train in runs: consecutive device ids that hold shards of one
+size. An iid partition makes at most 2 runs and one_class at most 2 per
+class, and dispensing grows every shard alike. Each run is one `local_train`
+call, which trains in cache-sized sub-blocks straight into the run's rows
+of the state's model bank. With `workers` > 1 the runs are cut into
+sub-block-sized tasks, largest shards first, which the threads share.
+Both aggregators are one weighted sum over bank rows. Each device's result
 is a pure function of (model, device data, derived seed), the same bits
-whatever block it shares or worker runs it, so neither the block size nor
-the worker count changes results.
+whatever call or sub-block it shares or worker runs it, so neither the
+float budget nor the worker count changes results.
 """
 
 from __future__ import annotations
@@ -45,17 +46,12 @@ import numpy as np
 from .analysis import bank_divergence
 from .data import LabeledSet
 from .errors import NumericalDivergence
-from .nn import ModelSpec, TrainConfig, evaluate, local_train
+from .nn import ModelSpec, TrainConfig, _block_width, evaluate, local_train
 from .params import Layout, ParamVector, param_count
 from .partition import DeviceState, GlobalQueue, accumulate, dispense, normalized_entropies
 from .seeds import derive_seeds
 
 AGGREGATORS = ("fedavg_count", "ddfl_entropy")
-
-# float64s a training block may hold in stacked parameters plus one batch of
-# its widest layer's activations, per device; a block of small models stays
-# in cache, and a model larger than this trains alone.
-_BLOCK_FLOATS = 2**15
 
 
 def select_devices(entropies, selection_fraction: float) -> list[int]:
@@ -178,30 +174,26 @@ class RoundConfig:
     workers: int = 1
 
 
-def _block_width(spec: ModelSpec, batch_size: int) -> int:
-    """Devices per training block: as many as fit `_BLOCK_FLOATS`, at least one."""
-    widest = max(spec.input_dim, *spec.hidden_dims, spec.num_classes)
-    per_device = param_count(spec.layout()) + batch_size * widest
-    return max(1, _BLOCK_FLOATS // per_device)
-
-
-def _train_block(
-    state: FederationState, cfg: RoundConfig, seeds: list[int], rows: list[int]
+def _train_run(
+    state: FederationState, cfg: RoundConfig, seeds: list[int], run: tuple[int, int]
 ) -> None:
-    """Train device r for each r in `rows` from seed `seeds[r]` and write its
-    model to bank row r."""
+    """Train devices a to b - 1, which hold shards of one size, where
+    `run` = (a, b), from seeds[a:b] and in place in bank rows a:b."""
+    a, b = run
     train_cfg = TrainConfig(
         learning_rate=cfg.learning_rate,
         local_epochs=cfg.local_epochs,
         batch_size=cfg.batch_size,
-        seeds=[seeds[r] for r in rows],
+        seeds=seeds[a:b],
     )
-    state.bank[rows] = local_train(
+    # `out` goes positionally: wrappers of local_train may take no keywords
+    local_train(
         state.global_model,
-        [state.devices[r].data for r in rows],
+        [device.data for device in state.devices[a:b]],
         train_cfg,
         cfg.train_set,
         cfg.model_spec.activation,
+        state.bank[a:b],
     )
 
 
@@ -221,22 +213,23 @@ def run_round(state: FederationState, cfg: RoundConfig) -> tuple[FederationState
         state.devices, state.histograms, state.entropies, segments, cfg.train_set
     )
 
-    # a block holds shards of one size: largest size first, ids ascending
+    # runs of consecutive ids that share a shard size
     counts = state.histograms.sum(axis=1)
-    width = _block_width(cfg.model_spec, cfg.batch_size)
-    blocks = []
-    for size in np.unique(counts)[::-1]:
-        group = np.flatnonzero(counts == size).tolist()
-        blocks += [group[i : i + width] for i in range(0, len(group), width)]
+    edges = [0, *(np.flatnonzero(np.diff(counts)) + 1).tolist(), len(counts)]
+    runs = list(zip(edges[:-1], edges[1:]))
     # device k's seed is derive_seed(cfg.seed, "train", round, k)
     seeds = derive_seeds(cfg.seed, "train", state.round_index, count=len(state.devices))
-    train = partial(_train_block, state, cfg, seeds)
+    train = partial(_train_run, state, cfg, seeds)
     if cfg.workers > 1:
+        # sub-block-sized tasks, largest shards first, so the threads balance
+        width = _block_width(cfg.model_spec.layout(), cfg.batch_size)
+        runs.sort(key=lambda run: -counts[run[0]])  # stable: ids ascend within a size
+        tasks = [(a, min(a + width, b)) for start, b in runs for a in range(start, b, width)]
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            list(pool.map(train, blocks))  # drains the results, re-raising a block's error
+            list(pool.map(train, tasks))  # drains the results, re-raising a task's error
     else:
-        for rows in blocks:
-            train(rows)
+        for run in runs:
+            train(run)
     # a NaN or inf never turns finite under later SGD steps, so one check of
     # the trained rows catches every blow-up
     finite = np.isfinite(state.bank).all(axis=1)

@@ -6,22 +6,26 @@ cross-entropy loss, exact analytic gradients, float64 arithmetic throughout.
 All functions are pure and deterministic given their explicit seeds, so they
 can run concurrently from any number of workers.
 
-`local_train` trains a list of shards of one size together. A shard is an
-index array into one shared LabeledSet, and each minibatch is gathered
-straight from that set's matrix. The shards' parameters are stacked into
-one (K, P) array, and the forward and backward passes run over that leading
-device axis, one stacked matmul per layer per minibatch step; as the shards
-are the same size, every step moves all K of them. A stacked matmul makes
-the same BLAS call for each device as a single-device one, so each shard's
-result is bit for bit what training it alone gives, whichever shards share
-the call; `federation` decides which do, grouping devices by shard size.
+`local_train` trains any number of shards of one size. A shard is an index
+array into one shared LabeledSet, and each minibatch is gathered straight
+from that set's matrix. The shards train in sub-blocks, as many as keep
+their stacked parameters and activations within a float budget
+(`_BLOCK_FLOATS`) and so in cache, each in its rows of one (K, P) array:
+the caller's `out`, or a new one. The forward and backward passes run over
+that leading device axis, one stacked matmul per layer per minibatch step,
+which moves the whole sub-block as the shards are the same size. A stacked
+matmul makes the same BLAS call for each device as a single-device one, so
+each shard's result is bit for bit what training it alone gives, whichever
+shards share the call or the sub-block; `federation` passes each run of
+same-size devices as one call.
 
 Each shard's epoch order is `shard[default_rng(seed + epoch).permutation(n)]`,
 but no Generator is built per shard and epoch. `seeds.seed_sequence_words`
-hashes all the call's seeds in one array pass, as `SeedSequence` would,
-`seeds.pcg64_states` turns each into the state `PCG64` would start in, and
-one Generator per call is set to each state in turn and shuffles the
-shard's indices in place. Its draws are then numpy's own, and `shuffle`
+hashes all the call's seeds for every epoch in one array pass, as
+`SeedSequence` would, and just before a sub-block trains,
+`seeds.pcg64_states` turns its shards' words into the states `PCG64` would
+start in; one Generator per call is set to each state in turn and shuffles
+the shard's indices in place. Its draws are then numpy's own, and `shuffle`
 makes the same swaps as `permutation`, so the orders are bit for bit those
 of `default_rng`.
 """
@@ -35,12 +39,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledSet
-from .params import Layout, ParamVector, split_layers
+from .params import Layout, ParamVector, param_count, split_layers
 from .seeds import pcg64_states, seed_sequence_words
 
 ACTIVATIONS = ("relu", "tanh")
 
 _EVAL_CHUNK = 8192
+
+# float64s a training sub-block may hold in stacked parameters plus one batch
+# of its widest layer's activations, per device; a sub-block of small models
+# stays in cache, and a model larger than this trains alone.
+_BLOCK_FLOATS = 2**15
 
 
 @dataclass(frozen=True)
@@ -193,12 +202,20 @@ def gradient(model: ParamVector, batch: LabeledSet, activation: str = "relu") ->
     return ParamVector(flat, model.layout)
 
 
+def _block_width(layout: Layout, batch_size: int) -> int:
+    """Shards per training sub-block: as many as fit `_BLOCK_FLOATS`, at least one."""
+    widest = max(max(rows, cols) for rows, cols, _ in layout)
+    per_device = param_count(layout) + batch_size * widest
+    return max(1, _BLOCK_FLOATS // per_device)
+
+
 def local_train(
     model: ParamVector,
     shards: list[np.ndarray],
     cfg: TrainConfig,
     data: LabeledSet,
     activation: str = "relu",
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Mini-batch SGD from `model` on each shard; returns a (K, P) array whose
     row k is the parameters trained on shard k.
@@ -210,10 +227,16 @@ def local_train(
     divide evenly, where perm is `default_rng(cfg.seeds[k] + epoch)
     .permutation(size)`, drawn without building that Generator (see the
     module docstring); the input is not mutated. A seed outside
-    [0, 2**64 - local_epochs] raises ValueError naming it. The shards train
-    together, but each result is exactly that of training its shard alone.
-    A shard that blows up leaves a non-finite row, and only its own: the
-    caller checks.
+    [0, 2**64 - local_epochs] raises ValueError naming it. The seeds of
+    every shard and epoch are hashed in one pass, and the shards train in
+    sub-blocks of `_block_width` each, but each result is exactly that of
+    training its shard alone.
+
+    Each sub-block trains in place in its rows of `out`, a float64 (K, P)
+    array with contiguous rows such as a slice of a model bank, and `out`
+    itself is returned; any other shape raises ValueError naming it. With
+    no `out`, a new array is returned. A shard that blows up leaves a
+    non-finite row, and only its own: the caller checks.
     """
     if not shards:
         raise ValueError("at least one shard is required")
@@ -225,31 +248,46 @@ def local_train(
         raise ValueError("at least one labeled sample is required")
     if any(len(shard) != size for shard in shards):
         raise ValueError("shards must all hold the same number of samples")
+    shape = (len(shards), len(model))
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64 or out.strides[1] != out.itemsize:
+        raise ValueError(
+            f"out must be a {shape} float64 array with contiguous rows, "
+            f"got {out.dtype} {out.shape}"
+        )
     epochs = cfg.local_epochs
     seeds = [operator.index(seed) for seed in cfg.seeds]
     for seed in seeds:
         if not 0 <= seed <= 2**64 - epochs:
             raise ValueError(f"seed {seed} is outside [0, 2**64 - local_epochs]")
-    # epoch-major, the order the loop below takes them in
-    epoch_seeds = np.arange(epochs, dtype=np.uint64)[:, None] + np.array(seeds, np.uint64)
-    states = iter(pcg64_states(seed_sequence_words(epoch_seeds.ravel())))
-    # the call's own Generator: blocks train on worker threads, so it must
+    # (K, E, 4): shard k's epoch-e stream is default_rng(seeds[k] + e)
+    epoch_seeds = np.array(seeds, np.uint64)[:, None] + np.arange(epochs, dtype=np.uint64)
+    words = seed_sequence_words(epoch_seeds.ravel()).reshape(len(shards), epochs, 4)
+    # the call's own Generator: calls train on worker threads, so it must
     # not be shared; each shuffle first resets it to default_rng(seed)'s state
     gen = np.random.default_rng(0)
     bit_generator = gen.bit_generator
-    values = np.tile(model.values, (len(shards), 1))
-    layers = split_layers(values, model.layout)  # views: the update below moves them
-    orders = np.empty((len(shards), size), dtype=np.int64)
-    for epoch in range(epochs):
-        for order, shard in zip(orders, shards):
-            bit_generator.state = next(states)
-            order[:] = shard
-            gen.shuffle(order)
-        for start in range(0, size, cfg.batch_size):
-            idx = orders[:, start : start + cfg.batch_size]
-            grad = _gradient_values(layers, activation, data.features[idx], data.labels[idx])
-            values -= cfg.learning_rate * grad
-    return values
+    width = _block_width(model.layout, cfg.batch_size)
+    orders = np.empty((min(width, len(shards)), size), dtype=np.int64)
+    for start in range(0, len(shards), width):
+        block = shards[start : start + width]
+        values = out[start : start + width]
+        values[:] = model.values
+        layers = split_layers(values, model.layout)  # views: the update below moves them
+        order_rows = orders[: len(block)]
+        # epoch-major, the order the loop below takes them in
+        states = iter(pcg64_states(words[start : start + width].swapaxes(0, 1).reshape(-1, 4)))
+        for epoch in range(epochs):
+            for order, shard in zip(order_rows, block):
+                bit_generator.state = next(states)
+                order[:] = shard
+                gen.shuffle(order)
+            for first in range(0, size, cfg.batch_size):
+                idx = order_rows[:, first : first + cfg.batch_size]
+                grad = _gradient_values(layers, activation, data.features[idx], data.labels[idx])
+                values -= cfg.learning_rate * grad
+    return out
 
 
 def evaluate(model: ParamVector, data: LabeledSet, activation: str = "relu") -> EvalMetrics:

@@ -98,11 +98,14 @@ def normalized_entropy(counts) -> float:
     return float(normalized_entropies(np.asarray(counts).reshape(1, -1))[0])
 
 
-def _stacked_histograms(parts: list[np.ndarray], labels: np.ndarray, num_classes: int):
-    """(K, C) class counts of K index arrays into `labels`, from one bincount."""
-    owner = np.repeat(np.arange(len(parts)), [len(part) for part in parts])
-    keys = owner * num_classes + labels[np.concatenate(parts)]
-    return np.bincount(keys, minlength=len(parts) * num_classes).reshape(-1, num_classes)
+def _stacked_histograms(
+    flat: np.ndarray, lengths, labels: np.ndarray, num_classes: int
+) -> np.ndarray:
+    """(K, C) class counts of K index arrays into `labels`, laid end to end in
+    `flat` with `lengths[k]` entries for row k, from one bincount."""
+    owner = np.repeat(np.arange(len(lengths)), lengths)
+    keys = owner * num_classes + labels[flat]
+    return np.bincount(keys, minlength=len(lengths) * num_classes).reshape(-1, num_classes)
 
 
 def _uniform_quotas(counts: np.ndarray, target: int) -> np.ndarray:
@@ -208,7 +211,8 @@ def partition(
 
     data = [residual[shard] for shard in shards]
     devices = [DeviceState(part) for part in data]
-    return devices, _stacked_histograms(data, train.labels, num_classes)
+    lengths = [len(part) for part in data]
+    return devices, _stacked_histograms(np.concatenate(data), lengths, train.labels, num_classes)
 
 
 def dispense(
@@ -264,7 +268,8 @@ def accumulate(
         raise ValueError("need exactly one segment per device")
     if segments.shape[1] == 0:
         return list(devices)
-    histograms += _stacked_histograms(segments, train.labels, train.num_classes)
+    lengths = np.full(len(segments), segments.shape[1])
+    histograms += _stacked_histograms(segments.ravel(), lengths, train.labels, train.num_classes)
     entropies[:] = normalized_entropies(histograms)
     # a new list, not devices replaced in place: the caller drops all the old
     # arrays at once, where freeing each as its successor is built fragments

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedsim import federation
+from fedsim import federation, nn
 from fedsim.analysis import bank_divergence
 from fedsim.data import LabeledSet
 from fedsim.errors import NumericalDivergence
@@ -321,21 +321,34 @@ class TestRunRound:
         assert len(report.selected_ids) == max(1, math.floor(0.5 * 4))
 
     def test_shuffled_devices_fill_the_bank_in_id_order(self, monkeypatch):
-        # one_class gives these six devices 9, 9, 18, 9, 9 and 18 samples, and
-        # one device per block trains them largest first, out of id order
-        monkeypatch.setattr(federation, "_BLOCK_FLOATS", 1)
-        state, spec, sets = small_federation(num_devices=6, seed=2)
-        assert [len(d.data) for d in state.devices] == [9, 9, 18, 9, 9, 18]
-        cfg = RoundConfig(spec, 0.2, 1, 8, "ddfl_entropy", 0.5,
-                          1, seed=9, **sets)
-        out, _ = run_round(state, cfg)
-        # row k is device k trained alone from the round's global model
-        for k, device in enumerate(out.devices):
-            train_cfg = TrainConfig(0.2, 1, 8, [derive_seed(9, "train", 0, k)])
-            [alone] = local_train(
-                state.global_model, [device.data], train_cfg, sets["train_set"]
-            )
-            np.testing.assert_array_equal(out.bank[k], alone)
+        # one_class gives these six devices 9, 9, 18, 9, 9 and 18 samples:
+        # four runs of one shard size, which one worker trains in id order
+        # and more workers cut into tasks that train largest first
+        calls = []
+
+        def counted(model, shards, *args):
+            calls.append(len(shards))
+            return local_train(model, shards, *args)
+
+        monkeypatch.setattr(federation, "local_train", counted)
+        for budget in (1, nn._BLOCK_FLOATS, 2**40):
+            monkeypatch.setattr(nn, "_BLOCK_FLOATS", budget)
+            for workers in (1, 2, 3):
+                state, spec, sets = small_federation(num_devices=6, seed=2)
+                assert [len(d.data) for d in state.devices] == [9, 9, 18, 9, 9, 18]
+                cfg = RoundConfig(spec, 0.2, 1, 8, "ddfl_entropy", 0.5,
+                                  1, seed=9, **sets, workers=workers)
+                calls.clear()
+                out, _ = run_round(state, cfg)
+                if workers == 1:
+                    assert calls == [2, 1, 2, 1]
+                # row k is device k trained alone from the round's global model
+                for k, device in enumerate(out.devices):
+                    train_cfg = TrainConfig(0.2, 1, 8, [derive_seed(9, "train", 0, k)])
+                    [alone] = local_train(
+                        state.global_model, [device.data], train_cfg, sets["train_set"]
+                    )
+                    np.testing.assert_array_equal(out.bank[k], alone)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_devices_name_the_lowest_id(self):
@@ -390,9 +403,9 @@ class TestRunRound:
         )
 
     def test_threads_fill_disjoint_bank_rows(self, monkeypatch):
-        # one device per block and more workers than cores, with frequent
+        # one device per task and more workers than cores, with frequent
         # thread switches: a lost or misplaced row write changes the bank
-        monkeypatch.setattr(federation, "_BLOCK_FLOATS", 1)
+        monkeypatch.setattr(nn, "_BLOCK_FLOATS", 1)
         banks = []
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fedsim import federation
+from fedsim import federation, nn
 from fedsim.errors import ConfigInvalid
 from fedsim.harness import (
     ExperimentConfig,
@@ -150,26 +150,29 @@ class TestRunExperiment:
             ).read_bytes()
 
     def test_worker_count_does_not_change_outputs(self, tmp_path, monkeypatch):
-        blocks = []
+        calls = []
         original = federation.local_train
 
         def counted(model, shards, *args):
-            blocks.append(len(shards))
+            calls.append(len(shards))
             return original(model, shards, *args)
 
         monkeypatch.setattr(federation, "local_train", counted)
-        # the tiny model trains all 4 devices in one block; at hidden width
-        # 256 a block holds 6 of the 16 devices, so each round runs 3 blocks
-        for name, overrides, per_round in (
-            ("tiny", {}, [4]),
-            ("wide", dict(devices=16, hidden_dims=(256,)), [6, 6, 4]),
+        # each config's devices hold shards of one size, one run: one call a
+        # round with one worker; with more, the tiny model's run is one task,
+        # and at hidden width 256 a sub-block holds 6 of the 16 devices, so
+        # the run is cut into 3 tasks
+        for name, overrides, serial, threaded in (
+            ("tiny", {}, [4], [4]),
+            ("wide", dict(devices=16, hidden_dims=(256,)), [16], [6, 6, 4]),
         ):
             outputs = set()
             for workers in (1, 2, 3):
-                blocks.clear()
+                calls.clear()
                 out = tmp_path / f"{name}_w{workers}"
                 run_experiment(tiny_config(output_dir=str(out), workers=workers, **overrides))
-                assert sorted(blocks) == sorted(per_round * 3)  # 3 rounds
+                per_round = serial if workers == 1 else threaded
+                assert sorted(calls) == sorted(per_round * 3)  # 3 rounds
                 outputs.add((out / "metrics.csv").read_bytes())
             assert len(outputs) == 1, name
 
@@ -178,32 +181,37 @@ class TestRunExperiment:
         [{}, dict(devices=16, hidden_dims=(256,)), dict(devices=7, partition_mode="iid")],
     )
     def test_block_width_does_not_change_outputs(self, tmp_path, monkeypatch, overrides):
-        # one device per block, the default blocks, and each shard size's
-        # devices in one block; 7 iid devices hold shards of two sizes
-        blocks = []
+        # one device per sub-block, the default sub-blocks, and each run in
+        # one sub-block, each with 1 to 3 workers; the one_class devices all
+        # hold shards of one size, while 64 residual samples dealt to 7 iid
+        # devices give one 10 and six 9s
+        devices = overrides.get("devices", 4)
+        runs = [1, 6] if devices == 7 else [devices]
+        calls = []
         original = federation.local_train
 
         def counted(model, shards, *args):
-            blocks.append(len(shards))
+            calls.append(len(shards))
             return original(model, shards, *args)
 
         monkeypatch.setattr(federation, "local_train", counted)
-        devices = overrides.get("devices", 4)
-        sizes = 2 if devices == 7 else 1
         outputs = set()
-        for budget in (1, federation._BLOCK_FLOATS, 2**40):
-            monkeypatch.setattr(federation, "_BLOCK_FLOATS", budget)
-            blocks.clear()
-            out = tmp_path / f"budget_{budget}"
-            run_experiment(tiny_config(output_dir=str(out), **overrides))
-            assert sum(blocks) == 3 * devices
-            if budget == 1:
-                assert len(blocks) == 3 * devices
-            if budget == 2**40:
-                assert len(blocks) == 3 * sizes
-            outputs.add(
-                tuple((out / name).read_bytes() for name in ("metrics.csv", "divergence_layers.csv"))
-            )
+        for budget in (1, nn._BLOCK_FLOATS, 2**40):
+            monkeypatch.setattr(nn, "_BLOCK_FLOATS", budget)
+            for workers in (1, 2, 3):
+                calls.clear()
+                out = tmp_path / f"budget_{budget}_w{workers}"
+                run_experiment(tiny_config(output_dir=str(out), workers=workers, **overrides))
+                assert sum(calls) == 3 * devices
+                if workers == 1:
+                    assert calls == runs * 3  # one call per run, in id order
+                elif budget == 1:
+                    assert calls == [1] * 3 * devices
+                elif budget == 2**40:
+                    assert sorted(calls) == sorted(runs * 3)
+                outputs.add(tuple(
+                    (out / name).read_bytes() for name in ("metrics.csv", "divergence_layers.csv")
+                ))
         assert len(outputs) == 1
 
     @pytest.mark.parametrize(

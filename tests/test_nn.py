@@ -1,3 +1,4 @@
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
@@ -380,6 +381,59 @@ class TestShuffleOrders:
             sys.setswitchinterval(interval)
         for alone, together in zip(serial, threaded, strict=True):
             np.testing.assert_array_equal(alone, together)
+
+
+class TestTrainIntoOut:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        count=st.integers(1, 50),
+        budget=st.integers(1, 4000),  # 1 to about 70 shards per sub-block
+        epochs=st.integers(1, 3),
+        size=st.integers(1, 12),
+        batch_size=st.integers(1, 5),
+        seed=st.integers(0, 2**32),
+    )
+    def test_rows_equal_shards_trained_alone(
+        self, count, budget, epochs, size, batch_size, seed
+    ):
+        rng = np.random.default_rng(seed)
+        model = init_model(ModelSpec(4, (6,), 3), 2)
+        data = random_batch(rng, 30, 4, 3)
+        shards = [rng.permutation(30)[:size] for _ in range(count)]
+        seeds = rng.integers(0, 2**63, count).tolist()
+        # `out` is a bank slice with two more rows on each side
+        bank = rng.standard_normal((count + 4, len(model)))
+        before = bank.copy()
+        out = bank[2 : 2 + count]
+        with mock.patch.object(nn, "_BLOCK_FLOATS", budget):
+            result = local_train(model, shards, TrainConfig(0.2, epochs, batch_size, seeds),
+                                 data, "relu", out)
+        assert result is out
+        np.testing.assert_array_equal(bank[:2], before[:2])
+        np.testing.assert_array_equal(bank[2 + count :], before[2 + count :])
+        for row, shard, shard_seed in zip(out, shards, seeds, strict=True):
+            cfg = TrainConfig(0.2, epochs, batch_size, [shard_seed])
+            [alone] = local_train(model, [shard], cfg, data)
+            np.testing.assert_array_equal(row, alone)
+
+    @pytest.mark.parametrize(
+        "out",
+        [
+            np.empty((4, 51)),
+            np.empty((3, 50)),
+            np.empty(51),
+            np.empty((3, 51), dtype=np.float32),
+            np.empty((3, 51), order="F"),  # rows not contiguous
+        ],
+        ids=["rows", "width", "flat", "float32", "fortran"],
+    )
+    def test_wrong_out_raises_naming_its_shape(self, out):
+        model = init_model(ModelSpec(4, (6,), 3), 2)
+        assert len(model) == 51
+        data = random_batch(np.random.default_rng(0), 30, 4, 3)
+        shards = [np.arange(10), np.arange(10, 20), np.arange(20, 30)]
+        with pytest.raises(ValueError, match=re.escape(f"got {out.dtype} {out.shape}")):
+            local_train(model, shards, TrainConfig(0.1, 1, 4, [1, 2, 3]), data, "relu", out)
 
 
 class TestEvaluate:
