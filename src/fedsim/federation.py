@@ -21,16 +21,15 @@ aggregators are provided:
   of a one-class partition) the round falls back to a uniform mean and is
   flagged.
 
-Devices train in runs: consecutive device ids that hold shards of one
-size. An iid partition makes at most 2 runs and one_class at most 2 per
-class, and dispensing grows every shard alike. Each run is one `local_train`
-call, which trains in cache-sized sub-blocks straight into the run's rows
-of the state's model bank. With `workers` > 1 the runs are cut into
-sub-block-sized tasks, largest shards first, which the threads share.
-Both aggregators are one weighted sum over bank rows. Each device's result
-is a pure function of (model, device data, derived seed), the same bits
-whatever call or sub-block it shares or worker runs it, so neither the
-float budget nor the worker count changes results.
+Each round splits the devices into at most `workers` ranges of consecutive
+ids holding about equal sample counts and makes one `local_train` call per
+range, straight into the range's rows of the state's model bank: the first
+range on the calling thread, the rest on a thread pool. `local_train` cuts
+each call into cache-sized sub-blocks of one shard size itself. Both
+aggregators are one weighted sum over bank rows. Each device's result is a
+pure function of (model, device data, derived seed), the same bits whatever
+call or sub-block it shares or worker runs it, so neither the float budget
+nor the worker count changes results.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ import numpy as np
 from .analysis import bank_divergence
 from .data import LabeledSet
 from .errors import NumericalDivergence
-from .nn import ModelSpec, TrainConfig, _block_width, evaluate, local_train
+from .nn import ModelSpec, TrainConfig, evaluate, local_train
 from .params import Layout, ParamVector, param_count
 from .partition import DeviceState, GlobalQueue, accumulate, dispense, normalized_entropies
 from .seeds import derive_seeds
@@ -174,12 +173,12 @@ class RoundConfig:
     workers: int = 1
 
 
-def _train_run(
-    state: FederationState, cfg: RoundConfig, seeds: list[int], run: tuple[int, int]
+def _train_range(
+    state: FederationState, cfg: RoundConfig, seeds: list[int], ids: tuple[int, int]
 ) -> None:
-    """Train devices a to b - 1, which hold shards of one size, where
-    `run` = (a, b), from seeds[a:b] and in place in bank rows a:b."""
-    a, b = run
+    """Train devices a to b - 1, where `ids` = (a, b), from seeds[a:b] and in
+    place in bank rows a:b."""
+    a, b = ids
     train_cfg = TrainConfig(
         learning_rate=cfg.learning_rate,
         local_epochs=cfg.local_epochs,
@@ -213,23 +212,21 @@ def run_round(state: FederationState, cfg: RoundConfig) -> tuple[FederationState
         state.devices, state.histograms, state.entropies, segments, cfg.train_set
     )
 
-    # runs of consecutive ids that share a shard size
+    # at most `workers` ranges of consecutive ids with about equal sample counts
     counts = state.histograms.sum(axis=1)
-    edges = [0, *(np.flatnonzero(np.diff(counts)) + 1).tolist(), len(counts)]
-    runs = list(zip(edges[:-1], edges[1:]))
+    targets = counts.sum() * np.arange(1, cfg.workers) / cfg.workers
+    cuts = np.searchsorted(np.cumsum(counts), targets, side="right")
+    edges = np.unique([0, *cuts.tolist(), len(counts)]).tolist()
+    first, *rest = zip(edges[:-1], edges[1:])
     # device k's seed is derive_seed(cfg.seed, "train", round, k)
     seeds = derive_seeds(cfg.seed, "train", state.round_index, count=len(state.devices))
-    train = partial(_train_run, state, cfg, seeds)
-    if cfg.workers > 1:
-        # sub-block-sized tasks, largest shards first, so the threads balance
-        width = _block_width(cfg.model_spec.layout(), cfg.batch_size)
-        runs.sort(key=lambda run: -counts[run[0]])  # stable: ids ascend within a size
-        tasks = [(a, min(a + width, b)) for start, b in runs for a in range(start, b, width)]
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            list(pool.map(train, tasks))  # drains the results, re-raising a task's error
-    else:
-        for run in runs:
-            train(run)
+    train = partial(_train_range, state, cfg, seeds)
+    # threads start on submit only, so one range starts none
+    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        futures = [pool.submit(train, ids) for ids in rest]
+        train(first)
+        for future in futures:
+            future.result()  # re-raises a range's error
     # a NaN or inf never turns finite under later SGD steps, so one check of
     # the trained rows catches every blow-up
     finite = np.isfinite(state.bank).all(axis=1)

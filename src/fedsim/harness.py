@@ -86,8 +86,8 @@ class ExperimentConfig:
 # the RoundReport fields metrics.csv holds; its agg_time goes to timings.csv,
 # because wall-clock times are not reproducible
 _METRIC_COLUMNS = (
-    "round_index,test_accuracy,mean_loss,mean_entropy,min_entropy,max_entropy,"
-    "mean_weight_divergence,mean_bias_norm,selected_ids"
+    "round_index", "test_accuracy", "mean_loss", "mean_entropy", "min_entropy",
+    "max_entropy", "mean_weight_divergence", "mean_bias_norm", "selected_ids",
 )
 
 
@@ -218,20 +218,16 @@ def _format_float(value: float) -> str:
 
 
 def _metrics_line(row: RoundReport) -> str:
-    ids = ";".join(str(i) for i in row.selected_ids)
-    return ",".join(
-        [
-            str(row.round_index),
-            _format_float(row.test_accuracy),
-            _format_float(row.mean_loss),
-            _format_float(row.mean_entropy),
-            _format_float(row.min_entropy),
-            _format_float(row.max_entropy),
-            _format_float(row.mean_weight_divergence),
-            _format_float(row.mean_bias_norm),
-            ids,
-        ]
-    )
+    fields = []
+    for name in _METRIC_COLUMNS:
+        value = getattr(row, name)
+        if isinstance(value, list):  # ids
+            fields.append(";".join(str(i) for i in value))
+        elif isinstance(value, int):
+            fields.append(str(value))
+        else:
+            fields.append(_format_float(value))
+    return ",".join(fields)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -281,7 +277,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             json.dumps(resolved, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
         files["metrics"] = (out_dir / "metrics.csv").open("w", encoding="ascii")
-        files["metrics"].write(_METRIC_COLUMNS + "\n")
+        files["metrics"].write(",".join(_METRIC_COLUMNS) + "\n")
         files["timings"] = (out_dir / "timings.csv").open("w", encoding="ascii")
         files["timings"].write("round_index,agg_time_ms\n")
         files["entropy"] = (out_dir / "device_entropy.csv").open("w", encoding="ascii")
@@ -322,7 +318,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         "best_accuracy": best.test_accuracy,
         "best_round": best.round_index,
         "final_loss": rows[-1].mean_loss,
-        "mean_agg_time_ms": float(np.mean([r.agg_time * 1000.0 for r in rows])),
         "first_mean_entropy": rows[0].mean_entropy,
         "final_mean_entropy": rows[-1].mean_entropy,
         "zero_entropy_fallback_rounds": sum(r.zero_entropy_fallback for r in rows),
@@ -375,6 +370,10 @@ def run_sweep(base_cfg: ExperimentConfig, grid: dict) -> list[dict]:
             results[aggregator] = run_experiment(cfg)
         base_acc = results["fedavg_count"].summary["final_accuracy"]
         ddfl_acc = results["ddfl_entropy"].summary["final_accuracy"]
+        agg_ms = {
+            name: float(np.mean([r.agg_time * 1000.0 for r in result.rows]))
+            for name, result in results.items()
+        }
         row = {
             "setting": i + 1,
             "local_epochs": setting.get("local_epochs", base_cfg.local_epochs),
@@ -385,8 +384,8 @@ def run_sweep(base_cfg: ExperimentConfig, grid: dict) -> list[dict]:
             "fedavg_accuracy": base_acc,
             "ddfl_accuracy": ddfl_acc,
             "boost_points": (ddfl_acc - base_acc) * 100.0,
-            "fedavg_agg_time_ms": results["fedavg_count"].summary["mean_agg_time_ms"],
-            "ddfl_agg_time_ms": results["ddfl_entropy"].summary["mean_agg_time_ms"],
+            "fedavg_agg_time_ms": agg_ms["fedavg_count"],
+            "ddfl_agg_time_ms": agg_ms["ddfl_entropy"],
         }
         table.append(row)
 

@@ -6,18 +6,18 @@ cross-entropy loss, exact analytic gradients, float64 arithmetic throughout.
 All functions are pure and deterministic given their explicit seeds, so they
 can run concurrently from any number of workers.
 
-`local_train` trains any number of shards of one size. A shard is an index
+`local_train` trains any number of shards of any sizes. A shard is an index
 array into one shared LabeledSet, and each minibatch is gathered straight
-from that set's matrix. The shards train in sub-blocks, as many as keep
-their stacked parameters and activations within a float budget
-(`_BLOCK_FLOATS`) and so in cache, each in its rows of one (K, P) array:
-the caller's `out`, or a new one. The forward and backward passes run over
-that leading device axis, one stacked matmul per layer per minibatch step,
-which moves the whole sub-block as the shards are the same size. A stacked
-matmul makes the same BLAS call for each device as a single-device one, so
-each shard's result is bit for bit what training it alone gives, whichever
-shards share the call or the sub-block; `federation` passes each run of
-same-size devices as one call.
+from that set's matrix. The shards train in sub-blocks of consecutive
+shards of one size, as many as keep their stacked parameters and
+activations within a float budget (`_BLOCK_FLOATS`) and so in cache, each
+in its rows of one (K, P) array: the caller's `out`, or a new one. The
+forward and backward passes run over that leading device axis, one stacked
+matmul per layer per minibatch step, which moves the whole sub-block. A
+stacked matmul makes the same BLAS call for each device as a single-device
+one, so each shard's result is bit for bit what training it alone gives,
+whichever shards share the call or the sub-block; `federation` makes one
+call per worker, and this module alone knows the budget and the grouping.
 
 Each shard's epoch order is `shard[default_rng(seed + epoch).permutation(n)]`,
 but no Generator is built per shard and epoch. `seeds.seed_sequence_words`
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledSet
-from .params import Layout, ParamVector, param_count, split_layers
+from .params import Layout, ParamVector, split_layers
 from .seeds import pcg64_states, seed_sequence_words
 
 ACTIVATIONS = ("relu", "tanh")
@@ -202,13 +202,6 @@ def gradient(model: ParamVector, batch: LabeledSet, activation: str = "relu") ->
     return ParamVector(flat, model.layout)
 
 
-def _block_width(layout: Layout, batch_size: int) -> int:
-    """Shards per training sub-block: as many as fit `_BLOCK_FLOATS`, at least one."""
-    widest = max(max(rows, cols) for rows, cols, _ in layout)
-    per_device = param_count(layout) + batch_size * widest
-    return max(1, _BLOCK_FLOATS // per_device)
-
-
 def local_train(
     model: ParamVector,
     shards: list[np.ndarray],
@@ -220,8 +213,8 @@ def local_train(
     """Mini-batch SGD from `model` on each shard; returns a (K, P) array whose
     row k is the parameters trained on shard k.
 
-    A shard is an array of sample indices into `data`, and all shards hold
-    the same number of samples. Each epoch visits each shard once in a
+    A shard is an array of sample indices into `data`, and shards may hold
+    different numbers of samples. Each epoch visits each shard once in a
     freshly shuffled order: shard k's minibatches are rows `shards[k][perm]`
     of `data`, including a final partial batch when the size does not
     divide evenly, where perm is `default_rng(cfg.seeds[k] + epoch)
@@ -229,8 +222,9 @@ def local_train(
     module docstring); the input is not mutated. A seed outside
     [0, 2**64 - local_epochs] raises ValueError naming it. The seeds of
     every shard and epoch are hashed in one pass, and the shards train in
-    sub-blocks of `_block_width` each, but each result is exactly that of
-    training its shard alone.
+    sub-blocks of consecutive shards of one size, as many as fit
+    `_BLOCK_FLOATS`, but each result is exactly that of training its shard
+    alone.
 
     Each sub-block trains in place in its rows of `out`, a float64 (K, P)
     array with contiguous rows such as a slice of a model bank, and `out`
@@ -243,11 +237,9 @@ def local_train(
     if len(cfg.seeds) != len(shards):
         raise ValueError(f"need one seed per shard, got {len(cfg.seeds)} for {len(shards)}")
     _check_inputs(model, data)
-    size = len(shards[0])
-    if any(len(shard) == 0 for shard in shards):
+    sizes = [len(shard) for shard in shards]
+    if not all(sizes):
         raise ValueError("at least one labeled sample is required")
-    if any(len(shard) != size for shard in shards):
-        raise ValueError("shards must all hold the same number of samples")
     shape = (len(shards), len(model))
     if out is None:
         out = np.empty(shape)
@@ -268,18 +260,26 @@ def local_train(
     # not be shared; each shuffle first resets it to default_rng(seed)'s state
     gen = np.random.default_rng(0)
     bit_generator = gen.bit_generator
-    width = _block_width(model.layout, cfg.batch_size)
-    orders = np.empty((min(width, len(shards)), size), dtype=np.int64)
-    for start in range(0, len(shards), width):
-        block = shards[start : start + width]
-        values = out[start : start + width]
+    # sub-blocks of as many consecutive shards as fit `_BLOCK_FLOATS`, at
+    # least one, and never across a change of size
+    widest = max(max(rows, cols) for rows, cols, _ in model.layout)
+    width = max(1, _BLOCK_FLOATS // (len(model) + cfg.batch_size * widest))
+    edges = [0, *(np.flatnonzero(np.diff(sizes)) + 1).tolist(), len(shards)]
+    blocks = [
+        (start, min(start + width, end))
+        for run_start, end in zip(edges[:-1], edges[1:])
+        for start in range(run_start, end, width)
+    ]
+    for start, end in blocks:
+        size = sizes[start]
+        values = out[start:end]
         values[:] = model.values
         layers = split_layers(values, model.layout)  # views: the update below moves them
-        order_rows = orders[: len(block)]
+        order_rows = np.empty((end - start, size), dtype=np.int64)
         # epoch-major, the order the loop below takes them in
-        states = iter(pcg64_states(words[start : start + width].swapaxes(0, 1).reshape(-1, 4)))
+        states = iter(pcg64_states(words[start:end].swapaxes(0, 1).reshape(-1, 4)))
         for epoch in range(epochs):
-            for order, shard in zip(order_rows, block):
+            for order, shard in zip(order_rows, shards[start:end]):
                 bit_generator.state = next(states)
                 order[:] = shard
                 gen.shuffle(order)

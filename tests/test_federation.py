@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedsim import federation, nn
+from fedsim import nn
 from fedsim.analysis import bank_divergence
 from fedsim.data import LabeledSet
 from fedsim.errors import NumericalDivergence
@@ -320,17 +320,15 @@ class TestRunRound:
         _, report = run_round(state, cfg)
         assert len(report.selected_ids) == max(1, math.floor(0.5 * 4))
 
-    def test_shuffled_devices_fill_the_bank_in_id_order(self, monkeypatch):
-        # one_class gives these six devices 9, 9, 18, 9, 9 and 18 samples:
-        # four runs of one shard size, which one worker trains in id order
-        # and more workers cut into tasks that train largest first
-        calls = []
-
-        def counted(model, shards, *args):
-            calls.append(len(shards))
-            return local_train(model, shards, *args)
-
-        monkeypatch.setattr(federation, "local_train", counted)
+    def test_shuffled_devices_fill_the_bank_in_id_order(self, monkeypatch, train_calls):
+        # one_class gives these six devices 9, 9, 18, 9, 9 and 18 samples;
+        # a round makes one call per worker on consecutive ids with about
+        # equal sample counts, the call holding device 0 on its own thread
+        per_worker = {
+            1: [(0, 6, True)],
+            2: [(0, 3, True), (3, 3, False)],
+            3: [(0, 2, True), (2, 2, False), (4, 2, False)],
+        }
         for budget in (1, nn._BLOCK_FLOATS, 2**40):
             monkeypatch.setattr(nn, "_BLOCK_FLOATS", budget)
             for workers in (1, 2, 3):
@@ -338,10 +336,9 @@ class TestRunRound:
                 assert [len(d.data) for d in state.devices] == [9, 9, 18, 9, 9, 18]
                 cfg = RoundConfig(spec, 0.2, 1, 8, "ddfl_entropy", 0.5,
                                   1, seed=9, **sets, workers=workers)
-                calls.clear()
+                train_calls.clear()
                 out, _ = run_round(state, cfg)
-                if workers == 1:
-                    assert calls == [2, 1, 2, 1]
+                assert sorted(train_calls) == per_worker[workers]
                 # row k is device k trained alone from the round's global model
                 for k, device in enumerate(out.devices):
                     train_cfg = TrainConfig(0.2, 1, 8, [derive_seed(9, "train", 0, k)])
@@ -350,9 +347,22 @@ class TestRunRound:
                     )
                     np.testing.assert_array_equal(out.bank[k], alone)
 
+    @pytest.mark.parametrize("num_devices", [1, 2])
+    def test_more_workers_than_devices_make_no_empty_call(self, train_calls, num_devices):
+        state_1, spec, sets = small_federation(mode="iid", num_devices=num_devices, seed=3)
+        state_4, _, _ = small_federation(mode="iid", num_devices=num_devices, seed=3)
+        out_1, _ = run_round(state_1, RoundConfig(spec, 0.2, 1, 8, "fedavg_count", 1.0,
+                                                  1, seed=9, **sets, workers=1))
+        train_calls.clear()
+        out_4, _ = run_round(state_4, RoundConfig(spec, 0.2, 1, 8, "fedavg_count", 1.0,
+                                                  1, seed=9, **sets, workers=4))
+        assert sorted(train_calls) == [(k, 1, k == 0) for k in range(num_devices)]
+        np.testing.assert_array_equal(out_1.bank, out_4.bank)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_devices_name_the_lowest_id(self):
-        # devices 3 and 5 hold infinite features; 5 is larger and trains first
+        # devices 3 and 5 hold infinite features; each leaves only its own
+        # row non-finite, and the error names the lower id
         state, spec, sets = small_federation(num_devices=6, seed=2)
         for k in (3, 5):
             sets["train_set"].features[state.devices[k].data] = np.inf
@@ -402,8 +412,8 @@ class TestRunRound:
             out_a.global_model.values, out_b.global_model.values
         )
 
-    def test_threads_fill_disjoint_bank_rows(self, monkeypatch):
-        # one device per task and more workers than cores, with frequent
+    def test_threads_fill_disjoint_bank_rows(self, monkeypatch, train_calls):
+        # one device per sub-block and more workers than cores, with frequent
         # thread switches: a lost or misplaced row write changes the bank
         monkeypatch.setattr(nn, "_BLOCK_FLOATS", 1)
         banks = []
@@ -420,6 +430,12 @@ class TestRunRound:
         finally:
             sys.setswitchinterval(switch)
         np.testing.assert_array_equal(banks[0], banks[1])
+        # 12 devices of 7 samples: one call a round at 1 worker, 8 calls of
+        # 1 or 2 consecutive devices at 8
+        eight = [(0, 1), (1, 2), (3, 1), (4, 2), (6, 1), (7, 2), (9, 1), (10, 2)]
+        assert sorted(train_calls) == sorted(
+            [(0, 12, True)] * 2 + [(a, n, a == 0) for a, n in eight] * 2
+        )
 
     def test_report_contents(self):
         state, spec, sets = small_federation()

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fedsim import federation, nn
+from fedsim import nn
 from fedsim.errors import ConfigInvalid
 from fedsim.harness import (
     ExperimentConfig,
@@ -37,6 +37,13 @@ def tiny_config(**overrides):
         seed=5,
     )
     return dataclasses.replace(cfg, **overrides)
+
+
+def ranges(sizes):
+    """The train calls of one round over consecutive devices in ranges of
+    `sizes`, as the `train_calls` fixture records them."""
+    starts = np.cumsum([0, *sizes[:-1]]).tolist()
+    return [(a, n, a == 0) for a, n in zip(starts, sizes)]
 
 
 class TestConfig:
@@ -149,30 +156,20 @@ class TestRunExperiment:
                 tmp_path / "b" / name
             ).read_bytes()
 
-    def test_worker_count_does_not_change_outputs(self, tmp_path, monkeypatch):
-        calls = []
-        original = federation.local_train
-
-        def counted(model, shards, *args):
-            calls.append(len(shards))
-            return original(model, shards, *args)
-
-        monkeypatch.setattr(federation, "local_train", counted)
-        # each config's devices hold shards of one size, one run: one call a
-        # round with one worker; with more, the tiny model's run is one task,
-        # and at hidden width 256 a sub-block holds 6 of the 16 devices, so
-        # the run is cut into 3 tasks
-        for name, overrides, serial, threaded in (
-            ("tiny", {}, [4], [4]),
-            ("wide", dict(devices=16, hidden_dims=(256,)), [16], [6, 6, 4]),
+    def test_worker_count_does_not_change_outputs(self, tmp_path, train_calls):
+        # a round makes one call per worker on consecutive ids with about
+        # equal sample counts, the call holding device 0 on its own thread;
+        # in each config every device holds as many samples as the others
+        for name, overrides, per_worker in (
+            ("tiny", {}, {1: [4], 2: [2, 2], 3: [1, 1, 2]}),
+            ("wide", dict(devices=16, hidden_dims=(256,)), {1: [16], 2: [8, 8], 3: [5, 5, 6]}),
         ):
             outputs = set()
             for workers in (1, 2, 3):
-                calls.clear()
+                train_calls.clear()
                 out = tmp_path / f"{name}_w{workers}"
                 run_experiment(tiny_config(output_dir=str(out), workers=workers, **overrides))
-                per_round = serial if workers == 1 else threaded
-                assert sorted(calls) == sorted(per_round * 3)  # 3 rounds
+                assert sorted(train_calls) == sorted(ranges(per_worker[workers]) * 3)  # 3 rounds
                 outputs.add((out / "metrics.csv").read_bytes())
             assert len(outputs) == 1, name
 
@@ -180,35 +177,26 @@ class TestRunExperiment:
         "overrides",
         [{}, dict(devices=16, hidden_dims=(256,)), dict(devices=7, partition_mode="iid")],
     )
-    def test_block_width_does_not_change_outputs(self, tmp_path, monkeypatch, overrides):
-        # one device per sub-block, the default sub-blocks, and each run in
-        # one sub-block, each with 1 to 3 workers; the one_class devices all
-        # hold shards of one size, while 64 residual samples dealt to 7 iid
-        # devices give one 10 and six 9s
-        devices = overrides.get("devices", 4)
-        runs = [1, 6] if devices == 7 else [devices]
-        calls = []
-        original = federation.local_train
-
-        def counted(model, shards, *args):
-            calls.append(len(shards))
-            return original(model, shards, *args)
-
-        monkeypatch.setattr(federation, "local_train", counted)
+    def test_block_width_does_not_change_outputs(
+        self, tmp_path, monkeypatch, train_calls, overrides
+    ):
+        # one device per sub-block, the default sub-blocks, and each call in
+        # as few sub-blocks as its shard sizes allow, each with 1 to 3
+        # workers; the one_class devices all hold shards of one size, while
+        # 64 residual samples dealt to 7 iid devices give one 10 and six 9s
+        per_worker = {
+            4: {1: [4], 2: [2, 2], 3: [1, 1, 2]},
+            16: {1: [16], 2: [8, 8], 3: [5, 5, 6]},
+            7: {1: [7], 2: [3, 4], 3: [2, 2, 3]},
+        }[overrides.get("devices", 4)]
         outputs = set()
         for budget in (1, nn._BLOCK_FLOATS, 2**40):
             monkeypatch.setattr(nn, "_BLOCK_FLOATS", budget)
             for workers in (1, 2, 3):
-                calls.clear()
+                train_calls.clear()
                 out = tmp_path / f"budget_{budget}_w{workers}"
                 run_experiment(tiny_config(output_dir=str(out), workers=workers, **overrides))
-                assert sum(calls) == 3 * devices
-                if workers == 1:
-                    assert calls == runs * 3  # one call per run, in id order
-                elif budget == 1:
-                    assert calls == [1] * 3 * devices
-                elif budget == 2**40:
-                    assert sorted(calls) == sorted(runs * 3)
+                assert sorted(train_calls) == sorted(ranges(per_worker[workers]) * 3)
                 outputs.add(tuple(
                     (out / name).read_bytes() for name in ("metrics.csv", "divergence_layers.csv")
                 ))
@@ -218,14 +206,17 @@ class TestRunExperiment:
         "aggregator, digests",
         [
             ("fedavg_count", {"divergence_layers.csv": "afdd8523fd1f1a9b",
-                              "device_entropy.csv": "49f99aee624cccf5"}),
+                              "device_entropy.csv": "49f99aee624cccf5",
+                              "summary.txt": "f3062afcd961f92e"}),
             ("ddfl_entropy", {"divergence_layers.csv": "6541aed7f2c7c093",
-                              "device_entropy.csv": "4096dd5b9a88360b"}),
+                              "device_entropy.csv": "4096dd5b9a88360b",
+                              "summary.txt": "61fd481c5b20518e"}),
         ],
     )
     def test_trend_side_files_are_pinned(self, tmp_path, aggregator, digests):
         # sha256 prefixes of the files beside metrics.csv, for the acceptance
-        # gates' trend config at seed 1 (test_criterion_11 pins metrics.csv)
+        # gates' trend config at seed 1 (test_criterion_11 pins metrics.csv);
+        # summary.txt holds no wall-clock figure, so it is pinned too
         cfg = ExperimentConfig(
             dataset_params={"num_classes": 10, "per_class": 125, "input_dim": 16, "spread": 0.2},
             devices=10,
@@ -307,6 +298,11 @@ class TestRunSweep:
         assert (tmp_path / "sweep" / "setting_01_fedavg_count" / "metrics.csv").is_file()
         assert (tmp_path / "sweep" / "setting_01_ddfl_entropy" / "metrics.csv").is_file()
         assert (tmp_path / "sweep" / "sweep_table.csv").is_file()
+        # each run's mean aggregation time, as its timings.csv records it
+        for aggregator, prefix in (("fedavg_count", "fedavg"), ("ddfl_entropy", "ddfl")):
+            timings = tmp_path / "sweep" / f"setting_01_{aggregator}" / "timings.csv"
+            times = [float(line.split(",")[1]) for line in timings.read_text().splitlines()[1:]]
+            assert row[f"{prefix}_agg_time_ms"] == pytest.approx(np.mean(times))
 
     def test_six_settings_make_twelve_runs(self, tmp_path):
         base = tiny_config(output_dir=str(tmp_path / "sweep"), rounds=1)
