@@ -19,6 +19,27 @@ one, so each shard's result is bit for bit what training it alone gives,
 whichever shards share the call or the sub-block; `federation` makes one
 call per worker, and this module alone knows the budget and the grouping.
 
+A minibatch step of K shards on n samples each writes only into a
+`_Workspace`: each layer's output, the backward pass's upstream gradients
+and one flat (K, P) gradient, all views carved from one float64 array that
+a call allocates once, at the size of its largest step, so the step
+allocates nothing the size of a model or a layer; only the gathered batch
+is new. `_forward` has BLAS write each layer's stacked matmul into its
+output buffer, then adds the bias and applies relu or tanh in place.
+`_backward` turns the logits into softmax minus one-hot over n in place,
+subtracting the one-hots through one flat index (row offsets plus labels),
+and has BLAS write each layer's weight gradient straight into its view of
+the flat gradient (`np.matmul(..., out=)`), the bias gradient likewise
+(`np.sum(..., out=)`). `_update` scales the gradient by the learning rate
+in place, then subtracts it from the parameters. Each in-place operation
+takes the same operands in the same order as the expression it replaces
+(`a @ w + b`, `upstream * (h > 0)`, `values -= lr * grad`; float64
+multiplication commutes bit for bit), and a view's rows have the strides of
+a new array's, so BLAS takes the same path: the bits are those of the
+allocating formulas, which `tests/test_nn.py` keeps as the reference.
+`gradient`, `evaluate` and `predict_proba` run the same `_forward` (and
+`gradient` the same `_backward`) with a leading device axis of 1.
+
 Each shard's epoch order is `shard[default_rng(seed + epoch).permutation(n)]`,
 but no Generator is built per shard and epoch. `seeds.seed_sequence_words`
 hashes all the call's seeds for every epoch in one array pass, as
@@ -39,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledSet
-from .params import Layout, ParamVector, split_layers
+from .params import Layout, ParamVector, param_count, split_layers
 from .seeds import pcg64_states, seed_sequence_words
 
 ACTIVATIONS = ("relu", "tanh")
@@ -48,8 +69,9 @@ _EVAL_CHUNK = 8192
 
 # float64s a training sub-block may hold in stacked parameters plus one batch
 # of its widest layer's activations, per device; a sub-block of small models
-# stays in cache, and a model larger than this trains alone.
-_BLOCK_FLOATS = 2**15
+# stays in cache, and a model larger than this trains alone. Chosen from
+# interleaved timings of 2**15 to 2**18 (see `local_train`).
+_BLOCK_FLOATS = 2**16
 
 
 @dataclass(frozen=True)
@@ -118,88 +140,132 @@ def _check_inputs(model: ParamVector, data: LabeledSet) -> None:
         )
 
 
-def _forward(layers: list[tuple[np.ndarray, np.ndarray]], activation: str, X: np.ndarray):
-    """Forward pass over (weights, bias) pairs; returns (post-activation list
-    incl. input, logits).
-
-    `X` is (n, in) with (in, out) weights, or a (K, n, in) stack with
-    (K, in, out) weights and (K, out) biases, one model per device.
-    """
-    acts = [X]
-    for weights, bias in layers[:-1]:
-        z = acts[-1] @ weights + bias[..., None, :]
-        if activation == "relu":
-            acts.append(np.maximum(z, 0.0))
-        else:
-            acts.append(np.tanh(z))
-    w_out, b_out = layers[-1]
-    logits = acts[-1] @ w_out + b_out[..., None, :]
-    return acts, logits
+def _outputs(layout: Layout, count: int, n: int) -> list[np.ndarray]:
+    """New (count, n, width) buffers for each layer's output."""
+    return [np.empty((count, n, cols)) for _, cols, _ in layout]
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
+class _Workspace:
+    """The arrays a minibatch step of `count` shards on `n` samples each
+    writes, as C-ordered views carved in order from the front of the flat
+    float64 `backing`: a new one of just the size by default, or the
+    backing of a workspace at least as wide and as long."""
+
+    def __init__(self, layout: Layout, count: int, n: int, backing: np.ndarray | None = None):
+        widths = [cols for _, cols, _ in layout]
+        shapes = [
+            (count, param_count(layout)),
+            *((count, n, width) for width in widths),
+            *((count, n, width) for width in widths[:-1]),
+            (count, n, 1),
+        ]
+        if backing is None:
+            backing = np.empty(sum(math.prod(shape) for shape in shapes))
+        self.backing = backing
+        views = []
+        offset = 0
+        for shape in shapes:
+            size = math.prod(shape)
+            views.append(backing[offset : offset + size].reshape(shape))
+            offset += size
+        hidden = len(layout) - 1
+        self.grad = views[0]  # (count, P): row k is shard k's flat gradient
+        self.grads = split_layers(self.grad, layout)
+        self.outputs = views[1 : 2 + hidden]  # each layer's output; the last is the logits
+        self.upstream = views[2 + hidden : 2 + 2 * hidden]  # d loss / d hidden output
+        self.norms = views[-1]  # a softmax row's max, then its sum
+        self.label_offsets = np.arange(0, count * n * widths[-1], widths[-1])  # flat row starts
 
 
-def _mean_loss(logits: np.ndarray, labels: np.ndarray) -> float:
-    # mean of logsumexp(logits) - logit[true class], numerically stable
-    m = logits.max(axis=1)
-    lse = m + np.log(np.exp(logits - m[:, None]).sum(axis=1))
-    return float(np.mean(lse - logits[np.arange(len(labels)), labels]))
+def _forward(
+    layers: list[tuple[np.ndarray, np.ndarray]],
+    activation: str,
+    X: np.ndarray,
+    outputs: list[np.ndarray],
+) -> np.ndarray:
+    """Logits of a (K, n, in) batch stack under (K, in, out) weights and
+    (K, out) biases, one model per device, written into `outputs` (one
+    (K, n, out) buffer per layer, see `_outputs`); returns the last."""
+    inputs = X
+    for i, ((weights, bias), z) in enumerate(zip(layers, outputs)):
+        np.matmul(inputs, weights, out=z)
+        z += bias[..., None, :]
+        if i < len(layers) - 1:
+            if activation == "relu":
+                np.maximum(z, 0.0, out=z)
+            else:
+                np.tanh(z, out=z)
+        inputs = z
+    return inputs
+
+
+def _softmax(logits: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis in place; `norms` is a (..., 1) scratch."""
+    np.max(logits, axis=-1, keepdims=True, out=norms)
+    logits -= norms
+    np.exp(logits, out=logits)
+    np.sum(logits, axis=-1, keepdims=True, out=norms)
+    logits /= norms
+    return logits
+
+
+def _backward(
+    layers: list[tuple[np.ndarray, np.ndarray]],
+    activation: str,
+    X: np.ndarray,
+    y: np.ndarray,
+    ws: _Workspace,
+) -> None:
+    """Each device's flat gradient of its batch's mean cross-entropy into
+    `ws.grad`, from the outputs `_forward` left in `ws.outputs`, which it
+    overwrites; `y` is the (K, n) labels of the (K, n, in) batch `X`."""
+    delta = _softmax(ws.outputs[-1], ws.norms)
+    delta.reshape(-1)[ws.label_offsets + y.reshape(-1)] -= 1.0
+    delta /= delta.shape[-2]
+    last = len(layers) - 1
+    for i in range(last, -1, -1):
+        if i < last:
+            # delta = upstream * f'(z), f' taken in place from the layer's
+            # output h, which layer i + 1's weight gradient has finished reading
+            h = ws.outputs[i]
+            if activation == "relu":
+                np.greater(h, 0.0, out=h)
+            else:
+                np.multiply(h, h, out=h)
+                np.subtract(1.0, h, out=h)
+            delta = np.multiply(ws.upstream[i], h, out=h)
+        inputs = ws.outputs[i - 1] if i else X
+        weights_grad, bias_grad = ws.grads[i]
+        np.matmul(inputs.swapaxes(-1, -2), delta, out=weights_grad)
+        np.sum(delta, axis=-2, out=bias_grad)
+        if i:
+            np.matmul(delta, layers[i][0].swapaxes(-1, -2), out=ws.upstream[i - 1])
+
+
+def _update(values: np.ndarray, grad: np.ndarray, learning_rate: float) -> None:
+    """One SGD step in place, `values -= learning_rate * grad`; scales `grad`."""
+    grad *= learning_rate
+    values -= grad
 
 
 def predict_proba(model: ParamVector, X: np.ndarray, activation: str = "relu") -> np.ndarray:
     """Per-sample class probabilities (rows sum to 1)."""
     X = np.asarray(X, dtype=np.float64)
-    _, logits = _forward(split_layers(model.values, model.layout), activation, X)
-    return _softmax(logits)
-
-
-def _gradient_values(
-    layers: list[tuple[np.ndarray, np.ndarray]],
-    activation: str,
-    X: np.ndarray,
-    y: np.ndarray,
-) -> np.ndarray:
-    """Flat gradient of the mean cross-entropy over the batch.
-
-    With a leading device axis (see `_forward`; `y` is then (K, n)) the
-    result is one flat gradient per device, shape (K, P).
-    """
-    acts, logits = _forward(layers, activation, X)
-    n = X.shape[-2]
-    delta = _softmax(logits)
-    rows = delta.reshape(-1, delta.shape[-1])  # a view: softmax output is contiguous
-    rows[np.arange(len(rows)), y.ravel()] -= 1.0
-    delta /= n
-
-    grads: list[tuple[np.ndarray, np.ndarray]] = [(np.empty(0),) * 2] * len(layers)
-    grads[-1] = (acts[-1].swapaxes(-1, -2) @ delta, delta.sum(axis=-2))
-    upstream = delta @ layers[-1][0].swapaxes(-1, -2)
-    for i in range(len(layers) - 2, -1, -1):
-        h = acts[i + 1]
-        if activation == "relu":
-            dz = upstream * (h > 0.0)
-        else:
-            dz = upstream * (1.0 - h * h)
-        grads[i] = (acts[i].swapaxes(-1, -2) @ dz, dz.sum(axis=-2))
-        if i > 0:
-            upstream = dz @ layers[i][0].swapaxes(-1, -2)
-
-    lead = X.shape[:-2]
-    return np.concatenate(
-        [part for gw, gb in grads for part in (gw.reshape(*lead, -1), gb)], axis=-1
-    )
+    outputs = _outputs(model.layout, 1, len(X))
+    logits = _forward(split_layers(model.values[None], model.layout), activation, X[None], outputs)
+    return _softmax(logits, np.empty((1, len(X), 1)))[0]
 
 
 def gradient(model: ParamVector, batch: LabeledSet, activation: str = "relu") -> ParamVector:
     """Exact analytic gradient of the mean cross-entropy over `batch`."""
     _check_inputs(model, batch)
-    layers = split_layers(model.values, model.layout)
-    flat = _gradient_values(layers, activation, batch.features, batch.labels)
-    return ParamVector(flat, model.layout)
+    ws = _Workspace(model.layout, 1, len(batch))
+    layers = split_layers(model.values[None], model.layout)
+    X = batch.features[None]
+    _forward(layers, activation, X, ws.outputs)
+    _backward(layers, activation, X, batch.labels[None], ws)
+    # a copy: a view would keep the whole workspace alive with the result
+    return ParamVector(ws.grad[0].copy(), model.layout)
 
 
 def local_train(
@@ -225,6 +291,21 @@ def local_train(
     sub-blocks of consecutive shards of one size, as many as fit
     `_BLOCK_FLOATS`, but each result is exactly that of training its shard
     alone.
+
+    A step gathers its batch and runs `_forward` and `_backward` in the
+    workspace of its (sub-block width, batch length); `_update` then scales
+    the workspace's gradient rows by the learning rate in place and
+    subtracts them, which gives the bits of `values -= lr * grad`. The call
+    keeps one workspace per such pair, all carved from one array of the
+    largest one's size, so no step allocates a gradient, an activation or
+    an update temporary, and memory does not grow with the number of
+    steps (see the module docstring). With those allocations gone,
+    `_BLOCK_FLOATS` was re-chosen from interleaved timings of one captured
+    call of the benchmark's `many_devices` round (1,000 shards of 38
+    samples, a 16 -> 32 -> 10 model, batch 20; 2 vCPUs, one BLAS thread):
+    median ms per call 54.8 / 53.5 at 2**15, 52.2 / 51.6 at 2**16,
+    52.2 / 51.1 at 2**17 and 53.2 / 51.6 at 2**18 in two sweeps of 40.
+    2**16 ties the fastest with half the sub-block.
 
     Each sub-block trains in place in its rows of `out`, a float64 (K, P)
     array with contiguous rows such as a slice of a model bank, and `out`
@@ -270,6 +351,11 @@ def local_train(
         for run_start, end in zip(edges[:-1], edges[1:])
         for start in range(run_start, end, width)
     ]
+    # every step's workspace is carved from the backing of the largest: the
+    # widest sub-block on a full batch, or on its whole shard if shorter
+    largest = (max(end - start for start, end in blocks), min(cfg.batch_size, max(sizes)))
+    workspaces = {largest: _Workspace(model.layout, *largest)}
+    backing = workspaces[largest].backing
     for start, end in blocks:
         size = sizes[start]
         values = out[start:end]
@@ -285,9 +371,21 @@ def local_train(
                 gen.shuffle(order)
             for first in range(0, size, cfg.batch_size):
                 idx = order_rows[:, first : first + cfg.batch_size]
-                grad = _gradient_values(layers, activation, data.features[idx], data.labels[idx])
-                values -= cfg.learning_rate * grad
+                ws = workspaces.get(idx.shape)
+                if ws is None:
+                    ws = workspaces[idx.shape] = _Workspace(model.layout, *idx.shape, backing)
+                X = data.features[idx]
+                _forward(layers, activation, X, ws.outputs)
+                _backward(layers, activation, X, data.labels[idx], ws)
+                _update(values, ws.grad, cfg.learning_rate)
     return out
+
+
+def _mean_loss(logits: np.ndarray, labels: np.ndarray) -> float:
+    # mean of logsumexp(logits) - logit[true class], numerically stable
+    m = logits.max(axis=1)
+    lse = m + np.log(np.exp(logits - m[:, None]).sum(axis=1))
+    return float(np.mean(lse - logits[np.arange(len(labels)), labels]))
 
 
 def evaluate(model: ParamVector, data: LabeledSet, activation: str = "relu") -> EvalMetrics:
@@ -296,11 +394,11 @@ def evaluate(model: ParamVector, data: LabeledSet, activation: str = "relu") -> 
     n = len(data)
     correct = 0
     loss_sum = 0.0
-    layers = split_layers(model.values, model.layout)
+    layers = split_layers(model.values[None], model.layout)
     for start in range(0, n, _EVAL_CHUNK):
         X = data.features[start : start + _EVAL_CHUNK]
         y = data.labels[start : start + _EVAL_CHUNK]
-        _, logits = _forward(layers, activation, X)
+        [logits] = _forward(layers, activation, X[None], _outputs(model.layout, 1, len(X)))
         correct += int(np.sum(np.argmax(logits, axis=1) == y))
         loss_sum += _mean_loss(logits, y) * len(y)
     return EvalMetrics(accuracy=correct / n, mean_loss=loss_sum / n)

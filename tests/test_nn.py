@@ -1,5 +1,6 @@
 import re
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
@@ -13,7 +14,6 @@ from fedsim.data import LabeledSet, make_synthetic
 from fedsim.nn import (
     ModelSpec,
     TrainConfig,
-    _gradient_values,
     evaluate,
     gradient,
     init_model,
@@ -35,6 +35,51 @@ def finite_difference_gradient(model, batch, activation, step=1e-6):
         loss_down = evaluate(ParamVector(down, model.layout), batch, activation).mean_loss
         grad[j] = (loss_up - loss_down) / (2.0 * step)
     return grad
+
+
+def reference_gradient(layers, activation, X, y):
+    """The out-of-place formula the workspace step replaced: the flat gradient
+    of the mean cross-entropy, (K, P) for a (K, n, in) stack of batches with
+    (K, n) labels and (K, in, out) / (K, out) layer views."""
+    acts = [X]
+    for weights, bias in layers[:-1]:
+        z = acts[-1] @ weights + bias[..., None, :]
+        acts.append(np.maximum(z, 0.0) if activation == "relu" else np.tanh(z))
+    w_out, b_out = layers[-1]
+    logits = acts[-1] @ w_out + b_out[..., None, :]
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    exp = np.exp(shifted)
+    delta = exp / exp.sum(axis=-1, keepdims=True)
+    rows = delta.reshape(-1, delta.shape[-1])
+    rows[np.arange(len(rows)), y.ravel()] -= 1.0
+    delta /= X.shape[-2]
+    grads = [None] * len(layers)
+    grads[-1] = (acts[-1].swapaxes(-1, -2) @ delta, delta.sum(axis=-2))
+    upstream = delta @ w_out.swapaxes(-1, -2)
+    for i in range(len(layers) - 2, -1, -1):
+        h = acts[i + 1]
+        dz = upstream * (h > 0.0) if activation == "relu" else upstream * (1.0 - h * h)
+        grads[i] = (acts[i].swapaxes(-1, -2) @ dz, dz.sum(axis=-2))
+        if i > 0:
+            upstream = dz @ layers[i][0].swapaxes(-1, -2)
+    lead = X.shape[:-2]
+    return np.concatenate(
+        [part for gw, gb in grads for part in (gw.reshape(*lead, -1), gb)], axis=-1
+    )
+
+
+def reference_train(model, shard, seed, cfg, data, activation):
+    """SGD on one shard with the out-of-place step, `values -= lr * grad`,
+    over the `default_rng(seed + epoch).permutation` orders."""
+    values = model.values.copy()
+    layers = split_layers(values[None], model.layout)
+    for epoch in range(cfg.local_epochs):
+        order = shard[np.random.default_rng(seed + epoch).permutation(len(shard))]
+        for first in range(0, len(order), cfg.batch_size):
+            idx = order[None, first : first + cfg.batch_size]
+            grad = reference_gradient(layers, activation, data.features[idx], data.labels[idx])
+            values -= cfg.learning_rate * grad[0]
+    return values
 
 
 def everything(data):
@@ -259,19 +304,66 @@ class TestLocalTrain:
 
     def test_stacked_gradient_equals_per_device_gradient(self):
         # 784 -> 128 -> 10 at batch 50, the GEMM-bound shape: each device
-        # slice of one stacked gradient has the bits of its own gradient call
+        # slice of one stacked workspace gradient has the bits of its own
+        # gradient call and of the out-of-place formula
         rng = np.random.default_rng(5)
         models = [init_model(ModelSpec(784, (128,), 10), seed) for seed in (1, 2)]
         batches = [random_batch(rng, 50, 784, 10) for _ in models]
-        stack = np.stack([m.values for m in models])
-        grads = _gradient_values(
-            split_layers(stack, models[0].layout),
-            "relu",
-            np.stack([b.features for b in batches]),
-            np.stack([b.labels for b in batches]),
-        )
+        layout = models[0].layout
+        layers = split_layers(np.stack([m.values for m in models]), layout)
+        X = np.stack([b.features for b in batches])
+        y = np.stack([b.labels for b in batches])
+        ws = nn._Workspace(layout, 2, 50)
+        nn._forward(layers, "relu", X, ws.outputs)
+        nn._backward(layers, "relu", X, y, ws)
+        np.testing.assert_array_equal(ws.grad, reference_gradient(layers, "relu", X, y))
         for k, (model, batch) in enumerate(zip(models, batches)):
-            np.testing.assert_array_equal(grads[k], gradient(model, batch).values)
+            np.testing.assert_array_equal(ws.grad[k], gradient(model, batch).values)
+
+    # 12 samples per shard: batches of 4 end full, batches of 5 end partial
+    @pytest.mark.parametrize("batch_size", [4, 5])
+    @pytest.mark.parametrize("count", [1, 3])
+    @pytest.mark.parametrize("hidden", [(6,), (6, 5), (7, 6, 5)])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_steps_equal_the_out_of_place_formula(self, activation, hidden, count, batch_size):
+        # every workspace step (in-place forward, softmax, one-hot and
+        # activation derivative, gradients written into their views, the
+        # scaled gradient subtracted) updates the parameters to the bits of
+        # `values -= lr * grad` with the allocating formula
+        rng = np.random.default_rng(len(hidden) + count)
+        model = init_model(ModelSpec(4, hidden, 3, activation), 2)
+        data = random_batch(rng, 40, 4, 3)
+        shards = [rng.permutation(40)[:12] for _ in range(count)]
+        seeds = list(range(70, 70 + count))
+        cfg = TrainConfig(0.3, 2, batch_size, seeds)
+        trained = local_train(model, shards, cfg, data, activation)
+        for row, shard, seed in zip(trained, shards, seeds, strict=True):
+            expected = reference_train(model, shard, seed, cfg, data, activation)
+            np.testing.assert_array_equal(row, expected)
+
+    def test_memory_is_one_workspace_whatever_the_step_count(self):
+        # 64 -> 256 -> 10 at batch 50 (P = 19,210): the result row, the
+        # workspace (a gradient row, each layer's output and the hidden
+        # upstream) and one gathered batch; the out-of-place step peaked at
+        # 6.3 P floats. From 2 steps to 40, the peak grows by no more than
+        # the longer shard's order row and a few Python ints: nothing is
+        # kept per step.
+        model = init_model(ModelSpec(64, (256,), 10), 0)
+        rng = np.random.default_rng(1)
+        peaks = []
+        for n in (100, 2000):
+            data = random_batch(rng, n, 64, 10)
+            shards = everything(data)
+            cfg = TrainConfig(0.1, 1, 50, [0])
+            tracemalloc.start()
+            try:
+                local_train(model, shards, cfg, data)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert peaks[0] < 4.5 * 8 * len(model), peaks[0] / (8 * len(model))
+        assert peaks[1] - peaks[0] <= (2000 - 100) * 8 + 1024, peaks
 
     def test_one_seed_per_shard(self):
         train, _ = make_synthetic(3, 10, 4, 0.2, seed=0)
@@ -293,12 +385,13 @@ def visited_orders(shards, cfg, num_samples):
                       np.zeros(num_samples, dtype=np.int64), 2)
     model = init_model(ModelSpec(1, (2,), 2), 0)
     batches = []
+    forward = nn._forward
 
-    def record(layers, activation, X, y):
+    def record(layers, activation, X, outputs):
         batches.append(X[..., 0].astype(np.int64))
-        return np.zeros((len(shards), len(model)))
+        return forward(layers, activation, X, outputs)
 
-    with mock.patch.object(nn, "_gradient_values", record):
+    with mock.patch.object(nn, "_forward", record):
         local_train(model, shards, cfg, data)
     return np.concatenate(batches, axis=1).reshape(len(shards), cfg.local_epochs, -1)
 
