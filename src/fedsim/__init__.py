@@ -17,7 +17,6 @@ from .analysis import (
     ReliabilityRecord,
     bias_term,
     convergence_bound,
-    estimate_heterogeneity_gap,
     reliability_index,
     system_reliability_index,
     weight_divergence,

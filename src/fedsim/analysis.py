@@ -92,25 +92,6 @@ def system_reliability_index(zetas) -> float:
     return float(np.mean(values))
 
 
-def estimate_heterogeneity_gap(
-    global_opt_loss: float, local_opt_losses, weights
-) -> float:
-    """Gap between the pooled optimum loss and the weighted local optima.
-
-    Zero for homogeneous shards; grows with data heterogeneity. Callers
-    obtain `global_opt_loss` by training one model on the pooled data and
-    `local_opt_losses` by training each shard to convergence with the same
-    budget.
-    """
-    local_opt = np.asarray(local_opt_losses, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    if local_opt.shape != w.shape:
-        raise ValueError("losses and weights must have the same length")
-    if abs(float(w.sum()) - 1.0) > 1e-9:
-        raise ValueError("weights must sum to 1")
-    return float(global_opt_loss - float(w @ local_opt))
-
-
 @dataclass(frozen=True)
 class BoundInputs:
     """Inputs for the convergence-bound calculator.

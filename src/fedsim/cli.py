@@ -1,14 +1,19 @@
 """Command-line interface: run, sweep, plot.
 
 Exit codes: 0 success, 1 `ConfigInvalid` (a bad config value, flag, grid or
-plot kind), 2 `DatasetError` (a missing or malformed dataset file), 3 any
-other exception (`NumericalDivergence`, or a runtime failure).
+plot kind, or a config, grid or rows file that cannot be read or parsed),
+2 `DatasetError` (a missing or malformed dataset file), 3 any other
+exception (`NumericalDivergence`, or a runtime failure).
+
+Each file a user names is read by one reader per format:
+`harness.read_text` and `harness.read_json_object` for config, grid and rows
+files (any fault in reading or parsing one exits 1), and the `data` loaders
+for dataset files (a missing or malformed one exits 2).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import harness
@@ -81,15 +86,7 @@ def _cmd_sweep(args) -> int:
         cfg.output_dir = args.out
     if cfg.output_dir is None:
         cfg.output_dir = "runs/sweep"
-    try:
-        grid = json.loads(harness.Path(args.grid).read_text(encoding="utf-8"))
-    except FileNotFoundError as exc:
-        raise ConfigInvalid(f"grid file not found: {args.grid}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigInvalid(f"grid file is not valid JSON: {exc}") from exc
-    if not isinstance(grid, dict):
-        raise ConfigInvalid("grid file must contain one JSON object of lists")
-    table = harness.run_sweep(cfg, grid)
+    table = harness.run_sweep(cfg, harness.read_json_object(args.grid, "grid"))
     print(harness.format_sweep_table(table))
     return EXIT_OK
 

@@ -103,30 +103,22 @@ def class_histogram(samples, num_classes: int) -> np.ndarray:
 # MNIST IDX
 
 
-def _read_idx_images(path: Path) -> np.ndarray:
+def _read_idx(path: Path, magic: int, dims: int) -> np.ndarray:
+    """The (count, item size) byte matrix of an IDX file whose header holds
+    `magic` and `dims` sizes, the first of them the item count."""
     raw = path.read_bytes()
-    if len(raw) < 16:
-        raise DatasetError(f"{path.name}: header needs 16 bytes, file has {len(raw)}")
-    magic, count, rows, cols = struct.unpack(">IIII", raw[:16])
-    if magic != _IMAGE_MAGIC:
-        raise DatasetError(f"{path.name}: magic {magic:#010x}, expected {_IMAGE_MAGIC:#010x}")
-    needed = 16 + count * rows * cols
+    header = 4 * (1 + dims)
+    if len(raw) < header:
+        raise DatasetError(f"{path.name}: header needs {header} bytes, file has {len(raw)}")
+    found, count, *item_shape = struct.unpack(f">{1 + dims}I", raw[:header])
+    if found != magic:
+        raise DatasetError(f"{path.name}: magic {found:#010x}, expected {magic:#010x}")
+    item = math.prod(item_shape)
+    needed = header + count * item
     if len(raw) < needed:
         raise DatasetError(f"{path.name}: expected {needed} bytes, found {len(raw)}")
-    pixels = np.frombuffer(raw, dtype=np.uint8, count=count * rows * cols, offset=16)
-    return pixels.reshape(count, rows * cols)
-
-
-def _read_idx_labels(path: Path) -> np.ndarray:
-    raw = path.read_bytes()
-    if len(raw) < 8:
-        raise DatasetError(f"{path.name}: header needs 8 bytes, file has {len(raw)}")
-    magic, count = struct.unpack(">II", raw[:8])
-    if magic != _LABEL_MAGIC:
-        raise DatasetError(f"{path.name}: magic {magic:#010x}, expected {_LABEL_MAGIC:#010x}")
-    if len(raw) < 8 + count:
-        raise DatasetError(f"{path.name}: expected {8 + count} bytes, found {len(raw)}")
-    return np.frombuffer(raw, dtype=np.uint8, count=count, offset=8)
+    data = np.frombuffer(raw, dtype=np.uint8, count=count * item, offset=header)
+    return data.reshape(count, item)
 
 
 def load_mnist(dir_path) -> tuple[LabeledSet, LabeledSet]:
@@ -139,8 +131,8 @@ def load_mnist(dir_path) -> tuple[LabeledSet, LabeledSet]:
         raise DatasetError(f"missing MNIST files in {base}: {', '.join(missing)}")
 
     def _split(images_key: str, labels_key: str) -> LabeledSet:
-        images = _read_idx_images(paths[images_key])
-        labels = _read_idx_labels(paths[labels_key])
+        images = _read_idx(paths[images_key], _IMAGE_MAGIC, 3)
+        labels = _read_idx(paths[labels_key], _LABEL_MAGIC, 1)[:, 0]
         if images.shape[0] != labels.shape[0]:
             raise DatasetError(f"{images.shape[0]} images vs {labels.shape[0]} labels")
         return LabeledSet(np.divide(images, 255.0, dtype=np.float64), labels, num_classes=10)

@@ -1,12 +1,18 @@
 """The exception types the CLI tells apart, and the exit code of each.
 
-    ConfigInvalid        1  a config value, flag, grid or plot request is invalid
+    ConfigInvalid        1  a config value, flag, grid or plot request is
+                            invalid, or a config, grid or rows file is
+                            unreadable or malformed
     DatasetError         2  a dataset file is missing or malformed
     any other exception  3  NumericalDivergence, or a ValueError from a bad
                             argument inside the package
 
-Config values are checked once, by `harness.validate_config`, and dataset
-bytes by the loaders; code past those two trusts what reaches it.
+Outside input is checked at one boundary, and code past it trusts what
+reaches it. Files a user names are read by one reader per format:
+`harness.read_text` (and `harness.read_json_object` on top of it) for
+config, grid and rows files, and the `data` loaders for dataset files.
+Config values are then checked once, by `harness.validate_config`, and
+grids by `harness.run_sweep`.
 """
 
 

@@ -17,9 +17,12 @@ directory:
 
 `run_round` builds each round's record, a RoundReport whose fields are the
 metrics.csv columns, and raises NumericalDivergence itself; this module
-validates the config, runs the loop and writes the files. Config values are
-checked once, in `validate_config`, and the rows files `emit_plot_data`
-reads are parsed column by column: a fault in either is a ConfigInvalid.
+validates the config, runs the loop and writes the files. It is the boundary
+for the text files a user names: `read_text` reads each config, grid and
+rows file, `read_json_object` parses the first two, and a fault in reading
+or parsing one is a ConfigInvalid naming the path. Config values are then
+checked once, in `validate_config`, grids in `run_sweep`, and the rows files
+`emit_plot_data` reads column by column: a fault in any is a ConfigInvalid.
 Seed discipline: the master seed is split into labelled streams ("data",
 "queue", "partition", "init", and ("train", round, device)), so results do
 not depend on execution order or workers.
@@ -99,17 +102,30 @@ class ExperimentResult:
     output_dir: Path | None
 
 
+def read_text(path, what: str, encoding: str) -> str:
+    """The text of the `what` file at `path`; a file that cannot be opened
+    or decoded is a ConfigInvalid naming the path."""
+    try:
+        return Path(path).read_text(encoding=encoding)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigInvalid(f"{path}: cannot read {what} file ({exc})") from exc
+
+
+def read_json_object(path, what: str) -> dict:
+    """The one JSON object a UTF-8 `what` file holds; anything else is a
+    ConfigInvalid naming the path."""
+    try:
+        raw = json.loads(read_text(path, what, "utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad JSON, or too long or deep to parse
+        raise ConfigInvalid(f"{path}: {what} file is not valid JSON ({exc})") from exc
+    if not isinstance(raw, dict):
+        raise ConfigInvalid(f"{path}: {what} file must contain one JSON object")
+    return raw
+
+
 def load_config(path) -> ExperimentConfig:
     """Read and validate a JSON config file; unknown keys are rejected."""
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError as exc:
-        raise ConfigInvalid(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigInvalid(f"config file is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigInvalid("config file must contain one JSON object")
+    raw = read_json_object(path, "config")
     known = {f.name for f in dataclasses.fields(ExperimentConfig)}
     unknown = set(raw) - known
     if unknown:
@@ -343,11 +359,16 @@ def run_sweep(base_cfg: ExperimentConfig, grid: dict) -> list[dict]:
     `grid` holds parallel lists under any of the keys local_epochs,
     queue_fraction, selection_fraction; entry i of each list defines setting
     i (single-value lists broadcast). Each setting runs once per aggregator;
-    the returned rows carry both accuracies and the boost in points.
+    the returned rows carry both accuracies and the boost in points. Every
+    run's config is validated before the first run starts, so an invalid
+    grid value stops the sweep before it writes anything.
     """
     unknown = set(grid) - set(_GRID_KEYS)
     if unknown:
         raise ConfigInvalid(f"unknown grid keys: {', '.join(sorted(unknown))}")
+    for key, values in grid.items():
+        if not isinstance(values, list):
+            raise ConfigInvalid(f"grid value {key} must be a list")
     lists = {k: list(v) for k, v in grid.items() if v}
     if not lists:
         raise ConfigInvalid("grid must set at least one non-empty list")
@@ -359,28 +380,32 @@ def run_sweep(base_cfg: ExperimentConfig, grid: dict) -> list[dict]:
             raise ConfigInvalid("grid lists must have equal lengths (or length 1)")
 
     base_out = Path(base_cfg.output_dir) if base_cfg.output_dir else None
-    table: list[dict] = []
+    runs: list[dict[str, ExperimentConfig]] = []  # each setting's config per aggregator
     for i in range(length):
         setting = {key: lists[key][i] for key in lists}
-        results = {}
+        configs = {}
         for aggregator in ("fedavg_count", "ddfl_entropy"):
             cfg = dataclasses.replace(base_cfg, aggregator=aggregator, **setting)
             if base_out is not None:
                 cfg.output_dir = str(base_out / f"setting_{i + 1:02d}_{aggregator}")
-            results[aggregator] = run_experiment(cfg)
+            configs[aggregator] = validate_config(cfg)
+        runs.append(configs)
+
+    table: list[dict] = []
+    for i, configs in enumerate(runs, start=1):
+        results = {name: run_experiment(cfg) for name, cfg in configs.items()}
         base_acc = results["fedavg_count"].summary["final_accuracy"]
         ddfl_acc = results["ddfl_entropy"].summary["final_accuracy"]
         agg_ms = {
             name: float(np.mean([r.agg_time * 1000.0 for r in result.rows]))
             for name, result in results.items()
         }
+        cfg = configs["fedavg_count"]
         row = {
-            "setting": i + 1,
-            "local_epochs": setting.get("local_epochs", base_cfg.local_epochs),
-            "queue_fraction": setting.get("queue_fraction", base_cfg.queue_fraction),
-            "selection_fraction": setting.get(
-                "selection_fraction", base_cfg.selection_fraction
-            ),
+            "setting": i,
+            "local_epochs": cfg.local_epochs,
+            "queue_fraction": cfg.queue_fraction,
+            "selection_fraction": cfg.selection_fraction,
             "fedavg_accuracy": base_acc,
             "ddfl_accuracy": ddfl_acc,
             "boost_points": (ddfl_acc - base_acc) * 100.0,
@@ -425,11 +450,7 @@ PLOT_KINDS = ("accuracy_curve", "entropy_heatmap", "divergence_bars")
 def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
     """Header and rows of a run's CSV file; any fault in it is a ConfigInvalid
     naming the path."""
-    try:
-        text = path.read_text(encoding="ascii")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigInvalid(f"{path}: cannot read rows file ({exc})") from exc
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [ln for ln in read_text(path, "rows", "ascii").splitlines() if ln.strip()]
     if not lines:
         raise ConfigInvalid(f"{path}: empty file")
     header = lines[0].split(",")

@@ -10,15 +10,11 @@ from fedsim.analysis import (
     bank_divergence,
     bias_term,
     convergence_bound,
-    estimate_heterogeneity_gap,
     reliability_index,
     system_reliability_index,
     weight_divergence,
 )
-from fedsim.data import LabeledSet, make_synthetic
-from fedsim.nn import ModelSpec, TrainConfig, evaluate, init_model, local_train
 from fedsim.params import ParamVector, layer_slices
-from fedsim.partition import partition
 
 
 def vec(values, layout=None):
@@ -194,48 +190,6 @@ class TestReliabilityIndex:
         assert system_reliability_index([90.0, 100.0]) == pytest.approx(95.0)
         with pytest.raises(ValueError, match="at least one reliability score"):
             system_reliability_index([])
-
-
-class TestHeterogeneityGap:
-    def test_zero_when_local_optima_match(self):
-        gap = estimate_heterogeneity_gap(0.42, [0.42, 0.42, 0.42], [0.2, 0.3, 0.5])
-        assert gap == pytest.approx(0.0, abs=1e-12)
-
-    def test_formula(self):
-        gap = estimate_heterogeneity_gap(1.0, [0.5, 0.25], [0.5, 0.5])
-        assert gap == pytest.approx(1.0 - 0.375, abs=1e-15)
-
-    def test_errors(self):
-        with pytest.raises(ValueError, match="same length"):
-            estimate_heterogeneity_gap(1.0, [0.5], [0.5, 0.5])
-        with pytest.raises(ValueError, match="weights must sum to 1"):
-            estimate_heterogeneity_gap(1.0, [0.5, 0.5], [0.5, 0.6])
-
-    def test_one_class_shards_have_larger_gap(self):
-        # brute-force training oracle at small scale: pooled model loss vs
-        # per-shard optimum losses under the same training budget
-        train, _ = make_synthetic(4, 50, 8, 0.25, seed=11)
-        spec = ModelSpec(8, (8,), 4)
-
-        def optimum_loss(shard, seed):
-            model = init_model(spec, seed)
-            cfg = TrainConfig(0.3, 60, 16, seeds=[seed])
-            [values] = local_train(model, [shard], cfg, train)
-            trained = ParamVector(values, model.layout)
-            data = LabeledSet(train.features[shard], train.labels[shard], 4)
-            return evaluate(trained, data).mean_loss
-
-        everything = np.arange(len(train))
-        pooled = optimum_loss(everything, 0)
-        gaps = {}
-        for mode in ("iid", "one_class"):
-            shards, _ = partition(train, everything, mode, 4, seed=3)
-            losses = [optimum_loss(d.data, 1 + k) for k, d in enumerate(shards)]
-            weights = np.array([len(d.data) for d in shards], dtype=float)
-            weights /= weights.sum()
-            gaps[mode] = estimate_heterogeneity_gap(pooled, losses, weights)
-        assert abs(gaps["iid"]) < 0.05
-        assert gaps["one_class"] > gaps["iid"]
 
 
 def bound_inputs(**overrides):

@@ -1,5 +1,6 @@
 import json
 import re
+import struct
 
 import pytest
 
@@ -167,6 +168,16 @@ class TestSweepCommand:
         missing = tmp_path / "grid.json"
         assert main(["sweep", "--config", str(config), "--grid", str(missing)]) == EXIT_CONFIG
 
+    def test_every_setting_is_checked_before_the_first_run(self, tmp_path, capsys):
+        config = write_config(tmp_path, rounds=1)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"local_epochs": [1, 0]}))
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--config", str(config), "--grid", str(grid), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "local_epochs" in capsys.readouterr().err
+        assert not list(tmp_path.glob("sweep/setting_*"))
+
 
 class TestPlotCommand:
     def test_success(self, tmp_path):
@@ -190,3 +201,82 @@ class TestPlotCommand:
             code = main(["plot", "--rows", str(path), "--kind", "accuracy_curve"])
             assert code == EXIT_CONFIG, path
             assert str(path) in capsys.readouterr().err, path
+
+
+# ways a config, grid or rows file can be unusable as a whole; each writes
+# the file at `path`, or leaves it absent
+FILE_FAULTS = {
+    "missing": lambda path: None,
+    "a directory": lambda path: path.mkdir(),
+    "undecodable bytes": lambda path: path.write_bytes(b'{"seed": "\xff"}'),
+    "not JSON": lambda path: path.write_text("{broken"),
+    "not a JSON object": lambda path: path.write_text("[1, 2]"),
+    "JSON too deep to parse": lambda path: path.write_text("[" * 100_000),
+    "an integer too long to parse": lambda path: path.write_text('{"seed": ' + "9" * 5000 + "}"),
+}
+
+
+def command(kind, tmp_path, path):
+    """The arguments of the command that reads `path` as its `kind` file."""
+    out = str(tmp_path / "out")
+    if kind == "config":
+        return ["run", "--config", str(path), "--out", out]
+    if kind == "grid":
+        config = write_config(tmp_path, rounds=1)
+        return ["sweep", "--config", str(config), "--grid", str(path), "--out", out]
+    return ["plot", "--rows", str(path), "--kind", "accuracy_curve", "--out", out]
+
+
+def write_mnist(data_dir):
+    """The four MNIST IDX files, each set holding two 2x2 images."""
+    for prefix in ("train", "t10k"):
+        header = struct.pack(">IIII", 0x00000803, 2, 2, 2)
+        (data_dir / f"{prefix}-images-idx3-ubyte").write_bytes(header + bytes(range(8)))
+        header = struct.pack(">II", 0x00000801, 2)
+        (data_dir / f"{prefix}-labels-idx1-ubyte").write_bytes(header + bytes([0, 1]))
+
+
+# ways an IDX file can be malformed, and the words the error gives for each
+IDX_FAULTS = {
+    "short header": (lambda raw: raw[:6], "header needs"),
+    "bad magic": (lambda raw: b"\x00\x00\x08\x02" + raw[4:], "magic"),
+    "truncated data": (lambda raw: raw[:-1], "bytes, found"),
+}
+
+
+class TestInputFiles:
+    """Each file a user names, spoilt in each way that applies to it: the
+    command exits with the file's error code and names the file."""
+
+    @pytest.mark.parametrize(
+        "kind, fault",
+        [(kind, fault) for kind in ("config", "grid") for fault in FILE_FAULTS]
+        + [("rows", fault) for fault in ("missing", "a directory", "undecodable bytes")],
+    )
+    def test_unusable_file(self, tmp_path, capsys, kind, fault):
+        path = tmp_path / f"{kind}.input"
+        FILE_FAULTS[fault](path)
+        assert main(command(kind, tmp_path, path)) == EXIT_CONFIG
+        assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [2, "12", None, {"epochs": [1]}])
+    def test_grid_value_that_is_not_a_list(self, tmp_path, capsys, value):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"queue_fraction": [0.2], "local_epochs": value}))
+        assert main(command("grid", tmp_path, path)) == EXIT_CONFIG
+        assert "grid value local_epochs must be a list" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", ["train-images-idx3-ubyte", "train-labels-idx1-ubyte"])
+    @pytest.mark.parametrize("fault", list(IDX_FAULTS))
+    def test_malformed_idx_file(self, tmp_path, capsys, name, fault):
+        data_dir = tmp_path / "mnist"
+        data_dir.mkdir()
+        write_mnist(data_dir)
+        spoil, words = IDX_FAULTS[fault]
+        path = data_dir / name
+        path.write_bytes(spoil(path.read_bytes()))
+        config = write_config(tmp_path, dataset="mnist", data_dir=str(data_dir), dataset_params={})
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_DATASET
+        err = capsys.readouterr().err
+        assert name in err and words in err, err

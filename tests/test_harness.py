@@ -315,6 +315,8 @@ class TestRunSweep:
             run_sweep(tiny_config(), {"batch_size": [8]})
         with pytest.raises(ConfigInvalid):
             run_sweep(tiny_config(), {"local_epochs": [1, 2], "queue_fraction": [0.1, 0.2, 0.3]})
+        with pytest.raises(ConfigInvalid, match="grid value local_epochs must be a list"):
+            run_sweep(tiny_config(), {"local_epochs": "12"})
 
     def test_format_table(self):
         table = [
