@@ -2,13 +2,15 @@
 
 Exit codes: 0 success, 1 `ConfigInvalid` (a bad config value, flag, grid or
 plot kind, or a config, grid or rows file that cannot be read or parsed),
-2 `DatasetError` (a missing or malformed dataset file), 3 any other
+2 `DatasetError` (a missing or malformed dataset file, or a label
+outside the dataset's classes), 3 any other
 exception (`NumericalDivergence`, or a runtime failure).
 
 Each file a user names is read by one reader per format:
 `harness.read_text` and `harness.read_json_object` for config, grid and rows
 files (any fault in reading or parsing one exits 1), and the `data` loaders
-for dataset files (a missing or malformed one exits 2).
+for dataset files (a missing or malformed one, or one holding a label
+outside the dataset's classes, exits 2).
 """
 
 from __future__ import annotations
@@ -70,6 +72,8 @@ def _cmd_run(args) -> int:
         cfg.aggregator = args.aggregator
     if args.out is not None:
         cfg.output_dir = args.out
+    # normalised first, so the default directory names the canonical aggregator
+    cfg = harness.validate_config(cfg)
     if cfg.output_dir is None:
         cfg.output_dir = f"runs/{cfg.dataset}_{cfg.aggregator}_seed{cfg.seed}"
     result = harness.run_experiment(cfg)

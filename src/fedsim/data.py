@@ -21,6 +21,8 @@ CIFAR binary:
               files train.bin and test.bin; the fine label is used
 
 Pixels are scaled by 1/255 and flattened; no other normalization is applied.
+A label byte outside the dataset's classes (10, or 100 for cifar100) is a
+DatasetError naming its file.
 """
 
 from __future__ import annotations
@@ -121,6 +123,14 @@ def _read_idx(path: Path, magic: int, dims: int) -> np.ndarray:
     return data.reshape(count, item)
 
 
+def _checked_labels(path: Path, labels: np.ndarray, num_classes: int) -> np.ndarray:
+    """The unsigned label bytes parsed from `path`; one of `num_classes` or
+    more is a DatasetError naming the file."""
+    if len(labels) and labels.max() >= num_classes:
+        raise DatasetError(f"{path.name}: label {labels.max()} is not below {num_classes}")
+    return labels
+
+
 def load_mnist(dir_path) -> tuple[LabeledSet, LabeledSet]:
     """Load the four canonical MNIST IDX files from `dir_path`; returns the
     train and test sets."""
@@ -132,7 +142,8 @@ def load_mnist(dir_path) -> tuple[LabeledSet, LabeledSet]:
 
     def _split(images_key: str, labels_key: str) -> LabeledSet:
         images = _read_idx(paths[images_key], _IMAGE_MAGIC, 3)
-        labels = _read_idx(paths[labels_key], _LABEL_MAGIC, 1)[:, 0]
+        path = paths[labels_key]
+        labels = _checked_labels(path, _read_idx(path, _LABEL_MAGIC, 1)[:, 0], 10)
         if images.shape[0] != labels.shape[0]:
             raise DatasetError(f"{images.shape[0]} images vs {labels.shape[0]} labels")
         return LabeledSet(np.divide(images, 255.0, dtype=np.float64), labels, num_classes=10)
@@ -144,14 +155,16 @@ def load_mnist(dir_path) -> tuple[LabeledSet, LabeledSet]:
 # CIFAR binary
 
 
-def _read_cifar_file(path: Path, record: int, label_byte: int) -> tuple[np.ndarray, np.ndarray]:
+def _read_cifar_file(
+    path: Path, record: int, label_byte: int, num_classes: int
+) -> tuple[np.ndarray, np.ndarray]:
     raw = path.read_bytes()
     if len(raw) == 0 or len(raw) % record != 0:
         raise DatasetError(
             f"{path.name}: size {len(raw)} is not a multiple of record size {record}"
         )
     rows = np.frombuffer(raw, dtype=np.uint8).reshape(-1, record)
-    labels = rows[:, label_byte]
+    labels = _checked_labels(path, rows[:, label_byte], num_classes)
     pixels = rows[:, record - 3072 :]
     return pixels, labels
 
@@ -174,7 +187,7 @@ def load_cifar(dir_path, variant: str) -> tuple[LabeledSet, LabeledSet]:
         raise DatasetError(f"missing {variant} files in {base}: {', '.join(missing)}")
 
     def _load(names: list[str]) -> LabeledSet:
-        parts = [_read_cifar_file(base / n, record, label_byte) for n in names]
+        parts = [_read_cifar_file(base / n, record, label_byte, num_classes) for n in names]
         pixels = np.concatenate([p for p, _ in parts])
         labels = np.concatenate([l for _, l in parts])
         return LabeledSet(np.divide(pixels, 255.0, dtype=np.float64), labels, num_classes)

@@ -3,7 +3,8 @@
     ConfigInvalid        1  a config value, flag, grid or plot request is
                             invalid, or a config, grid or rows file is
                             unreadable or malformed
-    DatasetError         2  a dataset file is missing or malformed
+    DatasetError         2  a dataset file is missing or malformed, or
+                            holds a label outside the dataset's classes
     any other exception  3  NumericalDivergence, or a ValueError from a bad
                             argument inside the package
 
@@ -12,7 +13,8 @@ reaches it. Files a user names are read by one reader per format:
 `harness.read_text` (and `harness.read_json_object` on top of it) for
 config, grid and rows files, and the `data` loaders for dataset files.
 Config values are then checked once, by `harness.validate_config`, and
-grids by `harness.run_sweep`.
+grids by `harness.run_sweep`, which also makes every setting's queue split
+and partition before the first run.
 """
 
 
@@ -21,7 +23,8 @@ class ConfigInvalid(Exception):
 
 
 class DatasetError(Exception):
-    """A dataset file is missing, truncated or not in the expected format."""
+    """A dataset file is missing, truncated, not in the expected format or
+    holds a label outside the dataset's classes."""
 
 
 class NumericalDivergence(Exception):

@@ -21,8 +21,10 @@ validates the config, runs the loop and writes the files. It is the boundary
 for the text files a user names: `read_text` reads each config, grid and
 rows file, `read_json_object` parses the first two, and a fault in reading
 or parsing one is a ConfigInvalid naming the path. Config values are then
-checked once, in `validate_config`, grids in `run_sweep`, and the rows files
-`emit_plot_data` reads column by column: a fault in any is a ConfigInvalid.
+checked once, in `validate_config`, grids in `run_sweep` (which also makes
+every setting's queue split and partition before the first run), and the
+rows files `emit_plot_data` reads column by column: a fault in any is a
+ConfigInvalid.
 Seed discipline: the master seed is split into labelled streams ("data",
 "queue", "partition", "init", and ("train", round, device)), so results do
 not depend on execution order or workers.
@@ -45,7 +47,7 @@ from .errors import ConfigInvalid
 from .federation import AGGREGATORS, FederationState, RoundConfig, RoundReport, run_round
 from .nn import ACTIVATIONS, ModelSpec, init_model
 from .params import ParamVector
-from .partition import PARTITION_MODES, partition, split_global_queue
+from .partition import PARTITION_MODES, DeviceState, GlobalQueue, partition, split_global_queue
 from .seeds import derive_seed
 
 DATASETS = ("synthetic", "mnist", "cifar10", "cifar100")
@@ -246,6 +248,22 @@ def _metrics_line(row: RoundReport) -> str:
     return ",".join(fields)
 
 
+def split_and_partition(
+    cfg: ExperimentConfig, train: LabeledSet
+) -> tuple[GlobalQueue, list[DeviceState], np.ndarray]:
+    """The run's server queue, its devices and their (K, C) histograms, from
+    the queue split and the partition under seeds derived from the config's
+    seed. A split or partition the data cannot support is a ConfigInvalid
+    naming the key."""
+    queue, residual = split_global_queue(
+        train, cfg.queue_fraction, derive_seed(cfg.seed, "queue")
+    )
+    devices, histograms = partition(
+        train, residual, cfg.partition_mode, cfg.devices, derive_seed(cfg.seed, "partition")
+    )
+    return queue, devices, histograms
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run the full round loop; writes metric files when output_dir is set."""
     cfg = validate_config(dataclasses.replace(cfg))
@@ -257,12 +275,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         num_classes=train.num_classes,
         activation=cfg.activation,
     )
-    queue, residual = split_global_queue(
-        train, cfg.queue_fraction, derive_seed(cfg.seed, "queue")
-    )
-    devices, histograms = partition(
-        train, residual, cfg.partition_mode, cfg.devices, derive_seed(cfg.seed, "partition")
-    )
+    queue, devices, histograms = split_and_partition(cfg, train)
     global_model = init_model(spec, derive_seed(cfg.seed, "init"))
     segment_size = derived_segment_size(cfg, len(queue.pool))
 
@@ -359,9 +372,11 @@ def run_sweep(base_cfg: ExperimentConfig, grid: dict) -> list[dict]:
     `grid` holds parallel lists under any of the keys local_epochs,
     queue_fraction, selection_fraction; entry i of each list defines setting
     i (single-value lists broadcast). Each setting runs once per aggregator;
-    the returned rows carry both accuracies and the boost in points. Every
-    run's config is validated before the first run starts, so an invalid
-    grid value stops the sweep before it writes anything.
+    the returned rows carry both accuracies and the boost in points. Before
+    the first run starts, every run's config is validated and every
+    setting's queue split and partition are made on the loaded data, so an
+    invalid grid value, or one the data cannot support, stops the sweep
+    before it writes anything.
     """
     unknown = set(grid) - set(_GRID_KEYS)
     if unknown:
@@ -390,6 +405,12 @@ def run_sweep(base_cfg: ExperimentConfig, grid: dict) -> list[dict]:
                 cfg.output_dir = str(base_out / f"setting_{i + 1:02d}_{aggregator}")
             configs[aggregator] = validate_config(cfg)
         runs.append(configs)
+    # grid keys cannot change the dataset or the seed, so one load serves
+    # every setting's set-up check; it is dropped so no run holds a second copy
+    train, _ = _load_dataset(runs[0]["fedavg_count"])
+    for configs in runs:
+        split_and_partition(configs["fedavg_count"], train)
+    del train
 
     table: list[dict] = []
     for i, configs in enumerate(runs, start=1):

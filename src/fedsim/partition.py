@@ -3,10 +3,13 @@
 The training set is split once: a configurable fraction goes into a server
 queue with near-uniform class composition, the remainder is partitioned
 across devices either evenly by class (iid) or one class per device
-(one_class). Each round the queue dispenses fresh disjoint segments, which
-devices accumulate permanently, so device class histograms and entropies
-evolve over the run. Samples never move: the queue pool, the residual, each
-segment and each device's data are int64 index arrays into the train set.
+(one_class). Both set-up steps read each class's samples from one class-wise
+split (`class_positions`), and both partition modes deal from the same
+per-class shuffled decks: a mode is only its dealing rule. Each round the
+queue dispenses fresh disjoint segments, which devices accumulate
+permanently, so device class histograms and entropies evolve over the run.
+Samples never move: the queue pool, the residual, each segment and each
+device's data are int64 index arrays into the train set.
 
 Device k's class counts and entropy are row k of a (K, C) and a (K,)
 array, as its local model is row k of the federation's model bank:
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # concat_sets has no caller here; bench/spans.py traces it under this module
-from .data import LabeledSet, class_histogram, concat_sets  # noqa: F401
+from .data import LabeledSet, concat_sets  # noqa: F401
 from .errors import ConfigInvalid
 from .seeds import derive_seed
 
@@ -108,7 +111,15 @@ def _stacked_histograms(
     return np.bincount(keys, minlength=len(lengths) * num_classes).reshape(-1, num_classes)
 
 
-def _uniform_quotas(counts: np.ndarray, target: int) -> np.ndarray:
+def class_positions(labels: np.ndarray, num_classes: int) -> list[np.ndarray]:
+    """Each class's positions in `labels`, ascending: entry c equals
+    `np.flatnonzero(labels == c)`, cut from one stable sort at the class
+    counts' edges."""
+    edges = np.cumsum(np.bincount(labels, minlength=num_classes))[:-1]
+    return np.split(np.argsort(labels, kind="stable"), edges)
+
+
+def _uniform_quotas(counts: list[int], target: int) -> np.ndarray:
     """Per-class draw sizes summing to `target`, as equal as counts allow."""
     num_classes = len(counts)
     quotas = np.zeros(num_classes, dtype=np.int64)
@@ -134,15 +145,15 @@ def split_global_queue(
     """
     n = len(train)
     target = int(round(queue_fraction * n))
-    counts = class_histogram(train, train.num_classes)
-    quotas = _uniform_quotas(counts, target)
+    by_class = class_positions(train.labels, train.num_classes)
+    quotas = _uniform_quotas([len(idx) for idx in by_class], target)
 
     rng = np.random.default_rng(derive_seed(seed, "select"))
-    chosen_parts = []
-    for c in range(train.num_classes):
-        class_idx = np.flatnonzero(train.labels == c)
-        if quotas[c] > 0:
-            chosen_parts.append(rng.choice(class_idx, size=int(quotas[c]), replace=False))
+    chosen_parts = [
+        rng.choice(idx, size=int(quota), replace=False)
+        for idx, quota in zip(by_class, quotas)
+        if quota > 0
+    ]
     pool = (
         np.concatenate(chosen_parts) if chosen_parts else np.empty(0, dtype=np.int64)
     )
@@ -162,13 +173,16 @@ def partition(
     Returns the devices, device k at position k, and their (K, C) int64
     class counts, row k for device k.
 
-    iid deals a per-class shuffled deck round-robin, so device sizes and
-    per-device class counts are balanced within one sample. one_class gives
-    device k every sample of class floor(k*C/K); a class shared by several
-    devices is split evenly among them. Shards are disjoint and cover the
-    residual exactly; each device's data holds its train-set indices. A
-    device count the residual cannot fill is a config error naming
-    `devices`, or `queue_fraction` when it leaves no residual.
+    Both modes deal from the same decks: each class's residual positions,
+    shuffled under a seed derived from the class, and differ only in the
+    dealing rule. iid deals the decks, laid end to end, round-robin, so
+    device sizes and per-device class counts are balanced within one
+    sample. one_class gives device k every sample of class floor(k*C/K):
+    deck c is split evenly over its owners, devices ceil(c*K/C) to
+    ceil((c+1)*K/C) - 1. Shards are disjoint and cover the residual exactly;
+    each device's data holds its train-set indices. A device count the
+    residual cannot fill is a config error naming `devices`, or
+    `queue_fraction` when it leaves no residual.
     """
     n = len(residual)
     if n == 0:
@@ -177,37 +191,28 @@ def partition(
     if n < K:
         raise ConfigInvalid(f"devices: {n} samples cannot cover {K} devices")
     num_classes = train.num_classes
-    labels = train.labels[residual]
+    if mode == "one_class" and K < num_classes:
+        raise ConfigInvalid(
+            f"devices: one_class needs at least one device per class ({K} < {num_classes})"
+        )
 
+    decks = [
+        idx[np.random.default_rng(derive_seed(seed, "class", c)).permutation(len(idx))]
+        for c, idx in enumerate(class_positions(train.labels[residual], num_classes))
+    ]
     if mode == "iid":
-        deck_parts = []
-        for c in range(num_classes):
-            class_idx = np.flatnonzero(labels == c)
-            order = np.random.default_rng(derive_seed(seed, "class", c)).permutation(
-                len(class_idx)
-            )
-            deck_parts.append(class_idx[order])
-        deck = np.concatenate(deck_parts)
+        deck = np.concatenate(decks)
         shards = [deck[k::K] for k in range(K)]
     else:
-        if K < num_classes:
-            raise ConfigInvalid(
-                f"devices: one_class needs at least one device per class ({K} < {num_classes})"
-            )
-        shards = [None] * K
-        device_class = [(k * num_classes) // K for k in range(K)]
-        for c in range(num_classes):
-            owners = [k for k in range(K) if device_class[k] == c]
-            class_idx = np.flatnonzero(labels == c)
-            if len(class_idx) < len(owners):
+        firsts = [-(-c * K // num_classes) for c in range(num_classes + 1)]  # ceil(c*K/C)
+        shards = []
+        for c, deck in enumerate(decks):
+            owners = firsts[c + 1] - firsts[c]
+            if len(deck) < owners:
                 raise ConfigInvalid(
-                    f"devices: class {c} has {len(class_idx)} samples for {len(owners)} devices"
+                    f"devices: class {c} has {len(deck)} samples for {owners} devices"
                 )
-            order = np.random.default_rng(derive_seed(seed, "class", c)).permutation(
-                len(class_idx)
-            )
-            for owner, chunk in zip(owners, np.array_split(class_idx[order], len(owners))):
-                shards[owner] = chunk
+            shards += np.array_split(deck, owners)
 
     data = [residual[shard] for shard in shards]
     devices = [DeviceState(part) for part in data]

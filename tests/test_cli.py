@@ -143,6 +143,15 @@ class TestRunCommand:
         config = write_config(tmp_path)
         assert main(["run", "--config", str(config), "--bogus"]) == EXIT_CONFIG
 
+    def test_default_directory_names_the_canonical_aggregator(self, tmp_path, monkeypatch):
+        # the same run, aggregator given by alias on the flag or in the file
+        monkeypatch.chdir(tmp_path)
+        config = write_config(tmp_path, aggregator="fedavg")
+        assert main(["run", "--config", str(config), "--aggregator", "ddfl"]) == EXIT_OK
+        assert main(["run", "--config", str(write_config(tmp_path))]) == EXIT_OK
+        runs = sorted(p.name for p in (tmp_path / "runs").iterdir())
+        assert runs == ["synthetic_ddfl_entropy_seed3"]
+
 
 class TestSweepCommand:
     def test_success(self, tmp_path, capsys):
@@ -176,6 +185,19 @@ class TestSweepCommand:
         code = main(["sweep", "--config", str(config), "--grid", str(grid), "--out", str(out)])
         assert code == EXIT_CONFIG
         assert "local_epochs" in capsys.readouterr().err
+        assert not list(tmp_path.glob("sweep/setting_*"))
+
+    def test_a_setting_the_data_cannot_support_stops_the_sweep_before_the_first_run(
+        self, tmp_path, capsys
+    ):
+        # 0.999 is a valid fraction, but it leaves no samples for the devices
+        config = write_config(tmp_path, rounds=1)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"queue_fraction": [0.2, 0.999]}))
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--config", str(config), "--grid", str(grid), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "queue_fraction" in capsys.readouterr().err
         assert not list(tmp_path.glob("sweep/setting_*"))
 
 
@@ -236,6 +258,18 @@ def write_mnist(data_dir):
         (data_dir / f"{prefix}-labels-idx1-ubyte").write_bytes(header + bytes([0, 1]))
 
 
+def write_cifar(data_dir, variant):
+    """A CIFAR binary batch set, each file holding two records of labels 0
+    and 1 (the fine label for cifar100)."""
+    if variant == "cifar10":
+        names, prefix = [f"data_batch_{i}.bin" for i in range(1, 6)] + ["test_batch.bin"], b""
+    else:
+        names, prefix = ["train.bin", "test.bin"], b"\x00"  # the coarse label
+    records = b"".join(prefix + bytes([label]) + bytes(3072) for label in (0, 1))
+    for name in names:
+        (data_dir / name).write_bytes(records)
+
+
 # ways an IDX file can be malformed, and the words the error gives for each
 IDX_FAULTS = {
     "short header": (lambda raw: raw[:6], "header needs"),
@@ -280,3 +314,27 @@ class TestInputFiles:
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_DATASET
         err = capsys.readouterr().err
         assert name in err and words in err, err
+
+    @pytest.mark.parametrize(
+        "dataset, name, offset, label",
+        [
+            ("mnist", "train-labels-idx1-ubyte", 9, 10),  # the second label byte
+            ("cifar10", "data_batch_1.bin", 3073, 10),  # the second record's label
+            ("cifar100", "train.bin", 3074 + 1, 100),  # the second record's fine label
+        ],
+    )
+    def test_label_outside_the_classes(self, tmp_path, capsys, dataset, name, offset, label):
+        data_dir = tmp_path / dataset
+        data_dir.mkdir()
+        if dataset == "mnist":
+            write_mnist(data_dir)
+        else:
+            write_cifar(data_dir, dataset)
+        path = data_dir / name
+        raw = bytearray(path.read_bytes())
+        raw[offset] = label
+        path.write_bytes(bytes(raw))
+        config = write_config(tmp_path, dataset=dataset, data_dir=str(data_dir), dataset_params={})
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_DATASET
+        err = capsys.readouterr().err
+        assert f"{name}: label {label} is not below" in err, err

@@ -17,6 +17,7 @@ from fedsim.data import LabeledSet
 from fedsim.errors import ConfigInvalid
 from fedsim.partition import (
     accumulate,
+    class_positions,
     dispense,
     normalized_entropies,
     normalized_entropy,
@@ -62,6 +63,22 @@ def partition_or_reject(train, residual, mode, num_devices, seed):
         return partition(train, residual, mode, num_devices, seed)
     except ConfigInvalid:
         reject()
+
+
+@SETTINGS
+@given(
+    num_classes=st.integers(1, 8),
+    labels=st.lists(st.integers(0, 7), max_size=60),
+)
+def test_class_positions_are_each_class_scanned_alone(num_classes, labels):
+    # labels at or above num_classes are dropped; classes no label names
+    # come out empty
+    labels = np.array([y for y in labels if y < num_classes], dtype=np.int64)
+    positions = class_positions(labels, num_classes)
+    assert len(positions) == num_classes
+    for c, idx in enumerate(positions):
+        assert idx.dtype == np.int64
+        np.testing.assert_array_equal(idx, np.flatnonzero(labels == c))
 
 
 @SETTINGS

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -334,3 +335,33 @@ class TestConservation:
                 mean_entropy = float(np.mean(entropies))
                 assert mean_entropy >= last
                 last = mean_entropy
+
+
+class TestSetUpIsPinned:
+    """sha256 prefixes of the set-up arrays, which a rewrite of the split or
+    the partition must not move: uneven one_class ownership (23 devices over
+    7 classes), a 100-class iid split and 1,000 one_class devices over 100
+    classes, each on uneven random class counts."""
+
+    @pytest.mark.parametrize(
+        "num_classes, n, mode, num_devices, fraction, seed, expected",
+        [
+            (7, 700, "one_class", 23, 0.15, 4,
+             ("d910f5ad7b49f751", "9229e9739b179f6f", "bbb60218ef659bdb", "63142ce04f357aad")),
+            (100, 5000, "iid", 37, 0.1, 2,
+             ("c0ff62cba156eb40", "4c67de3aeb6ab5c3", "a1c9205095c54236", "c2f10135f7534551")),
+            (100, 20000, "one_class", 1000, 0.1, 3,
+             ("d60221813a59c3ae", "5122fc99741c8147", "b7dacc598c2ddf13", "5d60c138b613612a")),
+        ],
+    )
+    def test_pool_residual_data_and_histograms(
+        self, num_classes, n, mode, num_devices, fraction, seed, expected
+    ):
+        labels = np.random.default_rng(num_classes).integers(0, num_classes, size=n)
+        train = LabeledSet(np.zeros((n, 1)), labels, num_classes)
+        queue, residual = split_global_queue(train, fraction, seed)
+        devices, hists = partition(train, residual, mode, num_devices, seed + 1)
+        # the histograms' row sums pin where one device's data ends
+        arrays = (queue.pool, residual, np.concatenate([d.data for d in devices]), hists)
+        digests = tuple(hashlib.sha256(a.tobytes()).hexdigest()[:16] for a in arrays)
+        assert digests == expected
