@@ -61,7 +61,6 @@ from .nn import (
 )
 from .params import Layout, ParamVector, param_count, split_layers
 from .partition import (
-    DeviceState,
     GlobalQueue,
     accumulate,
     dispense,

@@ -46,8 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, help="override the config seed")
     run.add_argument(
         "--aggregator",
-        choices=["ddfl", "fedavg"],
-        help="override the config aggregator",
+        help="override the config aggregator; takes any name the config accepts",
     )
     run.add_argument("--out", help="override the config output directory")
 

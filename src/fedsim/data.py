@@ -141,11 +141,14 @@ def load_mnist(dir_path) -> tuple[LabeledSet, LabeledSet]:
         raise DatasetError(f"missing MNIST files in {base}: {', '.join(missing)}")
 
     def _split(images_key: str, labels_key: str) -> LabeledSet:
-        images = _read_idx(paths[images_key], _IMAGE_MAGIC, 3)
-        path = paths[labels_key]
-        labels = _checked_labels(path, _read_idx(path, _LABEL_MAGIC, 1)[:, 0], 10)
+        images_path, labels_path = paths[images_key], paths[labels_key]
+        images = _read_idx(images_path, _IMAGE_MAGIC, 3)
+        labels = _checked_labels(labels_path, _read_idx(labels_path, _LABEL_MAGIC, 1)[:, 0], 10)
         if images.shape[0] != labels.shape[0]:
-            raise DatasetError(f"{images.shape[0]} images vs {labels.shape[0]} labels")
+            raise DatasetError(
+                f"{images.shape[0]} images vs {labels.shape[0]} labels "
+                f"({images_path.name}, {labels_path.name})"
+            )
         return LabeledSet(np.divide(images, 255.0, dtype=np.float64), labels, num_classes=10)
 
     return _split("train_images", "train_labels"), _split("test_images", "test_labels")

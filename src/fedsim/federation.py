@@ -1,17 +1,17 @@
 """The per-round federation protocol and both aggregation rules.
 
 A round runs: dispense queue segments, accumulate them into device data
-(both index arrays into the run's train set) and class counts, broadcast the
-global model, train every device locally, aggregate, evaluate on the test
-set, and measure each local model's divergence from the merged one. Row k
-of the state's histograms, entropies and model bank is device k, so both
-aggregators read the rows as they stand. `run_round` returns the new state
-and the round's one record, a RoundReport: the `metrics.csv` row, the
-aggregation time and the per-layer divergence means; the harness only
-writes it out. The round's numeric-health checks live here too: a
-non-finite trained model, then a non-finite weight divergence, raises
-NumericalDivergence naming the round and the lowest such device. Two
-aggregators are provided:
+(both plain index arrays into the run's train set) and class counts,
+broadcast the global model, train every device locally, aggregate, evaluate
+on the test set, and measure each local model's divergence from the merged
+one. Row k of the state's histograms, entropies and model bank is device k,
+so both aggregators read the rows as they stand. `run_round` advances the
+one FederationState it is given in place and returns it with the round's
+one record, a RoundReport: the `metrics.csv` row, the aggregation time and
+the per-layer divergence means; the harness only writes it out. The round's
+numeric-health checks live here too: a non-finite trained model, then a
+non-finite weight divergence, raises NumericalDivergence naming the round
+and the lowest such device. Two aggregators are provided:
 
 * fedavg_count: weighted mean of all device models, weights proportional to
   device sample counts (the classic baseline).
@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -47,7 +47,7 @@ from .data import LabeledSet
 from .errors import NumericalDivergence
 from .nn import ModelSpec, TrainConfig, evaluate, local_train
 from .params import Layout, ParamVector, param_count
-from .partition import DeviceState, GlobalQueue, accumulate, dispense, normalized_entropies
+from .partition import GlobalQueue, accumulate, dispense, normalized_entropies
 from .seeds import derive_seeds
 
 AGGREGATORS = ("fedavg_count", "ddfl_entropy")
@@ -134,28 +134,28 @@ class RoundReport:
 
 @dataclass
 class FederationState:
-    """Between rounds. Row k of `histograms` (K, C) int64, `entropies` (K,)
-    and `bank` (K, P) belongs to `devices[k]`, whose id is k: its class
-    counts, its data entropy and its latest local model. The entropies
-    default to those of the histograms, and the bank is allocated once; each
-    run_round updates all three in place, replaces `devices` with the grown
-    list, and hands them on to the state it returns. `dispensed` holds the
-    latest round's (K, s) pool positions, row k those dispensed to device k."""
+    """The one round state, which run_round updates in place. Row k of
+    `histograms` (K, C) int64, `entropies` (K,) and `bank` (K, P) belongs to
+    `devices[k]`, whose id is k: its class counts, its data entropy and its
+    latest local model. Only the four inputs are constructor arguments: the
+    round index starts at 0, the entropies are those of the histograms, and
+    the bank is allocated once. `dispensed` holds the latest round's (K, s)
+    pool positions, row k those dispensed to device k."""
 
-    devices: list[DeviceState]
+    # each device stays a 1-D index array, so len(d.data), its buffer's
+    # length, is the device's sample count (bench/run.py counts samples so)
+    devices: list[np.ndarray]
     queue: GlobalQueue
     global_model: ParamVector
     histograms: np.ndarray
-    round_index: int = 0
-    entropies: np.ndarray | None = None
-    bank: np.ndarray | None = None
-    dispensed: np.ndarray | None = None
+    round_index: int = field(init=False, default=0)
+    entropies: np.ndarray = field(init=False)
+    bank: np.ndarray = field(init=False)
+    dispensed: np.ndarray | None = field(init=False, default=None)
 
     def __post_init__(self):
-        if self.entropies is None:
-            self.entropies = normalized_entropies(self.histograms)
-        if self.bank is None:
-            self.bank = np.empty((len(self.devices), len(self.global_model)))
+        self.entropies = normalized_entropies(self.histograms)
+        self.bank = np.empty((len(self.devices), len(self.global_model)))
 
 
 @dataclass(frozen=True)
@@ -188,7 +188,7 @@ def _train_range(
     # `out` goes positionally: wrappers of local_train may take no keywords
     local_train(
         state.global_model,
-        [device.data for device in state.devices[a:b]],
+        state.devices[a:b],
         train_cfg,
         cfg.train_set,
         cfg.model_spec.activation,
@@ -203,9 +203,9 @@ def _require_finite(finite: np.ndarray, round_index: int, what: str) -> None:
 
 
 def run_round(state: FederationState, cfg: RoundConfig) -> tuple[FederationState, RoundReport]:
-    """Execute one communication round; the queue, devices, histograms,
-    entropies and bank change in place."""
-    segments, positions = dispense(state.queue, len(state.devices), cfg.segment_size)
+    """Execute one communication round on `state`, which it updates in place
+    and returns with the round's report."""
+    segments, state.dispensed = dispense(state.queue, len(state.devices), cfg.segment_size)
     # the old device list goes at once, before training: held to the end of
     # the round, it raised a many_devices process's peak RSS by 6 MB
     state.devices = accumulate(
@@ -248,9 +248,6 @@ def run_round(state: FederationState, cfg: RoundConfig) -> tuple[FederationState
     totals, per_layer = bank_divergence(merged, state.bank)
     _require_finite(np.isfinite(totals), state.round_index, "weight divergence is not finite")
 
-    new_state = replace(
-        state, global_model=merged, round_index=state.round_index + 1, dispensed=positions
-    )
     report = RoundReport(
         round_index=state.round_index,
         test_accuracy=test_stats.accuracy,
@@ -266,4 +263,6 @@ def run_round(state: FederationState, cfg: RoundConfig) -> tuple[FederationState
         layer_divergence=np.mean(per_layer, axis=0),
         zero_entropy_fallback=fallback,
     )
-    return new_state, report
+    state.global_model = merged
+    state.round_index += 1
+    return state, report

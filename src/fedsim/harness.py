@@ -21,10 +21,10 @@ validates the config, runs the loop and writes the files. It is the boundary
 for the text files a user names: `read_text` reads each config, grid and
 rows file, `read_json_object` parses the first two, and a fault in reading
 or parsing one is a ConfigInvalid naming the path. Config values are then
-checked once, in `validate_config`, grids in `run_sweep` (which also makes
-every setting's queue split and partition before the first run), and the
-rows files `emit_plot_data` reads column by column: a fault in any is a
-ConfigInvalid.
+checked once, in `validate_config`, grids in `run_sweep` (which loads the
+dataset once and makes every setting's queue split and partition on it
+before the first run), and the rows files `emit_plot_data` reads column by
+column: a fault in any is a ConfigInvalid.
 Seed discipline: the master seed is split into labelled streams ("data",
 "queue", "partition", "init", and ("train", round, device)), so results do
 not depend on execution order or workers.
@@ -47,7 +47,7 @@ from .errors import ConfigInvalid
 from .federation import AGGREGATORS, FederationState, RoundConfig, RoundReport, run_round
 from .nn import ACTIVATIONS, ModelSpec, init_model
 from .params import ParamVector
-from .partition import PARTITION_MODES, DeviceState, GlobalQueue, partition, split_global_queue
+from .partition import PARTITION_MODES, GlobalQueue, partition, split_global_queue
 from .seeds import derive_seed
 
 DATASETS = ("synthetic", "mnist", "cifar10", "cifar100")
@@ -250,7 +250,7 @@ def _metrics_line(row: RoundReport) -> str:
 
 def split_and_partition(
     cfg: ExperimentConfig, train: LabeledSet
-) -> tuple[GlobalQueue, list[DeviceState], np.ndarray]:
+) -> tuple[GlobalQueue, list[np.ndarray], np.ndarray]:
     """The run's server queue, its devices and their (K, C) histograms, from
     the queue split and the partition under seeds derived from the config's
     seed. A split or partition the data cannot support is a ConfigInvalid
@@ -268,7 +268,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run the full round loop; writes metric files when output_dir is set."""
     cfg = validate_config(dataclasses.replace(cfg))
     train, test = _load_dataset(cfg)
+    return _run(cfg, train, test)
 
+
+def _run(cfg: ExperimentConfig, train: LabeledSet, test: LabeledSet) -> ExperimentResult:
+    """`run_experiment` of a validated config on its loaded dataset."""
     spec = ModelSpec(
         input_dim=train.input_dim,
         hidden_dims=cfg.hidden_dims,
@@ -372,11 +376,13 @@ def run_sweep(base_cfg: ExperimentConfig, grid: dict) -> list[dict]:
     `grid` holds parallel lists under any of the keys local_epochs,
     queue_fraction, selection_fraction; entry i of each list defines setting
     i (single-value lists broadcast). Each setting runs once per aggregator;
-    the returned rows carry both accuracies and the boost in points. Before
-    the first run starts, every run's config is validated and every
-    setting's queue split and partition are made on the loaded data, so an
-    invalid grid value, or one the data cannot support, stops the sweep
-    before it writes anything.
+    the returned rows carry both accuracies and the boost in points, and
+    `sweep_table.csv` holds them and no wall-clock figure, so one grid
+    always writes the same table. The dataset is loaded once for the whole
+    sweep. Before the first run starts, every run's config is validated and
+    every setting's queue split and partition are made on the loaded data,
+    so an invalid grid value, or one the data cannot support, stops the
+    sweep before it writes anything.
     """
     unknown = set(grid) - set(_GRID_KEYS)
     if unknown:
@@ -406,21 +412,16 @@ def run_sweep(base_cfg: ExperimentConfig, grid: dict) -> list[dict]:
             configs[aggregator] = validate_config(cfg)
         runs.append(configs)
     # grid keys cannot change the dataset or the seed, so one load serves
-    # every setting's set-up check; it is dropped so no run holds a second copy
-    train, _ = _load_dataset(runs[0]["fedavg_count"])
+    # every setting's set-up check and every run
+    train, test = _load_dataset(runs[0]["fedavg_count"])
     for configs in runs:
         split_and_partition(configs["fedavg_count"], train)
-    del train
 
     table: list[dict] = []
     for i, configs in enumerate(runs, start=1):
-        results = {name: run_experiment(cfg) for name, cfg in configs.items()}
+        results = {name: _run(cfg, train, test) for name, cfg in configs.items()}
         base_acc = results["fedavg_count"].summary["final_accuracy"]
         ddfl_acc = results["ddfl_entropy"].summary["final_accuracy"]
-        agg_ms = {
-            name: float(np.mean([r.agg_time * 1000.0 for r in result.rows]))
-            for name, result in results.items()
-        }
         cfg = configs["fedavg_count"]
         row = {
             "setting": i,
@@ -430,8 +431,6 @@ def run_sweep(base_cfg: ExperimentConfig, grid: dict) -> list[dict]:
             "fedavg_accuracy": base_acc,
             "ddfl_accuracy": ddfl_acc,
             "boost_points": (ddfl_acc - base_acc) * 100.0,
-            "fedavg_agg_time_ms": agg_ms["fedavg_count"],
-            "ddfl_agg_time_ms": agg_ms["ddfl_entropy"],
         }
         table.append(row)
 

@@ -9,7 +9,8 @@ per-class shuffled decks: a mode is only its dealing rule. Each round the
 queue dispenses fresh disjoint segments, which devices accumulate
 permanently, so device class histograms and entropies evolve over the run.
 Samples never move: the queue pool, the residual, each segment and each
-device's data are int64 index arrays into the train set.
+device's data are int64 index arrays into the train set; a device is nothing
+more than its 1-D array, so `len` of it is the device's sample count.
 
 Device k's class counts and entropy are row k of a (K, C) and a (K,)
 array, as its local model is row k of the federation's model bank:
@@ -50,15 +51,6 @@ class GlobalQueue:
     cursor: int
     seed: int
     reshuffles: int = 0
-
-
-@dataclass(frozen=True)
-class DeviceState:
-    """One device's cumulative data: train-set indices, so `len(data)` is its
-    sample count. Device k's class counts, entropy and local model are row k
-    of the federation state's arrays."""
-
-    data: np.ndarray
 
 
 def normalized_entropies(hists) -> np.ndarray:
@@ -167,11 +159,11 @@ def split_global_queue(
 
 def partition(
     train: LabeledSet, residual: np.ndarray, mode: str, num_devices: int, seed: int
-) -> tuple[list[DeviceState], np.ndarray]:
+) -> tuple[list[np.ndarray], np.ndarray]:
     """Split the residual (train-set indices) across `num_devices` devices.
 
-    Returns the devices, device k at position k, and their (K, C) int64
-    class counts, row k for device k.
+    Returns the devices' data, device k's train-set indices at position k,
+    and their (K, C) int64 class counts, row k for device k.
 
     Both modes deal from the same decks: each class's residual positions,
     shuffled under a seed derived from the class, and differ only in the
@@ -179,10 +171,9 @@ def partition(
     device sizes and per-device class counts are balanced within one
     sample. one_class gives device k every sample of class floor(k*C/K):
     deck c is split evenly over its owners, devices ceil(c*K/C) to
-    ceil((c+1)*K/C) - 1. Shards are disjoint and cover the residual exactly;
-    each device's data holds its train-set indices. A device count the
-    residual cannot fill is a config error naming `devices`, or
-    `queue_fraction` when it leaves no residual.
+    ceil((c+1)*K/C) - 1. Shards are disjoint and cover the residual exactly.
+    A device count the residual cannot fill is a config error naming
+    `devices`, or `queue_fraction` when it leaves no residual.
     """
     n = len(residual)
     if n == 0:
@@ -214,10 +205,11 @@ def partition(
                 )
             shards += np.array_split(deck, owners)
 
-    data = [residual[shard] for shard in shards]
-    devices = [DeviceState(part) for part in data]
-    lengths = [len(part) for part in data]
-    return devices, _stacked_histograms(np.concatenate(data), lengths, train.labels, num_classes)
+    devices = [residual[shard] for shard in shards]
+    lengths = [len(data) for data in devices]
+    return devices, _stacked_histograms(
+        np.concatenate(devices), lengths, train.labels, num_classes
+    )
 
 
 def dispense(
@@ -255,12 +247,12 @@ def dispense(
 
 
 def accumulate(
-    devices: list[DeviceState],
+    devices: list[np.ndarray],
     histograms: np.ndarray,
     entropies: np.ndarray,
     segments: np.ndarray,
     train: LabeledSet,
-) -> list[DeviceState]:
+) -> list[np.ndarray]:
     """Extend each device's data with its segment of train-set indices.
 
     Row k of the (K, s) `segments` goes to `devices[k]`, whose class counts
@@ -279,4 +271,4 @@ def accumulate(
     # a new list, not devices replaced in place: the caller drops all the old
     # arrays at once, where freeing each as its successor is built fragments
     # the heap (many_devices peak RSS rose about 5 %)
-    return [DeviceState(np.concatenate([d.data, seg])) for d, seg in zip(devices, segments)]
+    return [np.concatenate([data, seg]) for data, seg in zip(devices, segments)]

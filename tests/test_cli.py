@@ -1,10 +1,14 @@
 import json
+import pkgutil
 import re
 import struct
+from pathlib import Path
 
 import pytest
 
 from fedsim.cli import EXIT_CONFIG, EXIT_DATASET, EXIT_OK, EXIT_RUNTIME, main
+
+PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 
 DATASET_PARAMS = {"num_classes": 4, "per_class": 25, "input_dim": 6, "spread": 0.2}
@@ -66,6 +70,13 @@ INVALID_VALUES = [
 ]
 
 
+def test_console_script_resolves_to_main():
+    # the installed `fedsim` command calls what pyproject.toml names
+    tomllib = pytest.importorskip("tomllib")
+    scripts = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]["scripts"]
+    assert pkgutil.resolve_name(scripts["fedsim"]) is main
+
+
 class TestRunCommand:
     def test_success(self, tmp_path, capsys):
         config = write_config(tmp_path)
@@ -86,6 +97,17 @@ class TestRunCommand:
         resolved = json.loads((out / "config_resolved.json").read_text())
         assert resolved["seed"] == 9
         assert resolved["aggregator"] == "fedavg_count"
+
+    def test_aggregator_flag_takes_every_config_name(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(config), "--out", str(out), "--aggregator"]
+        assert main([*argv, "ddfl_entropy"]) == EXIT_OK
+        resolved = json.loads((out / "config_resolved.json").read_text())
+        assert resolved["aggregator"] == "ddfl_entropy"
+        capsys.readouterr()
+        assert main([*argv, "median"]) == EXIT_CONFIG
+        assert "aggregator" in capsys.readouterr().err
 
     def test_bad_config_json(self, tmp_path):
         path = tmp_path / "config.json"
@@ -314,6 +336,17 @@ class TestInputFiles:
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_DATASET
         err = capsys.readouterr().err
         assert name in err and words in err, err
+
+    def test_image_and_label_counts_differ(self, tmp_path, capsys):
+        data_dir = tmp_path / "mnist"
+        data_dir.mkdir()
+        write_mnist(data_dir)
+        header = struct.pack(">II", 0x00000801, 3)
+        (data_dir / "train-labels-idx1-ubyte").write_bytes(header + bytes([0, 1, 0]))
+        config = write_config(tmp_path, dataset="mnist", data_dir=str(data_dir), dataset_params={})
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_DATASET
+        err = capsys.readouterr().err
+        assert "train-images-idx3-ubyte" in err and "train-labels-idx1-ubyte" in err, err
 
     @pytest.mark.parametrize(
         "dataset, name, offset, label",

@@ -1,3 +1,4 @@
+import inspect
 import math
 import sys
 from dataclasses import replace
@@ -333,18 +334,17 @@ class TestRunRound:
             monkeypatch.setattr(nn, "_BLOCK_FLOATS", budget)
             for workers in (1, 2, 3):
                 state, spec, sets = small_federation(num_devices=6, seed=2)
-                assert [len(d.data) for d in state.devices] == [9, 9, 18, 9, 9, 18]
+                assert [len(d) for d in state.devices] == [9, 9, 18, 9, 9, 18]
                 cfg = RoundConfig(spec, 0.2, 1, 8, "ddfl_entropy", 0.5,
                                   1, seed=9, **sets, workers=workers)
                 train_calls.clear()
+                model = state.global_model
                 out, _ = run_round(state, cfg)
                 assert sorted(train_calls) == per_worker[workers]
                 # row k is device k trained alone from the round's global model
                 for k, device in enumerate(out.devices):
                     train_cfg = TrainConfig(0.2, 1, 8, [derive_seed(9, "train", 0, k)])
-                    [alone] = local_train(
-                        state.global_model, [device.data], train_cfg, sets["train_set"]
-                    )
+                    [alone] = local_train(model, [device], train_cfg, sets["train_set"])
                     np.testing.assert_array_equal(out.bank[k], alone)
 
     @pytest.mark.parametrize("num_devices", [1, 2])
@@ -365,7 +365,7 @@ class TestRunRound:
         # row non-finite, and the error names the lower id
         state, spec, sets = small_federation(num_devices=6, seed=2)
         for k in (3, 5):
-            sets["train_set"].features[state.devices[k].data] = np.inf
+            sets["train_set"].features[state.devices[k]] = np.inf
         cfg = RoundConfig(spec, 0.2, 1, 8, "ddfl_entropy", 0.5,
                           0, seed=9, **sets)
         with pytest.raises(
@@ -388,6 +388,28 @@ class TestRunRound:
         ):
             run_round(state, cfg)
         assert np.isfinite(state.bank).all()
+
+    def test_rounds_advance_the_state_they_are_given(self):
+        # the state run_round returns is the one it was given, so a second
+        # call on it runs the next round, from the merged model and queue
+        state, spec, sets = small_federation()
+        cfg = RoundConfig(spec, 0.2, 1, 8, "ddfl_entropy", 0.9,
+                          1, seed=9, **sets)
+        for round_index in (0, 1):
+            model, cursor = state.global_model, state.queue.cursor
+            out, report = run_round(state, cfg)
+            assert out is state
+            assert report.round_index == round_index
+            assert state.round_index == round_index + 1
+            assert state.global_model is not model
+            assert state.queue.cursor == cursor + 4
+
+    def test_state_takes_only_its_inputs(self):
+        state, _, _ = small_federation()
+        params = inspect.signature(FederationState).parameters
+        assert list(params) == ["devices", "queue", "global_model", "histograms"]
+        assert state.round_index == 0 and state.dispensed is None
+        np.testing.assert_array_equal(state.entropies, normalized_entropies(state.histograms))
 
     def test_bank_is_reused_across_rounds(self):
         state, spec, sets = small_federation()
@@ -451,7 +473,7 @@ class TestRunRound:
         assert np.all((new_state.entropies >= 0.0) & (new_state.entropies <= 1.0))
         # row k holds device k's class counts and their entropy
         np.testing.assert_array_equal(
-            new_state.histograms.sum(axis=1), [len(d.data) for d in new_state.devices]
+            new_state.histograms.sum(axis=1), [len(d) for d in new_state.devices]
         )
         np.testing.assert_array_equal(
             new_state.entropies, normalized_entropies(new_state.histograms)

@@ -102,11 +102,11 @@ def test_pool_and_residual_are_disjoint_and_cover_the_train_set(train, fraction,
 def test_shards_are_disjoint_and_cover_the_residual(train, fraction, mode, num_devices, seed):
     _, residual = split_global_queue(train, fraction, seed)
     devices, hists = partition_or_reject(train, residual, mode, num_devices, seed)
-    held = np.concatenate([d.data for d in devices])
+    held = np.concatenate(devices)
     np.testing.assert_array_equal(np.sort(held), residual)
     for k, d in enumerate(devices):
-        assert len(d.data) > 0
-        np.testing.assert_array_equal(hists[k], histogram_of(train, d.data))
+        assert len(d) > 0
+        np.testing.assert_array_equal(hists[k], histogram_of(train, d))
 
 
 @SETTINGS
@@ -164,11 +164,11 @@ def test_histograms_follow_the_data_under_any_accumulate_sequence(
         for k, (old, new, segment) in enumerate(zip(before, devices, segments)):
             if len(segment) == 0:
                 assert new is old
-            np.testing.assert_array_equal(new.data, np.concatenate([old.data, segment]))
-            np.testing.assert_array_equal(hists[k], histogram_of(train, new.data))
+            np.testing.assert_array_equal(new, np.concatenate([old, segment]))
+            np.testing.assert_array_equal(hists[k], histogram_of(train, new))
             assert entropies[k] == scalar_normalized_entropy(hists[k])
             # training reads the same rows as a copied shard would hold
-            np.testing.assert_array_equal(train.features[new.data, 0], new.data)
+            np.testing.assert_array_equal(train.features[new, 0], new)
 
 
 @st.composite

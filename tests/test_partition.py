@@ -75,14 +75,14 @@ class TestPartition:
         train = balanced_set(per_class=100)
         devices, hists = partition_all(train, "iid", 10, seed=5)
         assert normalized_entropies(hists).tolist() == [1.0] * 10
-        assert all(len(d.data) == 100 for d in devices)
+        assert all(len(d) == 100 for d in devices)
 
     def test_iid_sizes_balanced_within_one(self):
         rng = np.random.default_rng(0)
         labels = rng.integers(0, 7, size=503)
         train = LabeledSet(rng.uniform(size=(503, 3)), labels, 7)
         devices, _ = partition_all(train, "iid", 10, seed=1)
-        sizes = [len(d.data) for d in devices]
+        sizes = [len(d) for d in devices]
         assert max(sizes) - min(sizes) <= 1
         assert sum(sizes) == 503
 
@@ -96,19 +96,19 @@ class TestPartition:
         devices, hists = partition_all(train, "one_class", 10, seed=3)
         assert normalized_entropies(hists).tolist() == [0.0] * 10
         for k, d in enumerate(devices):
-            assert set(np.unique(train.labels[d.data])) == {k}
-            assert len(d.data) == 40
+            assert set(np.unique(train.labels[d])) == {k}
+            assert len(d) == 40
 
     def test_one_class_two_devices_per_class(self):
         train = balanced_set(per_class=41)
         devices, _ = partition_all(train, "one_class", 20, seed=3)
         for j in range(10):
             a, b = devices[2 * j], devices[2 * j + 1]
-            assert set(np.unique(train.labels[a.data])) == {j}
-            assert set(np.unique(train.labels[b.data])) == {j}
+            assert set(np.unique(train.labels[a])) == {j}
+            assert set(np.unique(train.labels[b])) == {j}
             # the pair splits class j evenly and without overlap
-            assert len(a.data) + len(b.data) == 41
-            assert abs(len(a.data) - len(b.data)) <= 1
+            assert len(a) + len(b) == 41
+            assert abs(len(a) - len(b)) <= 1
 
     def test_one_class_needs_enough_devices(self):
         train = balanced_set(num_classes=10, per_class=10)
@@ -132,7 +132,7 @@ class TestPartition:
         for mode in ("iid", "one_class"):
             devices, hists = partition_all(train, mode, 10, seed=7)
             for d, hist in zip(devices, hists):
-                np.testing.assert_array_equal(hist, class_histogram(train.labels[d.data], 10))
+                np.testing.assert_array_equal(hist, class_histogram(train.labels[d], 10))
 
 
 def dispense_indices_by_loop(queue, num_devices, segment_size):
@@ -262,8 +262,8 @@ class TestAccumulate:
         ) / math.log2(10)
         assert entropies[0] == pytest.approx(expected, abs=1e-12)
         np.testing.assert_array_equal(hists[0], [30, 1] + [0] * 8)
-        assert len(updated.data) == 31
-        np.testing.assert_array_equal(updated.data, np.append(devices[0].data, 30))
+        assert len(updated) == 31
+        np.testing.assert_array_equal(updated, np.append(devices[0], 30))
 
     def test_empty_segment_is_identity(self):
         train = balanced_set(per_class=5)
@@ -292,15 +292,15 @@ class TestAccumulate:
         devices, hists, entropies = partition_with_entropies(
             train, residual, "one_class", 10, seed=2
         )
-        sizes = [len(d.data) for d in devices]
+        sizes = [len(d) for d in devices]
         for _ in range(3):
             segments, _ = dispense(queue, 10, 1)
             devices = accumulate(devices, hists, entropies, segments, train)
-            new_sizes = [len(d.data) for d in devices]
+            new_sizes = [len(d) for d in devices]
             assert all(b >= a for a, b in zip(sizes, new_sizes))
             sizes = new_sizes
             for d, hist, entropy in zip(devices, hists, entropies):
-                np.testing.assert_array_equal(hist, class_histogram(train.labels[d.data], 10))
+                np.testing.assert_array_equal(hist, class_histogram(train.labels[d], 10))
                 assert entropy == normalized_entropy(hist)
 
 
@@ -362,6 +362,6 @@ class TestSetUpIsPinned:
         queue, residual = split_global_queue(train, fraction, seed)
         devices, hists = partition(train, residual, mode, num_devices, seed + 1)
         # the histograms' row sums pin where one device's data ends
-        arrays = (queue.pool, residual, np.concatenate([d.data for d in devices]), hists)
+        arrays = (queue.pool, residual, np.concatenate(devices), hists)
         digests = tuple(hashlib.sha256(a.tobytes()).hexdigest()[:16] for a in arrays)
         assert digests == expected
