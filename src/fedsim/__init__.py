@@ -47,7 +47,6 @@ from .harness import (
     load_config,
     run_experiment,
     run_sweep,
-    validate_config,
 )
 from .nn import (
     EvalMetrics,

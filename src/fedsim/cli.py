@@ -10,12 +10,15 @@ Each file a user names is read by one reader per format:
 `harness.read_text` and `harness.read_json_object` for config, grid and rows
 files (any fault in reading or parsing one exits 1), and the `data` loaders
 for dataset files (a missing or malformed one, or one holding a label
-outside the dataset's classes, exits 2).
+outside the dataset's classes, exits 2). Flags override config values with
+`dataclasses.replace`, which checks the new config as loading checks the
+file's, so a bad flag value exits 1 too.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from . import harness
@@ -65,16 +68,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     cfg = harness.load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.aggregator is not None:
-        cfg.aggregator = args.aggregator
-    if args.out is not None:
-        cfg.output_dir = args.out
-    # normalised first, so the default directory names the canonical aggregator
-    cfg = harness.validate_config(cfg)
+    flags = {"seed": args.seed, "aggregator": args.aggregator, "output_dir": args.out}
+    cfg = dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
     if cfg.output_dir is None:
-        cfg.output_dir = f"runs/{cfg.dataset}_{cfg.aggregator}_seed{cfg.seed}"
+        default = f"runs/{cfg.dataset}_{cfg.aggregator}_seed{cfg.seed}"
+        cfg = dataclasses.replace(cfg, output_dir=default)
     result = harness.run_experiment(cfg)
     print(f"wrote {result.output_dir}")
     print(f"final accuracy: {result.summary['final_accuracy']:.4f}")
@@ -85,10 +83,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = harness.load_config(args.config)
-    if args.out is not None:
-        cfg.output_dir = args.out
-    if cfg.output_dir is None:
-        cfg.output_dir = "runs/sweep"
+    out = cfg.output_dir if args.out is None else args.out
+    cfg = dataclasses.replace(cfg, output_dir="runs/sweep" if out is None else out)
     table = harness.run_sweep(cfg, harness.read_json_object(args.grid, "grid"))
     print(harness.format_sweep_table(table))
     return EXIT_OK

@@ -12,9 +12,10 @@ Outside input is checked at one boundary, and code past it trusts what
 reaches it. Files a user names are read by one reader per format:
 `harness.read_text` (and `harness.read_json_object` on top of it) for
 config, grid and rows files, and the `data` loaders for dataset files.
-Config values are then checked once, by `harness.validate_config`, and
-grids by `harness.run_sweep`, which also makes every setting's queue split
-and partition before the first run.
+Config values are then checked once, when a `harness.ExperimentConfig` is
+made (it is frozen, so it stays valid), and grids by `harness.run_sweep`,
+which also makes every setting's queue split and partition before the
+first run.
 """
 
 

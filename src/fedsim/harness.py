@@ -17,14 +17,15 @@ directory:
 
 `run_round` builds each round's record, a RoundReport whose fields are the
 metrics.csv columns, and raises NumericalDivergence itself; this module
-validates the config, runs the loop and writes the files. It is the boundary
-for the text files a user names: `read_text` reads each config, grid and
-rows file, `read_json_object` parses the first two, and a fault in reading
-or parsing one is a ConfigInvalid naming the path. Config values are then
-checked once, in `validate_config`, grids in `run_sweep` (which loads the
-dataset once and makes every setting's queue split and partition on it
-before the first run), and the rows files `emit_plot_data` reads column by
-column: a fault in any is a ConfigInvalid.
+runs the loop and writes the files. It is the boundary for the text files a
+user names: `read_text` reads each config, grid and rows file,
+`read_json_object` parses the first two, and a fault in reading or parsing
+one is a ConfigInvalid naming the path. Config values are checked once,
+when an ExperimentConfig is made (from a file, by hand or by
+`dataclasses.replace`), grids in `run_sweep` (which loads the dataset once
+and makes every setting's queue split and partition on it before the first
+run), and the rows files `emit_plot_data` reads column by column: a fault
+in any is a ConfigInvalid.
 Seed discipline: the master seed is split into labelled streams ("data",
 "queue", "partition", "init", and ("train", round, device)), so results do
 not depend on execution order or workers.
@@ -65,8 +66,17 @@ _CHOICES = {
 _SYNTHETIC_DEFAULTS = {"num_classes": 10, "per_class": 125, "input_dim": 16, "spread": 0.3}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """One run's settings, checked when the config is made.
+
+    Construction normalises aliases to canonical names and `hidden_dims` to
+    a tuple, and raises ConfigInvalid naming the key of any invalid value,
+    so every ExperimentConfig in the program is valid and the code it
+    reaches trusts it. It is frozen: make a changed copy with
+    `dataclasses.replace`, which checks the copy the same way.
+    """
+
     dataset: str = "synthetic"
     dataset_params: dict = field(default_factory=dict)
     data_dir: str | None = None
@@ -86,6 +96,49 @@ class ExperimentConfig:
     workers: int = 1
     output_dir: str | None = None
     trace_dispense: bool = False
+
+    def __post_init__(self) -> None:
+        for key, low in _INT_KEYS.items():
+            value = getattr(self, key)
+            if not _is_int(value) or value < low:
+                raise ConfigInvalid(f"{key} must be an integer of at least {low}")
+        if self.workers > _MAX_WORKERS:
+            raise ConfigInvalid(f"workers must be at most {_MAX_WORKERS}")
+        for key in _FLOAT_KEYS:
+            if not _is_finite_number(getattr(self, key)):
+                raise ConfigInvalid(f"{key} must be a finite number")
+        if self.learning_rate < 0:
+            raise ConfigInvalid("learning_rate must be nonnegative")
+        if not 0.0 <= self.queue_fraction < 1.0:
+            raise ConfigInvalid("queue_fraction must lie in [0, 1)")
+        if not 0.0 < self.selection_fraction <= 1.0:
+            raise ConfigInvalid("selection_fraction must lie in (0, 1]")
+        segment = self.segment_size
+        if not (segment is None or (_is_int(segment) and segment >= 0)):
+            raise ConfigInvalid("segment_size must be a nonnegative integer or null")
+        if not isinstance(self.hidden_dims, (list, tuple)) or not all(
+            _is_int(h) and h >= 1 for h in self.hidden_dims
+        ):
+            raise ConfigInvalid("hidden_dims must be a list of positive integers")
+        object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
+        for key, choices in _CHOICES.items():
+            value = getattr(self, key)
+            if not isinstance(value, str) or value not in choices:
+                raise ConfigInvalid(f"{key} must be one of {choices}")
+        aggregator = _AGGREGATOR_ALIASES.get(self.aggregator, self.aggregator)
+        object.__setattr__(self, "aggregator", aggregator)
+        for key in ("data_dir", "output_dir"):
+            value = getattr(self, key)
+            if value is not None and not isinstance(value, str):
+                raise ConfigInvalid(f"{key} must be a string or null")
+        if not isinstance(self.trace_dispense, bool):
+            raise ConfigInvalid("trace_dispense must be true or false")
+        if self.dataset == "synthetic":
+            _check_synthetic_params(self.dataset_params)
+        elif self.dataset_params:
+            raise ConfigInvalid(f"dataset_params apply to synthetic data only, not {self.dataset}")
+        elif self.data_dir is None:
+            raise ConfigInvalid(f"dataset {self.dataset!r} needs data_dir")
 
 
 # the RoundReport fields metrics.csv holds; its agg_time goes to timings.csv,
@@ -132,13 +185,15 @@ def load_config(path) -> ExperimentConfig:
     unknown = set(raw) - known
     if unknown:
         raise ConfigInvalid(f"unknown config keys: {', '.join(sorted(unknown))}")
-    return validate_config(ExperimentConfig(**raw))
+    return ExperimentConfig(**raw)
 
 
 # integer fields and the least value each may take
 _INT_KEYS = {
     "devices": 1, "rounds": 1, "local_epochs": 1, "batch_size": 1, "seed": 0, "workers": 1
 }
+# a round runs its workers past the first as threads of one pool
+_MAX_WORKERS = 64
 _FLOAT_KEYS = ("learning_rate", "queue_fraction", "selection_fraction")
 
 
@@ -161,50 +216,6 @@ def _check_synthetic_params(params) -> None:
             raise ConfigInvalid("dataset_params.spread must be a nonnegative finite number")
         if key != "spread" and not (_is_int(value) and value >= 2):
             raise ConfigInvalid(f"dataset_params.{key} must be an integer of at least 2")
-
-
-def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
-    """Normalize aliases and check every field; raises ConfigInvalid naming
-    the key. This is the one place config values are checked: the code they
-    reach trusts them."""
-    for key, low in _INT_KEYS.items():
-        value = getattr(cfg, key)
-        if not _is_int(value) or value < low:
-            raise ConfigInvalid(f"{key} must be an integer of at least {low}")
-    for key in _FLOAT_KEYS:
-        if not _is_finite_number(getattr(cfg, key)):
-            raise ConfigInvalid(f"{key} must be a finite number")
-    if cfg.learning_rate < 0:
-        raise ConfigInvalid("learning_rate must be nonnegative")
-    if not 0.0 <= cfg.queue_fraction < 1.0:
-        raise ConfigInvalid("queue_fraction must lie in [0, 1)")
-    if not 0.0 < cfg.selection_fraction <= 1.0:
-        raise ConfigInvalid("selection_fraction must lie in (0, 1]")
-    if cfg.segment_size is not None and not (_is_int(cfg.segment_size) and cfg.segment_size >= 0):
-        raise ConfigInvalid("segment_size must be a nonnegative integer or null")
-    if not isinstance(cfg.hidden_dims, (list, tuple)) or not all(
-        _is_int(h) and h >= 1 for h in cfg.hidden_dims
-    ):
-        raise ConfigInvalid("hidden_dims must be a list of positive integers")
-    cfg.hidden_dims = tuple(cfg.hidden_dims)
-    for key, choices in _CHOICES.items():
-        value = getattr(cfg, key)
-        if not isinstance(value, str) or value not in choices:
-            raise ConfigInvalid(f"{key} must be one of {choices}")
-    cfg.aggregator = _AGGREGATOR_ALIASES.get(cfg.aggregator, cfg.aggregator)
-    for key in ("data_dir", "output_dir"):
-        value = getattr(cfg, key)
-        if value is not None and not isinstance(value, str):
-            raise ConfigInvalid(f"{key} must be a string or null")
-    if not isinstance(cfg.trace_dispense, bool):
-        raise ConfigInvalid("trace_dispense must be true or false")
-    if cfg.dataset == "synthetic":
-        _check_synthetic_params(cfg.dataset_params)
-    elif cfg.dataset_params:
-        raise ConfigInvalid(f"dataset_params apply to synthetic data only, not {cfg.dataset}")
-    elif cfg.data_dir is None:
-        raise ConfigInvalid(f"dataset {cfg.dataset!r} needs data_dir")
-    return cfg
 
 
 def _load_dataset(cfg: ExperimentConfig) -> tuple[LabeledSet, LabeledSet]:
@@ -266,13 +277,12 @@ def split_and_partition(
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run the full round loop; writes metric files when output_dir is set."""
-    cfg = validate_config(dataclasses.replace(cfg))
     train, test = _load_dataset(cfg)
     return _run(cfg, train, test)
 
 
 def _run(cfg: ExperimentConfig, train: LabeledSet, test: LabeledSet) -> ExperimentResult:
-    """`run_experiment` of a validated config on its loaded dataset."""
+    """`run_experiment` of `cfg` on its loaded dataset."""
     spec = ModelSpec(
         input_dim=train.input_dim,
         hidden_dims=cfg.hidden_dims,
@@ -379,10 +389,10 @@ def run_sweep(base_cfg: ExperimentConfig, grid: dict) -> list[dict]:
     the returned rows carry both accuracies and the boost in points, and
     `sweep_table.csv` holds them and no wall-clock figure, so one grid
     always writes the same table. The dataset is loaded once for the whole
-    sweep. Before the first run starts, every run's config is validated and
-    every setting's queue split and partition are made on the loaded data,
-    so an invalid grid value, or one the data cannot support, stops the
-    sweep before it writes anything.
+    sweep. Before the first run starts, every run's config is made (which
+    checks it), and every setting's queue split and partition are made on
+    the loaded data, so an invalid or empty grid value, or one the data
+    cannot support, stops the sweep before it writes anything.
     """
     unknown = set(grid) - set(_GRID_KEYS)
     if unknown:
@@ -390,7 +400,9 @@ def run_sweep(base_cfg: ExperimentConfig, grid: dict) -> list[dict]:
     for key, values in grid.items():
         if not isinstance(values, list):
             raise ConfigInvalid(f"grid value {key} must be a list")
-    lists = {k: list(v) for k, v in grid.items() if v}
+        if not values:
+            raise ConfigInvalid(f"grid value {key} must not be empty")
+    lists = dict(grid)
     if not lists:
         raise ConfigInvalid("grid must set at least one non-empty list")
     length = max(len(v) for v in lists.values())
@@ -406,10 +418,11 @@ def run_sweep(base_cfg: ExperimentConfig, grid: dict) -> list[dict]:
         setting = {key: lists[key][i] for key in lists}
         configs = {}
         for aggregator in ("fedavg_count", "ddfl_entropy"):
-            cfg = dataclasses.replace(base_cfg, aggregator=aggregator, **setting)
-            if base_out is not None:
-                cfg.output_dir = str(base_out / f"setting_{i + 1:02d}_{aggregator}")
-            configs[aggregator] = validate_config(cfg)
+            # a run's directory sits in the sweep's; an unset or empty one is kept
+            out = base_cfg.output_dir and str(base_out / f"setting_{i + 1:02d}_{aggregator}")
+            configs[aggregator] = dataclasses.replace(
+                base_cfg, aggregator=aggregator, output_dir=out, **setting
+            )
         runs.append(configs)
     # grid keys cannot change the dataset or the seed, so one load serves
     # every setting's set-up check and every run

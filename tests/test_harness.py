@@ -16,8 +16,8 @@ from fedsim.harness import (
     load_config,
     run_experiment,
     run_sweep,
-    validate_config,
 )
+from test_cli import INVALID_VALUES
 
 
 def tiny_config(**overrides):
@@ -47,36 +47,51 @@ def ranges(sizes):
 
 
 class TestConfig:
+    # invalid values, each rejected when the config is made
+    BAD_VALUES = [
+        dict(aggregator="median"),
+        dict(dataset="imagenet"),
+        dict(partition_mode="dirichlet"),
+        dict(rounds=0),
+        dict(devices=0),
+        dict(batch_size=0),
+        dict(local_epochs=0),
+        dict(activation="sigmoid"),
+        dict(learning_rate=-1.0),
+        dict(queue_fraction=1.0),
+        dict(queue_fraction=-0.1),
+        dict(selection_fraction=0.0),
+        dict(selection_fraction=1.5),
+        dict(segment_size=-1),
+        dict(seed=-1),
+        dict(workers=0),
+        dict(hidden_dims=(0,)),
+        dict(dataset="mnist", dataset_params={}),  # no data_dir
+        dict(workers=65),  # a round would start a thread per worker
+    ]
+
     def test_aliases_normalize(self):
-        cfg = validate_config(tiny_config(aggregator="ddfl"))
-        assert cfg.aggregator == "ddfl_entropy"
-        cfg = validate_config(tiny_config(aggregator="fedavg"))
-        assert cfg.aggregator == "fedavg_count"
+        assert tiny_config(aggregator="ddfl").aggregator == "ddfl_entropy"
+        assert tiny_config(aggregator="fedavg").aggregator == "fedavg_count"
+        assert tiny_config(hidden_dims=[6, 3]).hidden_dims == (6, 3)
 
     def test_rejects_bad_values(self):
-        bad = [
-            dict(aggregator="median"),
-            dict(dataset="imagenet"),
-            dict(partition_mode="dirichlet"),
-            dict(rounds=0),
-            dict(devices=0),
-            dict(batch_size=0),
-            dict(local_epochs=0),
-            dict(activation="sigmoid"),
-            dict(learning_rate=-1.0),
-            dict(queue_fraction=1.0),
-            dict(queue_fraction=-0.1),
-            dict(selection_fraction=0.0),
-            dict(selection_fraction=1.5),
-            dict(segment_size=-1),
-            dict(seed=-1),
-            dict(workers=0),
-            dict(hidden_dims=(0,)),
-            dict(dataset="mnist", dataset_params={}),  # no data_dir
-        ]
-        for overrides in bad:
-            with pytest.raises(ConfigInvalid):
-                validate_config(tiny_config(**overrides))
+        for overrides in self.BAD_VALUES:
+            with pytest.raises(ConfigInvalid, match=next(iter(overrides))):
+                tiny_config(**overrides)
+
+    def test_every_field_has_a_bad_value(self):
+        # a new config field must arrive with a check and a row that shows it
+        covered = {key.partition(".")[0] for key, _ in INVALID_VALUES}
+        covered.update(key for overrides in self.BAD_VALUES for key in overrides)
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert fields - covered == set()
+
+    def test_frozen(self):
+        cfg = tiny_config()
+        for f in dataclasses.fields(ExperimentConfig):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cfg, f.name, getattr(cfg, f.name))
 
     def test_load_config_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "config.json"
@@ -104,8 +119,10 @@ class TestDerivedSegmentSize:
         assert derived_segment_size(tiny_config(segment_size=9), 100) == 9
 
     def test_baseline_defaults_to_zero(self):
-        cfg = validate_config(tiny_config(aggregator="fedavg_count"))
+        cfg = tiny_config(aggregator="fedavg_count")
         assert derived_segment_size(cfg, 100) == 0
+        # the alias names the same aggregator, so it defaults the same way
+        assert derived_segment_size(ExperimentConfig(aggregator="fedavg"), 1000) == 0
 
     def test_entropy_aggregator_spreads_pool_over_run(self):
         cfg = tiny_config(devices=10, rounds=100)
@@ -335,11 +352,19 @@ class TestRunSweep:
         table = run_sweep(base, {"local_epochs": [1, 2], "queue_fraction": [0.2]})
         assert [row["queue_fraction"] for row in table] == [0.2, 0.2]
 
-    def test_empty_grid_rejected(self):
+    def test_empty_grid_rejected(self, tmp_path):
         with pytest.raises(ConfigInvalid):
             run_sweep(tiny_config(), {})
         with pytest.raises(ConfigInvalid):
             run_sweep(tiny_config(), {"local_epochs": []})
+        # an empty list beside a full one is not dropped
+        out = tmp_path / "sweep"
+        with pytest.raises(ConfigInvalid, match="grid value local_epochs must not be empty"):
+            run_sweep(
+                tiny_config(output_dir=str(out)),
+                {"local_epochs": [], "queue_fraction": [0.1, 0.2]},
+            )
+        assert not out.exists()
         with pytest.raises(ConfigInvalid):
             run_sweep(tiny_config(), {"batch_size": [8]})
         with pytest.raises(ConfigInvalid):
