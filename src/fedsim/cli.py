@@ -1,18 +1,18 @@
-"""Command-line interface: run, sweep, plot.
+"""Command-line interface: run, sweep.
 
-Exit codes: 0 success, 1 `ConfigInvalid` (a bad config value, flag, grid or
-plot kind, or a config, grid or rows file that cannot be read or parsed),
-2 `DatasetError` (a missing or malformed dataset file, or a label
-outside the dataset's classes), 3 any other
-exception (`NumericalDivergence`, or a runtime failure).
+Exit codes: 0 success, 1 `ConfigInvalid` (a bad config value, flag or grid,
+or a config or grid file that cannot be read or parsed), 2 `DatasetError`
+(a missing or malformed dataset file, or a label outside the dataset's
+classes), 3 any other exception (`NumericalDivergence`, or a runtime
+failure).
 
 Each file a user names is read by one reader per format:
-`harness.read_text` and `harness.read_json_object` for config, grid and rows
-files (any fault in reading or parsing one exits 1), and the `data` loaders
-for dataset files (a missing or malformed one, or one holding a label
-outside the dataset's classes, exits 2). Flags override config values with
-`dataclasses.replace`, which checks the new config as loading checks the
-file's, so a bad flag value exits 1 too.
+`harness.read_json_object` for config and grid files (any fault in reading
+or parsing one exits 1), and the `data` loaders for dataset files (a
+missing or malformed one, or one holding a label outside the dataset's
+classes, exits 2). Flags override config values with `dataclasses.replace`,
+which checks the new config as loading checks the file's, so a bad flag
+value exits 1 too.
 """
 
 from __future__ import annotations
@@ -58,11 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--grid", required=True, help="JSON grid file")
     sweep.add_argument("--out", help="override the config output directory")
 
-    plot = sub.add_parser("plot", help="emit plot-ready data from a metrics file")
-    plot.add_argument("--rows", required=True, help="input CSV produced by a run")
-    plot.add_argument("--kind", required=True, choices=list(harness.PLOT_KINDS))
-    plot.add_argument("--out", help="output path (defaults next to the input)")
-
     return parser
 
 
@@ -90,21 +85,13 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _cmd_plot(args) -> int:
-    out = harness.emit_plot_data(args.rows, args.kind, args.out)
-    print(f"wrote {out}")
-    return EXIT_OK
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         if args.command == "run":
             return _cmd_run(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        return _cmd_plot(args)
+        return _cmd_sweep(args)
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -17,15 +17,13 @@ directory:
 
 `run_round` builds each round's record, a RoundReport whose fields are the
 metrics.csv columns, and raises NumericalDivergence itself; this module
-runs the loop and writes the files. It is the boundary for the text files a
-user names: `read_text` reads each config, grid and rows file,
-`read_json_object` parses the first two, and a fault in reading or parsing
-one is a ConfigInvalid naming the path. Config values are checked once,
-when an ExperimentConfig is made (from a file, by hand or by
-`dataclasses.replace`), grids in `run_sweep` (which loads the dataset once
-and makes every setting's queue split and partition on it before the first
-run), and the rows files `emit_plot_data` reads column by column: a fault
-in any is a ConfigInvalid.
+runs the loop and writes the files. It is the boundary for the config and
+grid files a user names: `read_json_object` reads and parses each, and a
+fault in reading or parsing one is a ConfigInvalid naming the path. Config
+values are checked once, when an ExperimentConfig is made (from a file, by
+hand or by `dataclasses.replace`), and grids in `run_sweep` (which loads
+the dataset once and makes every setting's queue split and partition on it
+before the first run): a fault in either is a ConfigInvalid.
 Seed discipline: the master seed is split into labelled streams ("data",
 "queue", "partition", "init", and ("train", round, device)), so results do
 not depend on execution order or workers.
@@ -38,6 +36,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -70,15 +69,16 @@ _SYNTHETIC_DEFAULTS = {"num_classes": 10, "per_class": 125, "input_dim": 16, "sp
 class ExperimentConfig:
     """One run's settings, checked when the config is made.
 
-    Construction normalises aliases to canonical names and `hidden_dims` to
-    a tuple, and raises ConfigInvalid naming the key of any invalid value,
-    so every ExperimentConfig in the program is valid and the code it
-    reaches trusts it. It is frozen: make a changed copy with
-    `dataclasses.replace`, which checks the copy the same way.
+    Construction normalises aliases to canonical names, `hidden_dims` to a
+    tuple and `dataset_params` to a read-only copy, and raises ConfigInvalid
+    naming the key of any invalid value, so every ExperimentConfig in the
+    program is valid and the code it reaches trusts it. It is frozen: make a
+    changed copy with `dataclasses.replace`, which checks the copy the same
+    way.
     """
 
     dataset: str = "synthetic"
-    dataset_params: dict = field(default_factory=dict)
+    dataset_params: MappingProxyType = field(default_factory=dict)
     data_dir: str | None = None
     devices: int = 10
     rounds: int = 50
@@ -129,10 +129,14 @@ class ExperimentConfig:
         object.__setattr__(self, "aggregator", aggregator)
         for key in ("data_dir", "output_dir"):
             value = getattr(self, key)
-            if value is not None and not isinstance(value, str):
-                raise ConfigInvalid(f"{key} must be a string or null")
+            if value is not None and not (isinstance(value, str) and value):
+                raise ConfigInvalid(f"{key} must be a non-empty string or null")
         if not isinstance(self.trace_dispense, bool):
             raise ConfigInvalid("trace_dispense must be true or false")
+        if not isinstance(self.dataset_params, (dict, MappingProxyType)):
+            raise ConfigInvalid("dataset_params must be a JSON object")
+        # a copy, so a change to the caller's dict cannot reach a checked config
+        object.__setattr__(self, "dataset_params", MappingProxyType(dict(self.dataset_params)))
         if self.dataset == "synthetic":
             _check_synthetic_params(self.dataset_params)
         elif self.dataset_params:
@@ -157,20 +161,18 @@ class ExperimentResult:
     output_dir: Path | None
 
 
-def read_text(path, what: str, encoding: str) -> str:
-    """The text of the `what` file at `path`; a file that cannot be opened
-    or decoded is a ConfigInvalid naming the path."""
-    try:
-        return Path(path).read_text(encoding=encoding)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigInvalid(f"{path}: cannot read {what} file ({exc})") from exc
-
-
 def read_json_object(path, what: str) -> dict:
-    """The one JSON object a UTF-8 `what` file holds; anything else is a
+    """The one JSON object a UTF-8 `what` file holds; a file that cannot be
+    opened, decoded or parsed, or that holds anything else, is a
     ConfigInvalid naming the path."""
     try:
-        raw = json.loads(read_text(path, what, "utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigInvalid(f"{path}: cannot read {what} file ({exc})") from exc
+    # a second block: UnicodeDecodeError is a ValueError, and bad bytes are
+    # not "not valid JSON"
+    try:
+        raw = json.loads(text)
     except (ValueError, RecursionError) as exc:  # bad JSON, or too long or deep to parse
         raise ConfigInvalid(f"{path}: {what} file is not valid JSON ({exc})") from exc
     if not isinstance(raw, dict):
@@ -206,8 +208,6 @@ def _is_finite_number(value) -> bool:
 
 
 def _check_synthetic_params(params) -> None:
-    if not isinstance(params, dict):
-        raise ConfigInvalid("dataset_params must be a JSON object")
     unknown = set(params) - set(_SYNTHETIC_DEFAULTS)
     if unknown:
         raise ConfigInvalid(f"unknown synthetic params: {', '.join(sorted(unknown))}")
@@ -312,12 +312,12 @@ def _run(cfg: ExperimentConfig, train: LabeledSet, test: LabeledSet) -> Experime
     if cfg.output_dir is not None:
         out_dir = Path(cfg.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        resolved = dataclasses.asdict(cfg)
+        resolved = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
         resolved["segment_size"] = segment_size
         resolved["input_dim"] = train.input_dim
         resolved["num_classes"] = train.num_classes
         (out_dir / "config_resolved.json").write_text(
-            json.dumps(resolved, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+            json.dumps(resolved, indent=2, sort_keys=True, default=dict) + "\n", encoding="utf-8"
         )
         files["metrics"] = (out_dir / "metrics.csv").open("w", encoding="ascii")
         files["metrics"].write(",".join(_METRIC_COLUMNS) + "\n")
@@ -412,14 +412,14 @@ def run_sweep(base_cfg: ExperimentConfig, grid: dict) -> list[dict]:
         elif len(values) != length:
             raise ConfigInvalid("grid lists must have equal lengths (or length 1)")
 
-    base_out = Path(base_cfg.output_dir) if base_cfg.output_dir else None
+    base_out = None if base_cfg.output_dir is None else Path(base_cfg.output_dir)
     runs: list[dict[str, ExperimentConfig]] = []  # each setting's config per aggregator
     for i in range(length):
         setting = {key: lists[key][i] for key in lists}
         configs = {}
         for aggregator in ("fedavg_count", "ddfl_entropy"):
-            # a run's directory sits in the sweep's; an unset or empty one is kept
-            out = base_cfg.output_dir and str(base_out / f"setting_{i + 1:02d}_{aggregator}")
+            # a run's directory sits in the sweep's
+            out = None if base_out is None else str(base_out / f"setting_{i + 1:02d}_{aggregator}")
             configs[aggregator] = dataclasses.replace(
                 base_cfg, aggregator=aggregator, output_dir=out, **setting
             )
@@ -471,88 +471,3 @@ def format_sweep_table(table: list[dict]) -> str:
             f"{row['boost_points']:>+6.2f}"
         )
     return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# Plot-ready data emission
-
-
-PLOT_KINDS = ("accuracy_curve", "entropy_heatmap", "divergence_bars")
-
-
-def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
-    """Header and rows of a run's CSV file; any fault in it is a ConfigInvalid
-    naming the path."""
-    lines = [ln for ln in read_text(path, "rows", "ascii").splitlines() if ln.strip()]
-    if not lines:
-        raise ConfigInvalid(f"{path}: empty file")
-    header = lines[0].split(",")
-    rows = [ln.split(",") for ln in lines[1:]]
-    if not rows:
-        raise ConfigInvalid(f"{path}: no data rows")
-    for number, row in enumerate(rows, start=2):
-        if len(row) != len(header):
-            raise ConfigInvalid(
-                f"{path}: line {number} has {len(row)} fields, the header {len(header)}"
-            )
-    return header, rows
-
-
-def emit_plot_data(rows_path, kind: str, out_path=None) -> Path:
-    """Write a plot-ready table for the requested kind.
-
-    accuracy_curve reads metrics.csv and keeps (round_index, test_accuracy).
-    entropy_heatmap validates and passes through device_entropy.csv triples.
-    divergence_bars reads divergence_layers.csv and keeps the final round,
-    one (layer, mean_divergence) row per layer. Every kept column is parsed,
-    ids and indices as integers and values as finite numbers, and the kept
-    text is copied as it stands; a fault is a ConfigInvalid naming the path
-    and the column.
-    """
-    if kind not in PLOT_KINDS:
-        raise ConfigInvalid(f"kind must be one of {PLOT_KINDS}")
-    rows_path = Path(rows_path)
-    header, rows = _read_csv(rows_path)
-    out_path = (
-        Path(out_path)
-        if out_path is not None
-        else rows_path.with_name(f"{rows_path.stem}_{kind}.csv")
-    )
-
-    def _columns(*names: str) -> list[int]:
-        missing = [n for n in names if n not in header]
-        if missing:
-            raise ConfigInvalid(
-                f"{rows_path}: missing columns {', '.join(missing)} for {kind}"
-            )
-        return [header.index(n) for n in names]
-
-    def _parsed(i: int, parse, what: str) -> list:
-        try:
-            values = [parse(row[i]) for row in rows]
-        except ValueError as exc:
-            raise ConfigInvalid(f"{rows_path}: {header[i]} must hold {what}") from exc
-        if not all(math.isfinite(v) for v in values):
-            raise ConfigInvalid(f"{rows_path}: {header[i]} must hold {what}")
-        return values
-
-    # the columns each kind keeps: ids and indices, then one value column
-    kept = {
-        "accuracy_curve": ("round_index", "test_accuracy"),
-        "entropy_heatmap": ("round_index", "device_id", "entropy"),
-        "divergence_bars": ("round_index", "layer", "mean_divergence"),
-    }[kind]
-    idx = _columns(*kept)
-    rounds, *_ = [_parsed(i, int, "integers") for i in idx[:-1]]
-    _parsed(idx[-1], float, "finite numbers")
-    out_rows = [[row[i] for i in idx] for row in rows]
-    if kind == "divergence_bars":
-        last_round = max(rounds)
-        kept = kept[1:]
-        out_rows = [row[1:] for row, r in zip(out_rows, rounds) if r == last_round]
-
-    with out_path.open("w", encoding="ascii") as fh:
-        fh.write(",".join(kept) + "\n")
-        for row in out_rows:
-            fh.write(",".join(row) + "\n")
-    return out_path

@@ -65,7 +65,10 @@ INVALID_VALUES = [
     ("queue_fraction", 0.999),
     ("aggregator", []),
     ("output_dir", 5),
+    ("output_dir", ""),
     ("data_dir", 7),
+    ("data_dir", ""),
+    ("dataset_params", 5),
     ("trace_dispense", "no"),
 ]
 
@@ -165,6 +168,10 @@ class TestRunCommand:
         config = write_config(tmp_path)
         assert main(["run", "--config", str(config), "--bogus"]) == EXIT_CONFIG
 
+    def test_unknown_command(self, capsys):
+        assert main(["plot", "--rows", "metrics.csv"]) == EXIT_CONFIG
+        assert "plot" in capsys.readouterr().err
+
     def test_default_directory_names_the_canonical_aggregator(self, tmp_path, monkeypatch):
         # the same run, aggregator given by alias on the flag or in the file
         monkeypatch.chdir(tmp_path)
@@ -223,32 +230,8 @@ class TestSweepCommand:
         assert not list(tmp_path.glob("sweep/setting_*"))
 
 
-class TestPlotCommand:
-    def test_success(self, tmp_path):
-        config = write_config(tmp_path)
-        out = tmp_path / "out"
-        assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_OK
-        code = main(["plot", "--rows", str(out / "metrics.csv"), "--kind", "accuracy_curve"])
-        assert code == EXIT_OK
-        assert (out / "metrics_accuracy_curve.csv").is_file()
-
-    def test_unknown_kind_is_config_error(self, tmp_path):
-        assert main(["plot", "--rows", "x.csv", "--kind", "scatter"]) == EXIT_CONFIG
-
-    def test_bad_rows_file_is_config_error(self, tmp_path, capsys):
-        missing = tmp_path / "missing.csv"
-        header_only = tmp_path / "rows.csv"
-        header_only.write_text("round_index,test_accuracy\n")
-        bad_values = tmp_path / "values.csv"
-        bad_values.write_text("round_index,test_accuracy\n0,abc\nfoo,0.5\n")
-        for path in (missing, header_only, bad_values):
-            code = main(["plot", "--rows", str(path), "--kind", "accuracy_curve"])
-            assert code == EXIT_CONFIG, path
-            assert str(path) in capsys.readouterr().err, path
-
-
-# ways a config, grid or rows file can be unusable as a whole; each writes
-# the file at `path`, or leaves it absent
+# ways a config or grid file can be unusable as a whole; each writes the
+# file at `path`, or leaves it absent
 FILE_FAULTS = {
     "missing": lambda path: None,
     "a directory": lambda path: path.mkdir(),
@@ -265,10 +248,8 @@ def command(kind, tmp_path, path):
     out = str(tmp_path / "out")
     if kind == "config":
         return ["run", "--config", str(path), "--out", out]
-    if kind == "grid":
-        config = write_config(tmp_path, rounds=1)
-        return ["sweep", "--config", str(config), "--grid", str(path), "--out", out]
-    return ["plot", "--rows", str(path), "--kind", "accuracy_curve", "--out", out]
+    config = write_config(tmp_path, rounds=1)
+    return ["sweep", "--config", str(config), "--grid", str(path), "--out", out]
 
 
 def write_mnist(data_dir):
@@ -305,9 +286,7 @@ class TestInputFiles:
     command exits with the file's error code and names the file."""
 
     @pytest.mark.parametrize(
-        "kind, fault",
-        [(kind, fault) for kind in ("config", "grid") for fault in FILE_FAULTS]
-        + [("rows", fault) for fault in ("missing", "a directory", "undecodable bytes")],
+        "kind, fault", [(kind, fault) for kind in ("config", "grid") for fault in FILE_FAULTS]
     )
     def test_unusable_file(self, tmp_path, capsys, kind, fault):
         path = tmp_path / f"{kind}.input"

@@ -11,7 +11,6 @@ from fedsim.errors import ConfigInvalid
 from fedsim.harness import (
     ExperimentConfig,
     derived_segment_size,
-    emit_plot_data,
     format_sweep_table,
     load_config,
     run_experiment,
@@ -92,6 +91,24 @@ class TestConfig:
         for f in dataclasses.fields(ExperimentConfig):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(cfg, f.name, getattr(cfg, f.name))
+
+    def test_dataset_params_are_a_copy(self, tmp_path):
+        # a change to the caller's dict after the checks cannot reach the run
+        params = {"num_classes": 4, "per_class": 25, "input_dim": 6, "spread": 0.2}
+        cfg = tiny_config(dataset_params=params, output_dir=str(tmp_path / "a"))
+        params["input_dim"] = 0
+        run_experiment(cfg)
+        run_experiment(tiny_config(output_dir=str(tmp_path / "b")))
+        assert (tmp_path / "a" / "metrics.csv").read_bytes() == (
+            tmp_path / "b" / "metrics.csv"
+        ).read_bytes()
+
+    def test_dataset_params_are_read_only(self):
+        cfg = tiny_config()
+        for config in (cfg, dataclasses.replace(cfg, seed=6)):
+            with pytest.raises(TypeError):
+                config.dataset_params["input_dim"] = 0
+            assert config.dataset_params["input_dim"] == 6
 
     def test_load_config_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "config.json"
@@ -386,76 +403,3 @@ class TestRunSweep:
         ]
         text = format_sweep_table(table)
         assert "fedavg" in text and "+10.00" in text
-
-
-class TestEmitPlotData:
-    @pytest.fixture()
-    def run_dir(self, tmp_path):
-        cfg = tiny_config(output_dir=str(tmp_path / "run"), rounds=5)
-        run_experiment(cfg)
-        return tmp_path / "run"
-
-    def test_accuracy_curve(self, run_dir):
-        out = emit_plot_data(run_dir / "metrics.csv", "accuracy_curve")
-        lines = out.read_text().splitlines()
-        assert lines[0] == "round_index,test_accuracy"
-        assert len(lines) == 1 + 5
-
-    def test_entropy_heatmap_triples(self, run_dir):
-        out = emit_plot_data(run_dir / "device_entropy.csv", "entropy_heatmap")
-        lines = out.read_text().splitlines()
-        assert lines[0] == "round_index,device_id,entropy"
-        assert len(lines) == 1 + 5 * 4  # rounds * devices
-
-    def test_divergence_bars_last_round(self, run_dir):
-        out = emit_plot_data(run_dir / "divergence_layers.csv", "divergence_bars")
-        lines = out.read_text().splitlines()
-        assert lines[0] == "layer,mean_divergence"
-        assert len(lines) == 1 + 2  # one value per model layer
-
-    def test_unknown_kind(self, run_dir):
-        with pytest.raises(ConfigInvalid):
-            emit_plot_data(run_dir / "metrics.csv", "scatter")
-
-    def test_wrong_columns(self, run_dir):
-        with pytest.raises(ConfigInvalid):
-            emit_plot_data(run_dir / "metrics.csv", "entropy_heatmap")
-
-    def test_empty_input(self, tmp_path):
-        # every fault of the rows file is a config error that names the file;
-        # None stands for a file that does not exist
-        cases = [
-            ("accuracy_curve", "round_index,test_accuracy\n", "no data rows"),
-            ("accuracy_curve", "", "empty file"),
-            ("accuracy_curve", None, "cannot read rows file"),
-            ("accuracy_curve", "round_index,loss\n0,1.5\n", "missing columns test_accuracy"),
-            ("accuracy_curve", "round_index,test_accuracy\n0\n", "line 2 has 1 fields"),
-            ("divergence_bars", "round_index,layer,mean_divergence\nlast,0,1.5\n",
-             "round_index must hold integers"),
-            ("divergence_bars", "round_index,layer,mean_divergence\n0,w1,1.5\n",
-             "layer must hold integers"),
-            ("divergence_bars", "round_index,layer,mean_divergence\n0,0,abc\n",
-             "mean_divergence must hold finite numbers"),
-            ("accuracy_curve", "round_index,test_accuracy\n0,abc\nfoo,0.5\n",
-             "round_index must hold integers"),
-            ("accuracy_curve", "round_index,test_accuracy\n0,abc\n",
-             "test_accuracy must hold finite numbers"),
-            ("accuracy_curve", "round_index,test_accuracy\n0,inf\n",
-             "test_accuracy must hold finite numbers"),
-            ("entropy_heatmap", "round_index,device_id,entropy\n0,d1,0.5\n",
-             "device_id must hold integers"),
-            ("entropy_heatmap", "round_index,device_id,entropy\n0,1,nan\n",
-             "entropy must hold finite numbers"),
-        ]
-        for number, (kind, text, message) in enumerate(cases):
-            path = tmp_path / f"rows_{number}.csv"
-            if text is not None:
-                path.write_text(text)
-            with pytest.raises(ConfigInvalid, match=message) as caught:
-                emit_plot_data(path, kind)
-            assert str(path) in str(caught.value), kind
-
-    def test_explicit_output_path(self, run_dir, tmp_path):
-        target = tmp_path / "curve.csv"
-        out = emit_plot_data(run_dir / "metrics.csv", "accuracy_curve", target)
-        assert out == target and target.is_file()
