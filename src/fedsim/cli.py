@@ -1,7 +1,8 @@
 """Command-line interface: run, sweep.
 
 Exit codes: 0 success, 1 `ConfigInvalid` (a bad config value, flag or grid,
-or a config or grid file that cannot be read or parsed), 2 `DatasetError`
+a config or grid file that cannot be read or parsed, or an output directory
+that cannot be made), 2 `DatasetError`
 (a missing or malformed dataset file, or a label outside the dataset's
 classes), 3 any other exception (`NumericalDivergence`, or a runtime
 failure).

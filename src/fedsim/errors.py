@@ -1,7 +1,8 @@
 """The exception types the CLI tells apart, and the exit code of each.
 
-    ConfigInvalid        1  a config value, flag or grid is invalid, or a
-                            config or grid file is unreadable or malformed
+    ConfigInvalid        1  a config value, flag or grid is invalid, a
+                            config or grid file is unreadable or malformed,
+                            or the output_dir cannot be made a directory
     DatasetError         2  a dataset file is missing or malformed, or
                             holds a label outside the dataset's classes
     any other exception  3  NumericalDivergence, or a ValueError from a bad
@@ -11,10 +12,10 @@ Outside input is checked at one boundary, and code past it trusts what
 reaches it. Files a user names are read by one reader per format:
 `harness.read_json_object` for config and grid files, and the `data`
 loaders for dataset files.
-Config values are then checked once, when a `harness.ExperimentConfig` is
-made (it is frozen, so it stays valid), and grids by `harness.run_sweep`,
-which also makes every setting's queue split and partition before the
-first run.
+Config values are then checked once, when a `config.ExperimentConfig` is
+made (it is frozen, so it stays valid, and so is `federation.RoundConfig`,
+which extends it), and grids by `harness.run_sweep`, which also makes
+every setting's queue split and partition before the first run.
 """
 
 

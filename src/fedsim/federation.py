@@ -8,7 +8,9 @@ one. Row k of the state's histograms, entropies and model bank is device k,
 so both aggregators read the rows as they stand. `run_round` advances the
 one FederationState it is given in place and returns it with the round's
 one record, a RoundReport: the `metrics.csv` row, the aggregation time and
-the per-layer divergence means; the harness only writes it out. The round's
+the per-layer divergence means; the harness only writes it out. A round
+reads its settings from a RoundConfig, which is the run's checked
+`config.ExperimentConfig` plus its train and test sets. The round's
 numeric-health checks live here too: a non-finite trained model, then a
 non-finite weight divergence, raises NumericalDivergence naming the round
 and the lowest such device. Two aggregators are provided:
@@ -43,14 +45,13 @@ from functools import partial
 import numpy as np
 
 from .analysis import bank_divergence
+from .config import ExperimentConfig
 from .data import LabeledSet
 from .errors import NumericalDivergence
-from .nn import ModelSpec, TrainConfig, evaluate, local_train
+from .nn import TrainConfig, evaluate, local_train
 from .params import Layout, ParamVector, param_count
 from .partition import GlobalQueue, accumulate, dispense, normalized_entropies
 from .seeds import derive_seeds
-
-AGGREGATORS = ("fedavg_count", "ddfl_entropy")
 
 
 def select_devices(entropies, selection_fraction: float) -> list[int]:
@@ -158,19 +159,15 @@ class FederationState:
         self.bank = np.empty((len(self.devices), len(self.global_model)))
 
 
-@dataclass(frozen=True)
-class RoundConfig:
-    model_spec: ModelSpec
-    learning_rate: float
-    local_epochs: int
-    batch_size: int
-    aggregator: str
-    selection_fraction: float
-    segment_size: int
-    seed: int
-    train_set: LabeledSet  # what device data and the queue pool index into
+@dataclass(frozen=True, kw_only=True)
+class RoundConfig(ExperimentConfig):
+    """A run's checked config plus the data its rounds read: `train_set`,
+    which device data and the queue pool index into, and `test_set`. Its
+    `segment_size` is already resolved (`harness.derived_segment_size`), so
+    it is an integer, not None."""
+
+    train_set: LabeledSet
     test_set: LabeledSet
-    workers: int = 1
 
 
 def _train_range(
@@ -191,7 +188,7 @@ def _train_range(
         state.devices[a:b],
         train_cfg,
         cfg.train_set,
-        cfg.model_spec.activation,
+        cfg.activation,
         state.bank[a:b],
     )
 
@@ -243,7 +240,7 @@ def run_round(state: FederationState, cfg: RoundConfig) -> tuple[FederationState
         fallback = False
     agg_time = time.perf_counter() - started
 
-    test_stats = evaluate(merged, cfg.test_set, cfg.model_spec.activation)
+    test_stats = evaluate(merged, cfg.test_set, cfg.activation)
     # finite models can still lie too far apart for a finite distance
     totals, per_layer = bank_divergence(merged, state.bank)
     _require_finite(np.isfinite(totals), state.round_index, "weight divergence is not finite")

@@ -1,8 +1,9 @@
-"""Experiment runner: configuration, the round loop, metric files, sweeps.
+"""Experiment runner: config files, the round loop, metric files, sweeps.
 
-Configuration is a single JSON object (see ExperimentConfig for keys and
-defaults). CLI flags override file values. Every run writes into its output
-directory:
+A run's configuration is a single JSON object, read by `load_config` into
+a `config.ExperimentConfig` (see it for keys and defaults; it is also
+importable from here). CLI flags override file values. Every run writes
+into its output directory:
 
     config_resolved.json   fully resolved config, including derived defaults
     metrics.csv            one row per round (flushed as rounds complete)
@@ -15,15 +16,19 @@ directory:
     dispense_trace.jsonl   optional audit log of dispensed samples (their
                            positions in the queue pool)
 
-`run_round` builds each round's record, a RoundReport whose fields are the
-metrics.csv columns, and raises NumericalDivergence itself; this module
-runs the loop and writes the files. It is the boundary for the config and
-grid files a user names: `read_json_object` reads and parses each, and a
-fault in reading or parsing one is a ConfigInvalid naming the path. Config
-values are checked once, when an ExperimentConfig is made (from a file, by
-hand or by `dataclasses.replace`), and grids in `run_sweep` (which loads
-the dataset once and makes every setting's queue split and partition on it
-before the first run): a fault in either is a ConfigInvalid.
+A run resolves its config once: the derived segment size goes into a
+checked copy, and the rounds read that copy, with the train and test sets,
+as a `federation.RoundConfig`. `run_round` builds each round's record, a
+RoundReport whose fields are the metrics.csv columns, and raises
+NumericalDivergence itself; this module runs the loop and writes the files.
+It is the boundary for the config and grid files a user names:
+`read_json_object` reads and parses each, and a fault in reading or parsing
+one is a ConfigInvalid naming the path, as is an output directory that
+cannot be made. Config values are checked once, when an ExperimentConfig
+is made (from a file, by hand or by `dataclasses.replace`), and grids in
+`run_sweep` (which loads the dataset once and makes every setting's queue
+split and partition on it before the first run): a fault in either is a
+ConfigInvalid.
 Seed discipline: the master seed is split into labelled streams ("data",
 "queue", "partition", "init", and ("train", round, device)), so results do
 not depend on execution order or workers.
@@ -33,117 +38,21 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from types import MappingProxyType
 
 import numpy as np
 
 # bias_term and weight_divergence have no caller here; bench/spans.py traces them
 from .analysis import bias_term, weight_divergence  # noqa: F401
+from .config import SYNTHETIC_DEFAULTS, ExperimentConfig
 from .data import LabeledSet, load_cifar, load_mnist, make_synthetic
 from .errors import ConfigInvalid
-from .federation import AGGREGATORS, FederationState, RoundConfig, RoundReport, run_round
-from .nn import ACTIVATIONS, ModelSpec, init_model
+from .federation import FederationState, RoundConfig, RoundReport, run_round
+from .nn import ModelSpec, init_model
 from .params import ParamVector
-from .partition import PARTITION_MODES, GlobalQueue, partition, split_global_queue
+from .partition import GlobalQueue, partition, split_global_queue
 from .seeds import derive_seed
-
-DATASETS = ("synthetic", "mnist", "cifar10", "cifar100")
-
-_AGGREGATOR_ALIASES = {"ddfl": "ddfl_entropy", "fedavg": "fedavg_count"}
-
-# string fields and the values each may take
-_CHOICES = {
-    "aggregator": AGGREGATORS + tuple(_AGGREGATOR_ALIASES),
-    "dataset": DATASETS,
-    "partition_mode": PARTITION_MODES,
-    "activation": ACTIVATIONS,
-}
-
-_SYNTHETIC_DEFAULTS = {"num_classes": 10, "per_class": 125, "input_dim": 16, "spread": 0.3}
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One run's settings, checked when the config is made.
-
-    Construction normalises aliases to canonical names, `hidden_dims` to a
-    tuple and `dataset_params` to a read-only copy, and raises ConfigInvalid
-    naming the key of any invalid value, so every ExperimentConfig in the
-    program is valid and the code it reaches trusts it. It is frozen: make a
-    changed copy with `dataclasses.replace`, which checks the copy the same
-    way.
-    """
-
-    dataset: str = "synthetic"
-    dataset_params: MappingProxyType = field(default_factory=dict)
-    data_dir: str | None = None
-    devices: int = 10
-    rounds: int = 50
-    local_epochs: int = 1
-    batch_size: int = 20
-    learning_rate: float = 0.1
-    queue_fraction: float = 0.1
-    selection_fraction: float = 0.9
-    partition_mode: str = "one_class"
-    aggregator: str = "ddfl_entropy"
-    segment_size: int | None = None
-    hidden_dims: tuple[int, ...] = (32,)
-    activation: str = "relu"
-    seed: int = 0
-    workers: int = 1
-    output_dir: str | None = None
-    trace_dispense: bool = False
-
-    def __post_init__(self) -> None:
-        for key, low in _INT_KEYS.items():
-            value = getattr(self, key)
-            if not _is_int(value) or value < low:
-                raise ConfigInvalid(f"{key} must be an integer of at least {low}")
-        if self.workers > _MAX_WORKERS:
-            raise ConfigInvalid(f"workers must be at most {_MAX_WORKERS}")
-        for key in _FLOAT_KEYS:
-            if not _is_finite_number(getattr(self, key)):
-                raise ConfigInvalid(f"{key} must be a finite number")
-        if self.learning_rate < 0:
-            raise ConfigInvalid("learning_rate must be nonnegative")
-        if not 0.0 <= self.queue_fraction < 1.0:
-            raise ConfigInvalid("queue_fraction must lie in [0, 1)")
-        if not 0.0 < self.selection_fraction <= 1.0:
-            raise ConfigInvalid("selection_fraction must lie in (0, 1]")
-        segment = self.segment_size
-        if not (segment is None or (_is_int(segment) and segment >= 0)):
-            raise ConfigInvalid("segment_size must be a nonnegative integer or null")
-        if not isinstance(self.hidden_dims, (list, tuple)) or not all(
-            _is_int(h) and h >= 1 for h in self.hidden_dims
-        ):
-            raise ConfigInvalid("hidden_dims must be a list of positive integers")
-        object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
-        for key, choices in _CHOICES.items():
-            value = getattr(self, key)
-            if not isinstance(value, str) or value not in choices:
-                raise ConfigInvalid(f"{key} must be one of {choices}")
-        aggregator = _AGGREGATOR_ALIASES.get(self.aggregator, self.aggregator)
-        object.__setattr__(self, "aggregator", aggregator)
-        for key in ("data_dir", "output_dir"):
-            value = getattr(self, key)
-            if value is not None and not (isinstance(value, str) and value):
-                raise ConfigInvalid(f"{key} must be a non-empty string or null")
-        if not isinstance(self.trace_dispense, bool):
-            raise ConfigInvalid("trace_dispense must be true or false")
-        if not isinstance(self.dataset_params, (dict, MappingProxyType)):
-            raise ConfigInvalid("dataset_params must be a JSON object")
-        # a copy, so a change to the caller's dict cannot reach a checked config
-        object.__setattr__(self, "dataset_params", MappingProxyType(dict(self.dataset_params)))
-        if self.dataset == "synthetic":
-            _check_synthetic_params(self.dataset_params)
-        elif self.dataset_params:
-            raise ConfigInvalid(f"dataset_params apply to synthetic data only, not {self.dataset}")
-        elif self.data_dir is None:
-            raise ConfigInvalid(f"dataset {self.dataset!r} needs data_dir")
-
 
 # the RoundReport fields metrics.csv holds; its agg_time goes to timings.csv,
 # because wall-clock times are not reproducible
@@ -190,37 +99,9 @@ def load_config(path) -> ExperimentConfig:
     return ExperimentConfig(**raw)
 
 
-# integer fields and the least value each may take
-_INT_KEYS = {
-    "devices": 1, "rounds": 1, "local_epochs": 1, "batch_size": 1, "seed": 0, "workers": 1
-}
-# a round runs its workers past the first as threads of one pool
-_MAX_WORKERS = 64
-_FLOAT_KEYS = ("learning_rate", "queue_fraction", "selection_fraction")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_finite_number(value) -> bool:
-    return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
-
-
-def _check_synthetic_params(params) -> None:
-    unknown = set(params) - set(_SYNTHETIC_DEFAULTS)
-    if unknown:
-        raise ConfigInvalid(f"unknown synthetic params: {', '.join(sorted(unknown))}")
-    for key, value in params.items():
-        if key == "spread" and not (_is_finite_number(value) and value >= 0):
-            raise ConfigInvalid("dataset_params.spread must be a nonnegative finite number")
-        if key != "spread" and not (_is_int(value) and value >= 2):
-            raise ConfigInvalid(f"dataset_params.{key} must be an integer of at least 2")
-
-
 def _load_dataset(cfg: ExperimentConfig) -> tuple[LabeledSet, LabeledSet]:
     if cfg.dataset == "synthetic":
-        params = {**_SYNTHETIC_DEFAULTS, **cfg.dataset_params}
+        params = {**SYNTHETIC_DEFAULTS, **cfg.dataset_params}
         return make_synthetic(**params, seed=derive_seed(cfg.seed, "data"))
     if cfg.dataset == "mnist":
         return load_mnist(cfg.data_dir)
@@ -283,39 +164,22 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
 def _run(cfg: ExperimentConfig, train: LabeledSet, test: LabeledSet) -> ExperimentResult:
     """`run_experiment` of `cfg` on its loaded dataset."""
-    spec = ModelSpec(
-        input_dim=train.input_dim,
-        hidden_dims=cfg.hidden_dims,
-        num_classes=train.num_classes,
-        activation=cfg.activation,
-    )
     queue, devices, histograms = split_and_partition(cfg, train)
+    cfg = dataclasses.replace(cfg, segment_size=derived_segment_size(cfg, len(queue.pool)))
+    spec = ModelSpec(train.input_dim, cfg.hidden_dims, train.num_classes, cfg.activation)
     global_model = init_model(spec, derive_seed(cfg.seed, "init"))
-    segment_size = derived_segment_size(cfg, len(queue.pool))
-
-    round_cfg = RoundConfig(
-        model_spec=spec,
-        learning_rate=cfg.learning_rate,
-        local_epochs=cfg.local_epochs,
-        batch_size=cfg.batch_size,
-        aggregator=cfg.aggregator,
-        selection_fraction=cfg.selection_fraction,
-        segment_size=segment_size,
-        seed=cfg.seed,
-        train_set=train,
-        test_set=test,
-        workers=cfg.workers,
-    )
+    values = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
+    round_cfg = RoundConfig(**values, train_set=train, test_set=test)
 
     out_dir: Path | None = None
     files = {}
     if cfg.output_dir is not None:
         out_dir = Path(cfg.output_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        resolved = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
-        resolved["segment_size"] = segment_size
-        resolved["input_dim"] = train.input_dim
-        resolved["num_classes"] = train.num_classes
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigInvalid(f"output_dir {out_dir} cannot be a directory ({exc})") from exc
+        resolved = {**values, "input_dim": train.input_dim, "num_classes": train.num_classes}
         (out_dir / "config_resolved.json").write_text(
             json.dumps(resolved, indent=2, sort_keys=True, default=dict) + "\n", encoding="utf-8"
         )
@@ -364,7 +228,7 @@ def _run(cfg: ExperimentConfig, train: LabeledSet, test: LabeledSet) -> Experime
         "first_mean_entropy": rows[0].mean_entropy,
         "final_mean_entropy": rows[-1].mean_entropy,
         "zero_entropy_fallback_rounds": sum(r.zero_entropy_fallback for r in rows),
-        "segment_size": segment_size,
+        "segment_size": cfg.segment_size,
     }
     if out_dir is not None:
         with (out_dir / "summary.txt").open("w", encoding="ascii") as fh:

@@ -59,6 +59,7 @@ INVALID_VALUES = [
     ("dataset_params.per_class", 2.5),
     ("dataset_params.per_class", 1),
     ("dataset_params.input_dim", 1),
+    ("dataset_params.bogus", 1),
     # infeasible for the 64 residual samples of 4 classes that the base config leaves
     ("devices", 3),
     ("devices", 200),
@@ -163,6 +164,16 @@ class TestRunCommand:
             tmp_path, dataset="mnist", data_dir=str(tmp_path / "nowhere"), dataset_params={}
         )
         assert main(["run", "--config", str(config)]) == EXIT_DATASET
+
+    @pytest.mark.parametrize("where", ["a file", "under a file"])
+    def test_output_dir_that_cannot_be_a_directory(self, tmp_path, capsys, where):
+        config = write_config(tmp_path)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory")
+        out = blocker if where == "a file" else blocker / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "output_dir" in err and str(out) in err
 
     def test_unknown_flag(self, tmp_path):
         config = write_config(tmp_path)

@@ -51,6 +51,26 @@ class TestLabeledSet:
             concat_sets(a, b)
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: LabeledSet(np.zeros(3), np.zeros(3, dtype=int), 2),
+         "features must be a 2-D array"),
+        (lambda: LabeledSet(np.zeros((3, 2)), np.zeros(2, dtype=int), 2),
+         "labels must be 1-D and match the sample count"),
+        (lambda: LabeledSet(np.zeros((3, 2)), np.zeros((3, 1), dtype=int), 2),
+         "labels must be 1-D and match the sample count"),
+        (lambda: LabeledSet(np.zeros((0, 2)), np.zeros(0, dtype=int), 0),
+         "num_classes must be positive"),
+        (lambda: class_histogram(np.array([0, 3]), 3), r"labels must lie in \[0, num_classes\)"),
+        (lambda: class_histogram(np.array([-1, 0]), 3), r"labels must lie in \[0, num_classes\)"),
+    ],
+)
+def test_bad_input_raises_naming_the_fault(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 class TestClassHistogram:
     def test_single_class_block(self):
         data = LabeledSet(np.zeros((30, 2)), np.full(30, 3), 10)

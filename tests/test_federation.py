@@ -1,7 +1,7 @@
 import inspect
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from fedsim import nn
 from fedsim.analysis import bank_divergence
 from fedsim.data import LabeledSet
-from fedsim.errors import NumericalDivergence
+from fedsim.config import ExperimentConfig
+from fedsim.errors import ConfigInvalid, NumericalDivergence
 from fedsim.federation import (
     FederationState,
     RoundConfig,
@@ -169,6 +170,18 @@ class TestAggregateFedavg:
         with pytest.raises(ValueError, match="bank width"):
             aggregate_fedavg(models, ((2, 2, 0),), [1, 1])
 
+    @pytest.mark.parametrize(
+        "models, weights, message",
+        [
+            (np.empty((0, 2)), [], "no models to aggregate"),
+            (np.ones((2, 2)), [1.0], "need exactly one weight per model"),
+            (np.ones((2, 2)), [2.0, -1.0], "weights must be nonnegative"),
+        ],
+    )
+    def test_bad_input_raises_naming_the_fault(self, models, weights, message):
+        with pytest.raises(ValueError, match=message):
+            aggregate_fedavg(models, ((1, 2, 0),), weights)
+
     def test_convex_combination_bounds(self):
         rng = np.random.default_rng(1)
         for _ in range(300):
@@ -266,11 +279,26 @@ def small_federation(mode="one_class", num_devices=4, num_classes=4, seed=0,
     return state, spec, dict(train_set=train, test_set=test)
 
 
+class TestRoundConfig:
+    def test_is_the_experiment_config_plus_the_data(self):
+        # each config value is declared once, on ExperimentConfig
+        assert issubclass(RoundConfig, ExperimentConfig)
+        names = [f.name for f in fields(ExperimentConfig)]
+        assert [f.name for f in fields(RoundConfig)] == [*names, "train_set", "test_set"]
+
+    def test_checks_its_values(self):
+        _, _, sets = small_federation()
+        with pytest.raises(ConfigInvalid, match="learning_rate"):
+            RoundConfig(learning_rate=-1.0, segment_size=1, **sets)
+
+
 class TestRunRound:
     def test_zero_learning_rate_keeps_global_model(self):
         state, spec, sets = small_federation()
-        cfg = RoundConfig(spec, 0.0, 1, 8, "ddfl_entropy", 0.9,
-                          1, seed=3, **sets)
+        cfg = RoundConfig(
+            learning_rate=0.0, local_epochs=1, batch_size=8, aggregator="ddfl_entropy",
+            selection_fraction=0.9, segment_size=1, seed=3, **sets,
+        )
         before = state.global_model.values.copy()
         before_acc = None
         from fedsim.nn import evaluate
@@ -281,8 +309,10 @@ class TestRunRound:
 
     def test_single_device_full_selection_returns_local_model(self):
         state, spec, sets = small_federation(mode="iid", num_devices=1)
-        cfg = RoundConfig(spec, 0.2, 1, 8, "ddfl_entropy", 1.0,
-                          1, seed=3, **sets)
+        cfg = RoundConfig(
+            learning_rate=0.2, local_epochs=1, batch_size=8, aggregator="ddfl_entropy",
+            selection_fraction=1.0, segment_size=1, seed=3, **sets,
+        )
         new_state, report = run_round(state, cfg)
         local = ParamVector(new_state.bank[0], spec.layout())
         np.testing.assert_array_equal(new_state.global_model.values, local.values)
@@ -295,10 +325,14 @@ class TestRunRound:
         kwargs = dict(mode="iid", num_devices=4, seed=5, queue_fraction=0.0)
         state_a, spec, sets = small_federation(**kwargs)
         state_b, _, _ = small_federation(**kwargs)
-        cfg_a = RoundConfig(spec, 0.3, 1, 8, "fedavg_count", 1.0,
-                            0, seed=7, **sets)
-        cfg_b = RoundConfig(spec, 0.3, 1, 8, "ddfl_entropy", 1.0,
-                            0, seed=7, **sets)
+        cfg_a = RoundConfig(
+            learning_rate=0.3, local_epochs=1, batch_size=8, aggregator="fedavg_count",
+            selection_fraction=1.0, segment_size=0, seed=7, **sets,
+        )
+        cfg_b = RoundConfig(
+            learning_rate=0.3, local_epochs=1, batch_size=8, aggregator="ddfl_entropy",
+            selection_fraction=1.0, segment_size=0, seed=7, **sets,
+        )
         out_a, _ = run_round(state_a, cfg_a)
         out_b, _ = run_round(state_b, cfg_b)
         np.testing.assert_array_equal(
@@ -307,8 +341,10 @@ class TestRunRound:
 
     def test_round_one_of_one_class_flags_fallback(self):
         state, spec, sets = small_federation(mode="one_class", queue_fraction=0.0)
-        cfg = RoundConfig(spec, 0.1, 1, 8, "ddfl_entropy", 0.9,
-                          0, seed=1, **sets)
+        cfg = RoundConfig(
+            learning_rate=0.1, local_epochs=1, batch_size=8, aggregator="ddfl_entropy",
+            selection_fraction=0.9, segment_size=0, seed=1, **sets,
+        )
         _, report = run_round(state, cfg)
         assert report.zero_entropy_fallback
         # floor(0.9 * 4) = 3 devices kept
@@ -316,8 +352,10 @@ class TestRunRound:
 
     def test_selected_count_matches_fraction(self):
         state, spec, sets = small_federation(num_devices=4)
-        cfg = RoundConfig(spec, 0.1, 1, 8, "ddfl_entropy", 0.5,
-                          1, seed=1, **sets)
+        cfg = RoundConfig(
+            learning_rate=0.1, local_epochs=1, batch_size=8, aggregator="ddfl_entropy",
+            selection_fraction=0.5, segment_size=1, seed=1, **sets,
+        )
         _, report = run_round(state, cfg)
         assert len(report.selected_ids) == max(1, math.floor(0.5 * 4))
 
@@ -335,8 +373,10 @@ class TestRunRound:
             for workers in (1, 2, 3):
                 state, spec, sets = small_federation(num_devices=6, seed=2)
                 assert [len(d) for d in state.devices] == [9, 9, 18, 9, 9, 18]
-                cfg = RoundConfig(spec, 0.2, 1, 8, "ddfl_entropy", 0.5,
-                                  1, seed=9, **sets, workers=workers)
+                cfg = RoundConfig(
+                    learning_rate=0.2, local_epochs=1, batch_size=8, aggregator="ddfl_entropy",
+                    selection_fraction=0.5, segment_size=1, seed=9, **sets, workers=workers,
+                )
                 train_calls.clear()
                 model = state.global_model
                 out, _ = run_round(state, cfg)
@@ -351,11 +391,15 @@ class TestRunRound:
     def test_more_workers_than_devices_make_no_empty_call(self, train_calls, num_devices):
         state_1, spec, sets = small_federation(mode="iid", num_devices=num_devices, seed=3)
         state_4, _, _ = small_federation(mode="iid", num_devices=num_devices, seed=3)
-        out_1, _ = run_round(state_1, RoundConfig(spec, 0.2, 1, 8, "fedavg_count", 1.0,
-                                                  1, seed=9, **sets, workers=1))
+        out_1, _ = run_round(state_1, RoundConfig(
+            learning_rate=0.2, local_epochs=1, batch_size=8, aggregator="fedavg_count",
+            selection_fraction=1.0, segment_size=1, seed=9, **sets, workers=1,
+        ))
         train_calls.clear()
-        out_4, _ = run_round(state_4, RoundConfig(spec, 0.2, 1, 8, "fedavg_count", 1.0,
-                                                  1, seed=9, **sets, workers=4))
+        out_4, _ = run_round(state_4, RoundConfig(
+            learning_rate=0.2, local_epochs=1, batch_size=8, aggregator="fedavg_count",
+            selection_fraction=1.0, segment_size=1, seed=9, **sets, workers=4,
+        ))
         assert sorted(train_calls) == [(k, 1, k == 0) for k in range(num_devices)]
         np.testing.assert_array_equal(out_1.bank, out_4.bank)
 
@@ -366,8 +410,10 @@ class TestRunRound:
         state, spec, sets = small_federation(num_devices=6, seed=2)
         for k in (3, 5):
             sets["train_set"].features[state.devices[k]] = np.inf
-        cfg = RoundConfig(spec, 0.2, 1, 8, "ddfl_entropy", 0.5,
-                          0, seed=9, **sets)
+        cfg = RoundConfig(
+            learning_rate=0.2, local_epochs=1, batch_size=8, aggregator="ddfl_entropy",
+            selection_fraction=0.5, segment_size=0, seed=9, **sets,
+        )
         with pytest.raises(
             NumericalDivergence, match="round 0: device 3 trained to non-finite parameters"
         ):
@@ -379,10 +425,11 @@ class TestRunRound:
     def test_non_finite_divergence_names_the_device(self):
         # tanh saturates, so at this step size every trained parameter stays
         # finite and only the distance to the merged model overflows
-        state, spec, sets = small_federation(num_devices=6, seed=2)
-        spec = replace(spec, activation="tanh")
-        cfg = RoundConfig(spec, 1e200, 1, 8, "fedavg_count", 1.0,
-                          1, seed=9, **sets)
+        state, _, sets = small_federation(num_devices=6, seed=2)
+        cfg = RoundConfig(
+            learning_rate=1e200, local_epochs=1, batch_size=8, aggregator="fedavg_count",
+            selection_fraction=1.0, segment_size=1, seed=9, **sets, activation="tanh",
+        )
         with pytest.raises(
             NumericalDivergence, match="round 0: device 0 weight divergence is not finite"
         ):
@@ -393,8 +440,10 @@ class TestRunRound:
         # the state run_round returns is the one it was given, so a second
         # call on it runs the next round, from the merged model and queue
         state, spec, sets = small_federation()
-        cfg = RoundConfig(spec, 0.2, 1, 8, "ddfl_entropy", 0.9,
-                          1, seed=9, **sets)
+        cfg = RoundConfig(
+            learning_rate=0.2, local_epochs=1, batch_size=8, aggregator="ddfl_entropy",
+            selection_fraction=0.9, segment_size=1, seed=9, **sets,
+        )
         for round_index in (0, 1):
             model, cursor = state.global_model, state.queue.cursor
             out, report = run_round(state, cfg)
@@ -413,8 +462,10 @@ class TestRunRound:
 
     def test_bank_is_reused_across_rounds(self):
         state, spec, sets = small_federation()
-        cfg = RoundConfig(spec, 0.2, 1, 8, "fedavg_count", 1.0,
-                          1, seed=9, **sets)
+        cfg = RoundConfig(
+            learning_rate=0.2, local_epochs=1, batch_size=8, aggregator="fedavg_count",
+            selection_fraction=1.0, segment_size=1, seed=9, **sets,
+        )
         bank = state.bank
         for _ in range(2):
             state, _ = run_round(state, cfg)
@@ -424,10 +475,14 @@ class TestRunRound:
     def test_worker_count_does_not_matter(self):
         state_a, spec, sets = small_federation(seed=4)
         state_b, _, _ = small_federation(seed=4)
-        cfg_1 = RoundConfig(spec, 0.2, 2, 8, "ddfl_entropy", 0.9,
-                            1, seed=9, **sets, workers=1)
-        cfg_4 = RoundConfig(spec, 0.2, 2, 8, "ddfl_entropy", 0.9,
-                            1, seed=9, **sets, workers=4)
+        cfg_1 = RoundConfig(
+            learning_rate=0.2, local_epochs=2, batch_size=8, aggregator="ddfl_entropy",
+            selection_fraction=0.9, segment_size=1, seed=9, **sets, workers=1,
+        )
+        cfg_4 = RoundConfig(
+            learning_rate=0.2, local_epochs=2, batch_size=8, aggregator="ddfl_entropy",
+            selection_fraction=0.9, segment_size=1, seed=9, **sets, workers=4,
+        )
         out_a, _ = run_round(state_a, cfg_1)
         out_b, _ = run_round(state_b, cfg_4)
         np.testing.assert_array_equal(
@@ -444,8 +499,10 @@ class TestRunRound:
         try:
             for workers in (1, 8):
                 state, spec, sets = small_federation(mode="iid", num_devices=12, seed=6)
-                cfg = RoundConfig(spec, 0.2, 2, 4, "fedavg_count", 1.0,
-                                  1, seed=9, **sets, workers=workers)
+                cfg = RoundConfig(
+                    learning_rate=0.2, local_epochs=2, batch_size=4, aggregator="fedavg_count",
+                    selection_fraction=1.0, segment_size=1, seed=9, **sets, workers=workers,
+                )
                 for _ in range(2):
                     state, _ = run_round(state, cfg)
                 banks.append(state.bank.copy())
@@ -461,8 +518,10 @@ class TestRunRound:
 
     def test_report_contents(self):
         state, spec, sets = small_federation()
-        cfg = RoundConfig(spec, 0.2, 1, 8, "fedavg_count", 1.0,
-                          1, seed=9, **sets)
+        cfg = RoundConfig(
+            learning_rate=0.2, local_epochs=1, batch_size=8, aggregator="fedavg_count",
+            selection_fraction=1.0, segment_size=1, seed=9, **sets,
+        )
         new_state, report = run_round(state, cfg)
         assert report.round_index == 0
         assert new_state.round_index == 1

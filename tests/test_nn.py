@@ -174,6 +174,12 @@ class TestGradient:
         with pytest.raises(ValueError, match="model expects 4 features"):
             gradient(model, wrong_dim)
 
+    def test_class_count_that_does_not_fit_the_model(self):
+        model = init_model(ModelSpec(4, (3,), 2), 0)
+        three_classes = LabeledSet(np.zeros((2, 4)), np.zeros(2, dtype=int), 3)
+        with pytest.raises(ValueError, match="model has 2 outputs, data declares 3 classes"):
+            gradient(model, three_classes)
+
 
 class TestLocalTrain:
     def test_zero_learning_rate_is_identity(self):

@@ -135,6 +135,11 @@ class TestPartition:
                 np.testing.assert_array_equal(hist, class_histogram(train.labels[d], 10))
 
 
+def test_negative_counts_raise():
+    with pytest.raises(ValueError, match="counts must be nonnegative"):
+        normalized_entropies(np.array([[3, -1], [1, 1]]))
+
+
 def dispense_indices_by_loop(queue, num_devices, segment_size):
     """Reference: the per-sample loop `dispense` replaces with slices."""
     indices = []
