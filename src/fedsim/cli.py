@@ -7,6 +7,11 @@ that cannot be made), 2 `DatasetError`
 classes), 3 any other exception (`NumericalDivergence`, or a runtime
 failure).
 
+`fedsim sweep --config base.json --grid grid.json --out DIR` runs every
+setting of the grid under each of its named arms (see `harness.run_sweep`),
+for example `configs/attribution_grid.json` on `configs/trend.json`, and
+prints the `sweep_table.csv` it writes in DIR.
+
 Each file a user names is read by one reader per format:
 `harness.read_json_object` for config and grid files (any fault in reading
 or parsing one exits 1), and the `data` loaders for dataset files (a
@@ -54,9 +59,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--out", help="override the config output directory")
 
-    sweep = sub.add_parser("sweep", help="run a grid of settings, both aggregators")
+    sweep = sub.add_parser("sweep", help="run listed settings under named arms")
     sweep.add_argument("--config", required=True, help="JSON base config file")
-    sweep.add_argument("--grid", required=True, help="JSON grid file")
+    sweep.add_argument(
+        "--grid",
+        required=True,
+        help='JSON grid file; each setting runs under each arm, e.g. {"settings": [{}, '
+        '{"local_epochs": 5}], "arms": {"fedavg": {"aggregator": "fedavg_count"}, "ddfl": {}}}',
+    )
     sweep.add_argument("--out", help="override the config output directory")
 
     return parser
@@ -82,7 +92,7 @@ def _cmd_sweep(args) -> int:
     out = cfg.output_dir if args.out is None else args.out
     cfg = dataclasses.replace(cfg, output_dir="runs/sweep" if out is None else out)
     table = harness.run_sweep(cfg, harness.read_json_object(args.grid, "grid"))
-    print(harness.format_sweep_table(table))
+    print(harness.format_sweep_table(table), end="")
     return EXIT_OK
 
 

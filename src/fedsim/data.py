@@ -107,7 +107,8 @@ def class_histogram(samples, num_classes: int) -> np.ndarray:
 
 def _read_idx(path: Path, magic: int, dims: int) -> np.ndarray:
     """The (count, item size) byte matrix of an IDX file whose header holds
-    `magic` and `dims` sizes, the first of them the item count."""
+    `magic` and `dims` sizes, the first of them the item count; a file that
+    holds no items is a DatasetError, as a malformed one is."""
     raw = path.read_bytes()
     header = 4 * (1 + dims)
     if len(raw) < header:
@@ -115,6 +116,8 @@ def _read_idx(path: Path, magic: int, dims: int) -> np.ndarray:
     found, count, *item_shape = struct.unpack(f">{1 + dims}I", raw[:header])
     if found != magic:
         raise DatasetError(f"{path.name}: magic {found:#010x}, expected {magic:#010x}")
+    if count == 0:
+        raise DatasetError(f"{path.name}: holds no items")
     item = math.prod(item_shape)
     needed = header + count * item
     if len(raw) < needed:
@@ -124,9 +127,10 @@ def _read_idx(path: Path, magic: int, dims: int) -> np.ndarray:
 
 
 def _checked_labels(path: Path, labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """The unsigned label bytes parsed from `path`; one of `num_classes` or
-    more is a DatasetError naming the file."""
-    if len(labels) and labels.max() >= num_classes:
+    """The unsigned label bytes parsed from `path`, at least one (both
+    readers refuse an empty file); one of `num_classes` or more is a
+    DatasetError naming the file."""
+    if labels.max() >= num_classes:
         raise DatasetError(f"{path.name}: label {labels.max()} is not below {num_classes}")
     return labels
 

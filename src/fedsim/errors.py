@@ -3,8 +3,8 @@
     ConfigInvalid        1  a config value, flag or grid is invalid, a
                             config or grid file is unreadable or malformed,
                             or the output_dir cannot be made a directory
-    DatasetError         2  a dataset file is missing or malformed, or
-                            holds a label outside the dataset's classes
+    DatasetError         2  a dataset file is missing, malformed or empty,
+                            or holds a label outside the dataset's classes
     any other exception  3  NumericalDivergence, or a ValueError from a bad
                             argument inside the package
 
@@ -14,8 +14,10 @@ reaches it. Files a user names are read by one reader per format:
 loaders for dataset files.
 Config values are then checked once, when a `config.ExperimentConfig` is
 made (it is frozen, so it stays valid, and so is `federation.RoundConfig`,
-which extends it), and grids by `harness.run_sweep`, which also makes
-every setting's queue split and partition before the first run.
+which extends it), and grids by `harness.run_sweep`: a grid's shape, its
+arm names and the keys each setting and arm sets are checked, every run's
+config is made, and every run's queue split and partition are made before
+the first run.
 """
 
 
@@ -24,8 +26,8 @@ class ConfigInvalid(Exception):
 
 
 class DatasetError(Exception):
-    """A dataset file is missing, truncated, not in the expected format or
-    holds a label outside the dataset's classes."""
+    """A dataset file is missing, truncated, not in the expected format,
+    holds no items or holds a label outside the dataset's classes."""
 
 
 class NumericalDivergence(Exception):

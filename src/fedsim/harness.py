@@ -26,9 +26,22 @@ It is the boundary for the config and grid files a user names:
 one is a ConfigInvalid naming the path, as is an output directory that
 cannot be made. Config values are checked once, when an ExperimentConfig
 is made (from a file, by hand or by `dataclasses.replace`), and grids in
-`run_sweep` (which loads the dataset once and makes every setting's queue
+`run_sweep` (which loads the dataset once and makes every run's queue
 split and partition on it before the first run): a fault in either is a
 ConfigInvalid.
+
+A sweep runs listed settings under named arms. Its grid file is one
+object whose inner objects are config overrides, for example
+
+    {"settings": [{}, {"local_epochs": 5}],
+     "arms": {"fedavg": {"aggregator": "fedavg_count"},
+              "ddfl": {"aggregator": "ddfl_entropy"}}}
+
+and run (i, name) is the base config with setting i's and arm name's
+values, in `setting_<ii>_<name>` of the sweep's output directory.
+`sweep_table.csv` there holds one row per run: setting, arm,
+final_accuracy, best_accuracy and final_mean_entropy.
+
 Seed discipline: the master seed is split into labelled streams ("data",
 "queue", "partition", "init", and ("train", round, device)), so results do
 not depend on execution order or workers.
@@ -38,6 +51,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -60,6 +74,8 @@ _METRIC_COLUMNS = (
     "round_index", "test_accuracy", "mean_loss", "mean_entropy", "min_entropy",
     "max_entropy", "mean_weight_divergence", "mean_bias_norm", "selected_ids",
 )
+# the keys a config file may set
+_CONFIG_KEYS = frozenset(f.name for f in dataclasses.fields(ExperimentConfig))
 
 
 @dataclass
@@ -92,8 +108,7 @@ def read_json_object(path, what: str) -> dict:
 def load_config(path) -> ExperimentConfig:
     """Read and validate a JSON config file; unknown keys are rejected."""
     raw = read_json_object(path, "config")
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    unknown = set(raw) - known
+    unknown = set(raw) - _CONFIG_KEYS
     if unknown:
         raise ConfigInvalid(f"unknown config keys: {', '.join(sorted(unknown))}")
     return ExperimentConfig(**raw)
@@ -240,98 +255,87 @@ def _run(cfg: ExperimentConfig, train: LabeledSet, test: LabeledSet) -> Experime
 # ---------------------------------------------------------------------------
 # Sweeps
 
-
-_GRID_KEYS = ("local_epochs", "queue_fraction", "selection_fraction")
+# the config keys a sweep's settings and arms may set: all but the keys that
+# one dataset load and the sweep's own run directories need the same in
+# every run
+_SWEEP_KEYS = _CONFIG_KEYS - {"dataset", "dataset_params", "data_dir", "seed", "output_dir"}
+_SWEEP_COLUMNS = ("setting", "arm", "final_accuracy", "best_accuracy", "final_mean_entropy")
 
 
 def run_sweep(base_cfg: ExperimentConfig, grid: dict) -> list[dict]:
-    """Run a list of settings with both aggregators and tabulate the gap.
+    """Run every setting of `grid` under each of its named arms.
 
-    `grid` holds parallel lists under any of the keys local_epochs,
-    queue_fraction, selection_fraction; entry i of each list defines setting
-    i (single-value lists broadcast). Each setting runs once per aggregator;
-    the returned rows carry both accuracies and the boost in points, and
-    `sweep_table.csv` holds them and no wall-clock figure, so one grid
-    always writes the same table. The dataset is loaded once for the whole
-    sweep. Before the first run starts, every run's config is made (which
-    checks it), and every setting's queue split and partition are made on
-    the loaded data, so an invalid or empty grid value, or one the data
-    cannot support, stops the sweep before it writes anything.
+    `grid` is one object, {"settings": [{...}, ...], "arms": {name: {...}}},
+    whose inner objects each map config keys to values. For example,
+
+        {"settings": [{"local_epochs": 1}, {"local_epochs": 5}],
+         "arms": {"fedavg": {"aggregator": "fedavg_count"},
+                  "ddfl": {"aggregator": "ddfl_entropy"}}}
+
+    makes four runs. Run (i, name) is `base_cfg` with setting i's and arm
+    `name`'s values, which may not share a key, and writes into
+    `setting_<ii>_<name>` in `base_cfg.output_dir`, which must be set (i
+    counts from 1).
+    An arm name is a plain token of letters, digits, `_` and `-`. No setting
+    or arm may set dataset, dataset_params, data_dir, seed or output_dir, so
+    the dataset is loaded once for the whole sweep.
+
+    Before the first run starts, every run's config is made (which checks
+    it) and its queue split and partition are made on the loaded data, so a
+    bad grid, value or split is a ConfigInvalid that writes nothing. Then
+    each run's row of `_SWEEP_COLUMNS` goes to `sweep_table.csv`, written
+    and flushed as the run finishes, in the text `format_sweep_table` gives;
+    the rows are also returned.
     """
-    unknown = set(grid) - set(_GRID_KEYS)
-    if unknown:
-        raise ConfigInvalid(f"unknown grid keys: {', '.join(sorted(unknown))}")
-    for key, values in grid.items():
-        if not isinstance(values, list):
-            raise ConfigInvalid(f"grid value {key} must be a list")
-        if not values:
-            raise ConfigInvalid(f"grid value {key} must not be empty")
-    lists = dict(grid)
-    if not lists:
-        raise ConfigInvalid("grid must set at least one non-empty list")
-    length = max(len(v) for v in lists.values())
-    for key, values in lists.items():
-        if len(values) == 1:
-            lists[key] = values * length
-        elif len(values) != length:
-            raise ConfigInvalid("grid lists must have equal lengths (or length 1)")
+    if set(grid) != {"settings", "arms"}:
+        raise ConfigInvalid(f"grid keys must be settings and arms, not {sorted(grid)}")
+    settings, arms = grid["settings"], grid["arms"]
+    if not (isinstance(settings, list) and settings and isinstance(arms, dict) and arms):
+        raise ConfigInvalid("grid settings must be a non-empty list, and arms a non-empty object")
+    base_out = Path(base_cfg.output_dir)
+    runs = []  # (setting number, arm name, config)
+    for i, setting in enumerate(settings, start=1):
+        for name, arm in arms.items():
+            # the name is part of a run's directory and of a CSV row
+            if not re.fullmatch(r"[A-Za-z0-9_-]+", name):
+                raise ConfigInvalid(f"grid arm name {name!r} may hold only letters, digits, _ and -")
+            where = f"grid setting {i} and arm {name}"
+            if not (isinstance(setting, dict) and isinstance(arm, dict)):
+                raise ConfigInvalid(f"{where} must both be JSON objects")
+            for key in [*setting, *arm]:
+                if key not in _SWEEP_KEYS:
+                    raise ConfigInvalid(f"{where} set {key}, which is unknown or fixed for a sweep")
+                if key in setting and key in arm:
+                    raise ConfigInvalid(f"{where} both set {key}")
+            out = str(base_out / f"setting_{i:02d}_{name}")
+            runs.append((i, name, dataclasses.replace(base_cfg, output_dir=out, **setting, **arm)))
+    # no run changes the dataset or the seed, so one load serves every run's
+    # set-up check and every run
+    train, test = _load_dataset(base_cfg)
+    for _, _, cfg in runs:
+        split_and_partition(cfg, train)
 
-    base_out = None if base_cfg.output_dir is None else Path(base_cfg.output_dir)
-    runs: list[dict[str, ExperimentConfig]] = []  # each setting's config per aggregator
-    for i in range(length):
-        setting = {key: lists[key][i] for key in lists}
-        configs = {}
-        for aggregator in ("fedavg_count", "ddfl_entropy"):
-            # a run's directory sits in the sweep's
-            out = None if base_out is None else str(base_out / f"setting_{i + 1:02d}_{aggregator}")
-            configs[aggregator] = dataclasses.replace(
-                base_cfg, aggregator=aggregator, output_dir=out, **setting
-            )
-        runs.append(configs)
-    # grid keys cannot change the dataset or the seed, so one load serves
-    # every setting's set-up check and every run
-    train, test = _load_dataset(runs[0]["fedavg_count"])
-    for configs in runs:
-        split_and_partition(configs["fedavg_count"], train)
-
-    table: list[dict] = []
-    for i, configs in enumerate(runs, start=1):
-        results = {name: _run(cfg, train, test) for name, cfg in configs.items()}
-        base_acc = results["fedavg_count"].summary["final_accuracy"]
-        ddfl_acc = results["ddfl_entropy"].summary["final_accuracy"]
-        cfg = configs["fedavg_count"]
-        row = {
-            "setting": i,
-            "local_epochs": cfg.local_epochs,
-            "queue_fraction": cfg.queue_fraction,
-            "selection_fraction": cfg.selection_fraction,
-            "fedavg_accuracy": base_acc,
-            "ddfl_accuracy": ddfl_acc,
-            "boost_points": (ddfl_acc - base_acc) * 100.0,
-        }
-        table.append(row)
-
-    if base_out is not None:
+    try:
         base_out.mkdir(parents=True, exist_ok=True)
-        columns = list(table[0].keys())
-        with (base_out / "sweep_table.csv").open("w", encoding="ascii") as fh:
-            fh.write(",".join(columns) + "\n")
-            for row in table:
-                fh.write(",".join(str(row[c]) for c in columns) + "\n")
+        # line-buffered, so each row is on disk as its run finishes
+        table_file = (base_out / "sweep_table.csv").open("w", encoding="ascii", buffering=1)
+    except OSError as exc:
+        raise ConfigInvalid(f"output_dir {base_out} cannot hold sweep_table.csv ({exc})") from exc
+    table: list[dict] = []
+    with table_file:
+        table_file.write(_sweep_line(_SWEEP_COLUMNS))
+        for i, name, cfg in runs:
+            summary = _run(cfg, train, test).summary
+            table.append({"setting": i, "arm": name, **{k: summary[k] for k in _SWEEP_COLUMNS[2:]}})
+            table_file.write(_sweep_line(table[-1].values()))
     return table
 
 
+def _sweep_line(values) -> str:
+    return ",".join(str(value) for value in values) + "\n"
+
+
 def format_sweep_table(table: list[dict]) -> str:
-    header = (
-        f"{'setting':>7} {'epochs':>6} {'queue':>6} {'select':>6} "
-        f"{'fedavg':>8} {'ddfl':>8} {'boost':>7}"
-    )
-    lines = [header, "-" * len(header)]
-    for row in table:
-        lines.append(
-            f"{row['setting']:>7} {row['local_epochs']:>6} "
-            f"{row['queue_fraction']:>6} {row['selection_fraction']:>6} "
-            f"{row['fedavg_accuracy'] * 100:>7.2f}% {row['ddfl_accuracy'] * 100:>7.2f}% "
-            f"{row['boost_points']:>+6.2f}"
-        )
-    return "\n".join(lines)
+    """The sweep_table.csv text of the rows `run_sweep` returns: the header,
+    then one line per run."""
+    return _sweep_line(_SWEEP_COLUMNS) + "".join(_sweep_line(row.values()) for row in table)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pkgutil
 import re
@@ -193,24 +194,92 @@ class TestRunCommand:
         assert runs == ["synthetic_ddfl_entropy_seed3"]
 
 
+ARMS = {"fedavg": {"aggregator": "fedavg_count"}, "ddfl": {"aggregator": "ddfl_entropy"}}
+
+
+def write_grid(tmp_path, settings=({},), arms=None):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"settings": list(settings), "arms": ARMS if arms is None else arms}))
+    return path
+
+
+def sweep_command(config, grid, out):
+    return ["sweep", "--config", str(config), "--grid", str(grid), "--out", str(out)]
+
+
+def assert_wrote_nothing(out):
+    assert not list(out.glob("setting_*"))
+    assert not (out / "sweep_table.csv").exists()
+
+
+# the committed example: the trend config at seed 1 under the attribution grid
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# grids that `fedsim sweep` refuses before it writes anything, and the words
+# its error gives for each
+REFUSED_GRIDS = {
+    "an unknown top-level key": ({"settings": [{}], "arms": ARMS, "seeds": [1]}, "seeds"),
+    "no arms key": ({"settings": [{}]}, "arms"),
+    "empty settings": ({"settings": [], "arms": ARMS}, "settings"),
+    "empty arms": ({"settings": [{}], "arms": {}}, "arms"),
+    "arms not an object": ({"settings": [{}], "arms": [{}]}, "arms"),
+    "a setting not an object": ({"settings": [{}, [1]], "arms": ARMS}, "setting 2"),
+    "an arm not an object": ({"settings": [{}], "arms": {"a": "fedavg"}}, "arm a"),
+    **{
+        f"fixed key {key}": ({"settings": [{}, {key: value}], "arms": ARMS}, key)
+        for key, value in [
+            ("dataset", "synthetic"), ("dataset_params", {}), ("data_dir", "data"),
+            ("seed", 4), ("output_dir", "elsewhere"),
+        ]
+    },
+    "an unknown key": ({"settings": [{}], "arms": {"a": {"bogus": 1}}}, "bogus"),
+    "a key in both a setting and an arm": (
+        {"settings": [{"local_epochs": 1}], "arms": {"a": {"local_epochs": 2}}}, "local_epochs"
+    ),
+    **{
+        f"arm name {name!r}": ({"settings": [{}], "arms": {name: {}}}, repr(name))
+        for name in ["../x", "", "a b", "a/b", "\u00e9"]
+    },
+    "an arm's bad value": ({"settings": [{}], "arms": {"a": {"learning_rate": -1.0}}}, "learning_rate"),
+    # each run's split is checked, not only each setting's
+    "an arm's split the data cannot support": (
+        {"settings": [{}], "arms": {"a": {}, "b": {"queue_fraction": 0.999}}}, "queue_fraction"
+    ),
+}
+
+
 class TestSweepCommand:
     def test_success(self, tmp_path, capsys):
         config = write_config(tmp_path, rounds=1)
-        grid = tmp_path / "grid.json"
-        grid.write_text(json.dumps({"local_epochs": [1]}))
         out = tmp_path / "sweep"
-        code = main([
-            "sweep", "--config", str(config), "--grid", str(grid), "--out", str(out),
-        ])
-        assert code == EXIT_OK
-        assert (out / "sweep_table.csv").is_file()
-        assert "boost" in capsys.readouterr().out
+        assert main(sweep_command(config, write_grid(tmp_path), out)) == EXIT_OK
+        table = (out / "sweep_table.csv").read_text()
+        # stdout is the table file's text
+        assert capsys.readouterr().out == table
+        lines = table.splitlines()
+        assert lines[0] == "setting,arm,final_accuracy,best_accuracy,final_mean_entropy"
+        assert [line.split(",")[:2] for line in lines[1:]] == [["1", "fedavg"], ["1", "ddfl"]]
 
-    def test_bad_grid(self, tmp_path):
+    def test_bad_grid(self, tmp_path, capsys):
+        # the grid file of earlier versions: parallel lists of values
         config = write_config(tmp_path)
         grid = tmp_path / "grid.json"
-        grid.write_text(json.dumps({"batch_size": [1]}))
-        assert main(["sweep", "--config", str(config), "--grid", str(grid)]) == EXIT_CONFIG
+        grid.write_text(json.dumps({"local_epochs": [1, 2]}))
+        out = tmp_path / "sweep"
+        assert main(sweep_command(config, grid, out)) == EXIT_CONFIG
+        assert "local_epochs" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fault", list(REFUSED_GRIDS))
+    def test_refused_grid(self, tmp_path, capsys, fault):
+        grid, words = REFUSED_GRIDS[fault]
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid))
+        out = tmp_path / "sweep"
+        assert main(sweep_command(write_config(tmp_path, rounds=1), path, out)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert words in err, err
+        assert_wrote_nothing(out)
 
     def test_missing_grid_file(self, tmp_path):
         config = write_config(tmp_path)
@@ -219,26 +288,58 @@ class TestSweepCommand:
 
     def test_every_setting_is_checked_before_the_first_run(self, tmp_path, capsys):
         config = write_config(tmp_path, rounds=1)
-        grid = tmp_path / "grid.json"
-        grid.write_text(json.dumps({"local_epochs": [1, 0]}))
+        grid = write_grid(tmp_path, settings=[{"local_epochs": 1}, {"local_epochs": 0}])
         out = tmp_path / "sweep"
-        code = main(["sweep", "--config", str(config), "--grid", str(grid), "--out", str(out)])
-        assert code == EXIT_CONFIG
+        assert main(sweep_command(config, grid, out)) == EXIT_CONFIG
         assert "local_epochs" in capsys.readouterr().err
-        assert not list(tmp_path.glob("sweep/setting_*"))
+        assert_wrote_nothing(out)
 
     def test_a_setting_the_data_cannot_support_stops_the_sweep_before_the_first_run(
         self, tmp_path, capsys
     ):
         # 0.999 is a valid fraction, but it leaves no samples for the devices
         config = write_config(tmp_path, rounds=1)
-        grid = tmp_path / "grid.json"
-        grid.write_text(json.dumps({"queue_fraction": [0.2, 0.999]}))
+        grid = write_grid(tmp_path, settings=[{"queue_fraction": 0.2}, {"queue_fraction": 0.999}])
         out = tmp_path / "sweep"
-        code = main(["sweep", "--config", str(config), "--grid", str(grid), "--out", str(out)])
-        assert code == EXIT_CONFIG
+        assert main(sweep_command(config, grid, out)) == EXIT_CONFIG
         assert "queue_fraction" in capsys.readouterr().err
-        assert not list(tmp_path.glob("sweep/setting_*"))
+        assert_wrote_nothing(out)
+
+    @pytest.mark.parametrize("where", ["a file", "under a file"])
+    def test_output_dir_that_cannot_hold_the_sweep(self, tmp_path, capsys, where):
+        config = write_config(tmp_path, rounds=1)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory")
+        out = blocker if where == "a file" else blocker / "out"
+        assert main(sweep_command(config, write_grid(tmp_path), out)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "output_dir" in err and str(out) in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_diverging_run_keeps_the_rows_of_finished_runs(self, tmp_path, capsys):
+        # the arm that blows up as `TestRunCommand.test_numerical_blow_up`'s
+        # tanh run does, after the other arm's run has finished
+        arms = {"fine": {}, "blows_up": {"activation": "tanh", "learning_rate": 1e200}}
+        config = write_config(tmp_path, rounds=1)
+        out = tmp_path / "sweep"
+        assert main(sweep_command(config, write_grid(tmp_path, arms=arms), out)) == EXIT_RUNTIME
+        assert "weight divergence is not finite" in capsys.readouterr().err
+        lines = (out / "sweep_table.csv").read_text().splitlines()
+        assert len(lines) == 2 and lines[1].startswith("1,fine,")
+        assert (out / "setting_01_fine" / "summary.txt").is_file()
+        assert not (out / "setting_01_blows_up" / "summary.txt").exists()
+
+    def test_committed_example(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        command = sweep_command(CONFIGS / "trend.json", CONFIGS / "attribution_grid.json", out)
+        assert main(command) == EXIT_OK
+        # the trend prefixes `tests/test_acceptance.py` pins (gate 11)
+        for name, golden in [("count_no_queue", "0a99cebac506e358"), ("ddfl", "eb2a8629213f7c81")]:
+            metrics = (out / f"setting_01_{name}" / "metrics.csv").read_bytes()
+            assert hashlib.sha256(metrics).hexdigest()[:16] == golden, name
+        table = (out / "sweep_table.csv").read_bytes()
+        assert capsys.readouterr().out.encode() == table
+        assert hashlib.sha256(table).hexdigest()[:16] == "bc02d5db69bd1619"
 
 
 # ways a config or grid file can be unusable as a whole; each writes the
@@ -289,6 +390,8 @@ IDX_FAULTS = {
     "short header": (lambda raw: raw[:6], "header needs"),
     "bad magic": (lambda raw: b"\x00\x00\x08\x02" + raw[4:], "magic"),
     "truncated data": (lambda raw: raw[:-1], "bytes, found"),
+    # a count of 0 and no data; byte 3 of the magic is the number of sizes
+    "no items": (lambda raw: raw[:4] + bytes(4) + raw[8 : 4 + 4 * raw[3]], "holds no items"),
 }
 
 
@@ -308,9 +411,9 @@ class TestInputFiles:
     @pytest.mark.parametrize("value", [2, "12", None, {"epochs": [1]}])
     def test_grid_value_that_is_not_a_list(self, tmp_path, capsys, value):
         path = tmp_path / "grid.json"
-        path.write_text(json.dumps({"queue_fraction": [0.2], "local_epochs": value}))
+        path.write_text(json.dumps({"settings": value, "arms": ARMS}))
         assert main(command("grid", tmp_path, path)) == EXIT_CONFIG
-        assert "grid value local_epochs must be a list" in capsys.readouterr().err
+        assert "grid settings must be a non-empty list" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("name", ["train-images-idx3-ubyte", "train-labels-idx1-ubyte"])
@@ -326,6 +429,21 @@ class TestInputFiles:
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_DATASET
         err = capsys.readouterr().err
         assert name in err and words in err, err
+
+    def test_empty_test_set(self, tmp_path, capsys):
+        data_dir = tmp_path / "mnist"
+        data_dir.mkdir()
+        write_mnist(data_dir)
+        for name, header in [
+            ("t10k-images-idx3-ubyte", struct.pack(">IIII", 0x00000803, 0, 2, 2)),
+            ("t10k-labels-idx1-ubyte", struct.pack(">II", 0x00000801, 0)),
+        ]:
+            (data_dir / name).write_bytes(header)
+        config = write_config(tmp_path, dataset="mnist", data_dir=str(data_dir), dataset_params={})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_DATASET
+        assert "t10k-images-idx3-ubyte: holds no items" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_image_and_label_counts_differ(self, tmp_path, capsys):
         data_dir = tmp_path / "mnist"

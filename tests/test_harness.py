@@ -305,21 +305,25 @@ class TestRunExperiment:
         assert len(result.rows) == 3
 
 
+# the two aggregators as arms, each named after its aggregator
+AGGREGATOR_ARMS = {name: {"aggregator": name} for name in ("fedavg_count", "ddfl_entropy")}
+
+
 class TestRunSweep:
     def test_single_cell_runs_both_aggregators(self, tmp_path):
         base = tiny_config(output_dir=str(tmp_path / "sweep"), rounds=2)
-        table = run_sweep(base, {"local_epochs": [1]})
-        assert len(table) == 1
-        row = table[0]
-        assert row["boost_points"] == pytest.approx(
-            (row["ddfl_accuracy"] - row["fedavg_accuracy"]) * 100.0
-        )
-        assert (tmp_path / "sweep" / "setting_01_fedavg_count" / "metrics.csv").is_file()
-        assert (tmp_path / "sweep" / "setting_01_ddfl_entropy" / "metrics.csv").is_file()
-        assert (tmp_path / "sweep" / "sweep_table.csv").is_file()
+        table = run_sweep(base, {"settings": [{}], "arms": AGGREGATOR_ARMS})
+        assert [(row["setting"], row["arm"]) for row in table] == [
+            (1, "fedavg_count"), (1, "ddfl_entropy")
+        ]
+        for row in table:
+            summary = (tmp_path / "sweep" / f"setting_01_{row['arm']}" / "summary.txt").read_text()
+            assert f"final_accuracy = {row['final_accuracy']}\n" in summary
+        text = (tmp_path / "sweep" / "sweep_table.csv").read_text(encoding="ascii")
+        assert text == format_sweep_table(table)
 
     def test_one_grid_writes_one_table(self, tmp_path):
-        grid = {"local_epochs": [1, 2]}
+        grid = {"settings": [{"local_epochs": 1}, {"local_epochs": 2}], "arms": AGGREGATOR_ARMS}
         tables = []
         for name in ("a", "b"):
             run_sweep(tiny_config(output_dir=str(tmp_path / name), rounds=2), grid)
@@ -336,70 +340,72 @@ class TestRunSweep:
 
         monkeypatch.setattr(harness, "_load_dataset", counted)
         base = tiny_config(output_dir=str(tmp_path / "sweep"), rounds=2)
-        run_sweep(base, {"queue_fraction": [0.1, 0.2]})
+        settings = [
+            {"local_epochs": 1, "queue_fraction": 0.1}, {"local_epochs": 2, "queue_fraction": 0.2}
+        ]
+        run_sweep(base, {"settings": settings, "arms": AGGREGATOR_ARMS})
         assert len(loads) == 1
         # each run is the run its config gives on its own
-        for i, queue_fraction in enumerate((0.1, 0.2), start=1):
-            for aggregator in ("fedavg_count", "ddfl_entropy"):
+        for i, setting in enumerate(settings, start=1):
+            for aggregator in AGGREGATOR_ARMS:
                 name = f"setting_{i:02d}_{aggregator}"
                 alone = tmp_path / "alone" / name
                 run_experiment(
                     dataclasses.replace(
-                        base, aggregator=aggregator, queue_fraction=queue_fraction,
-                        output_dir=str(alone),
+                        base, aggregator=aggregator, **setting, output_dir=str(alone)
                     )
                 )
                 swept = tmp_path / "sweep" / name
                 assert (swept / "metrics.csv").read_bytes() == (alone / "metrics.csv").read_bytes()
 
+    def test_each_row_is_on_disk_when_the_next_run_starts(self, tmp_path, monkeypatch):
+        out = tmp_path / "sweep"
+        lines_seen = []
+        run = harness._run
+
+        def recorded(cfg, train, test):
+            lines_seen.append((out / "sweep_table.csv").read_text().count("\n"))
+            return run(cfg, train, test)
+
+        monkeypatch.setattr(harness, "_run", recorded)
+        grid = {"settings": [{}, {"local_epochs": 2}], "arms": AGGREGATOR_ARMS}
+        run_sweep(tiny_config(output_dir=str(out), rounds=1), grid)
+        # the header, then one more row before each run
+        assert lines_seen == [1, 2, 3, 4]
+
     def test_six_settings_make_twelve_runs(self, tmp_path):
         base = tiny_config(output_dir=str(tmp_path / "sweep"), rounds=1)
-        grid = {
-            "local_epochs": [5, 1, 5, 5, 5, 1],
-            "queue_fraction": [0.1, 0.1, 0.2, 0.2, 0.5, 0.5],
-            "selection_fraction": [0.8, 0.9, 0.8, 0.9, 0.8, 0.9],
-        }
-        table = run_sweep(base, grid)
-        assert len(table) == 6
+        settings = [
+            {"local_epochs": e, "queue_fraction": q, "selection_fraction": s}
+            for e, q, s in [(5, 0.1, 0.8), (1, 0.1, 0.9), (5, 0.2, 0.8), (5, 0.2, 0.9),
+                            (5, 0.5, 0.8), (1, 0.5, 0.9)]
+        ]
+        table = run_sweep(base, {"settings": settings, "arms": AGGREGATOR_ARMS})
+        assert len(table) == 12
         run_dirs = [p for p in (tmp_path / "sweep").iterdir() if p.is_dir()]
         assert len(run_dirs) == 12
 
-    def test_broadcasts_single_values(self, tmp_path):
-        base = tiny_config(output_dir=None, rounds=1)
-        table = run_sweep(base, {"local_epochs": [1, 2], "queue_fraction": [0.2]})
-        assert [row["queue_fraction"] for row in table] == [0.2, 0.2]
-
     def test_empty_grid_rejected(self, tmp_path):
-        with pytest.raises(ConfigInvalid):
-            run_sweep(tiny_config(), {})
-        with pytest.raises(ConfigInvalid):
-            run_sweep(tiny_config(), {"local_epochs": []})
-        # an empty list beside a full one is not dropped
         out = tmp_path / "sweep"
-        with pytest.raises(ConfigInvalid, match="grid value local_epochs must not be empty"):
-            run_sweep(
-                tiny_config(output_dir=str(out)),
-                {"local_epochs": [], "queue_fraction": [0.1, 0.2]},
-            )
+        cfg = tiny_config(output_dir=str(out))
+        for grid, words in [
+            ({}, "grid keys"),
+            ({"settings": [], "arms": AGGREGATOR_ARMS}, "settings"),
+            ({"settings": [{}], "arms": {}}, "arms"),
+        ]:
+            with pytest.raises(ConfigInvalid, match=words):
+                run_sweep(cfg, grid)
         assert not out.exists()
-        with pytest.raises(ConfigInvalid):
-            run_sweep(tiny_config(), {"batch_size": [8]})
-        with pytest.raises(ConfigInvalid):
-            run_sweep(tiny_config(), {"local_epochs": [1, 2], "queue_fraction": [0.1, 0.2, 0.3]})
-        with pytest.raises(ConfigInvalid, match="grid value local_epochs must be a list"):
-            run_sweep(tiny_config(), {"local_epochs": "12"})
 
     def test_format_table(self):
         table = [
-            {
-                "setting": 1,
-                "local_epochs": 1,
-                "queue_fraction": 0.1,
-                "selection_fraction": 0.9,
-                "fedavg_accuracy": 0.5,
-                "ddfl_accuracy": 0.6,
-                "boost_points": 10.0,
-            }
+            {"setting": 1, "arm": "a", "final_accuracy": 0.5, "best_accuracy": 0.625,
+             "final_mean_entropy": 0.25},
+            {"setting": 2, "arm": "b-2", "final_accuracy": 1.0, "best_accuracy": 1.0,
+             "final_mean_entropy": 0.0},
         ]
-        text = format_sweep_table(table)
-        assert "fedavg" in text and "+10.00" in text
+        assert format_sweep_table(table) == (
+            "setting,arm,final_accuracy,best_accuracy,final_mean_entropy\n"
+            "1,a,0.5,0.625,0.25\n"
+            "2,b-2,1.0,1.0,0.0\n"
+        )
