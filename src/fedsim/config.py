@@ -11,7 +11,7 @@ sets, so a round reads each value from the run's own checked config.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from types import MappingProxyType
 
 from .errors import ConfigInvalid
@@ -53,7 +53,7 @@ class ExperimentConfig:
     naming the key of any invalid value, so every ExperimentConfig in the
     program is valid and the code it reaches trusts it. It is frozen: make a
     changed copy with `dataclasses.replace`, which checks the copy the same
-    way.
+    way. Equal configs hash equal, so a config can key a dict.
     """
 
     dataset: str = "synthetic"
@@ -122,6 +122,15 @@ class ExperimentConfig:
             raise ConfigInvalid(f"dataset_params apply to synthetic data only, not {self.dataset}")
         elif self.data_dir is None:
             raise ConfigInvalid(f"dataset {self.dataset!r} needs data_dir")
+
+    def __hash__(self) -> int:
+        # the hash a frozen dataclass generates fails on the mappingproxy;
+        # its sorted items stand for it, so equal configs hash equal
+        return hash(tuple(
+            tuple(sorted(self.dataset_params.items())) if f.name == "dataset_params"
+            else getattr(self, f.name)
+            for f in fields(self)
+        ))
 
 
 def _is_int(value) -> bool:

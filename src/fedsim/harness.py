@@ -219,8 +219,11 @@ def _run(cfg: ExperimentConfig, train: LabeledSet, test: LabeledSet) -> Experime
                 continue
             files["metrics"].write(_metrics_line(row) + "\n")
             files["timings"].write(f"{row.round_index},{_format_float(row.agg_time * 1000.0)}\n")
-            for device_id, entropy in enumerate(state.entropies.tolist()):
-                files["entropy"].write(f"{row.round_index},{device_id},{_format_float(entropy)}\n")
+            # one write of every device's row; `!r` of a float is _format_float
+            files["entropy"].write("".join(
+                f"{row.round_index},{device_id},{entropy!r}\n"
+                for device_id, entropy in enumerate(state.entropies.tolist())
+            ))
             for layer, value in enumerate(row.layer_divergence):
                 files["layers"].write(f"{row.round_index},{layer},{_format_float(value)}\n")
             if "trace" in files:
@@ -282,7 +285,8 @@ def run_sweep(base_cfg: ExperimentConfig, grid: dict) -> list[dict]:
 
     Before the first run starts, every run's config is made (which checks
     it) and its queue split and partition are made on the loaded data, so a
-    bad grid, value or split is a ConfigInvalid that writes nothing. Then
+    bad grid, value or split is a ConfigInvalid that writes nothing, as is
+    an output directory that already holds a `sweep_table.csv`. Then
     each run's row of `_SWEEP_COLUMNS` goes to `sweep_table.csv`, written
     and flushed as the run finishes, in the text `format_sweep_table` gives;
     the rows are also returned.
@@ -309,6 +313,10 @@ def run_sweep(base_cfg: ExperimentConfig, grid: dict) -> list[dict]:
                     raise ConfigInvalid(f"{where} both set {key}")
             out = str(base_out / f"setting_{i:02d}_{name}")
             runs.append((i, name, dataclasses.replace(base_cfg, output_dir=out, **setting, **arm)))
+    # the earlier sweep's run directories would stay beside a table that
+    # does not list them
+    if (base_out / "sweep_table.csv").exists():
+        raise ConfigInvalid(f"output_dir {base_out} already holds a sweep_table.csv")
     # no run changes the dataset or the seed, so one load serves every run's
     # set-up check and every run
     train, test = _load_dataset(base_cfg)

@@ -27,16 +27,18 @@ allocates nothing the size of a model or a layer; only the gathered batch
 is new. `_forward` has BLAS write each layer's stacked matmul into its
 output buffer, then adds the bias and applies relu or tanh in place.
 `_backward` turns the logits into softmax minus one-hot over n in place,
-subtracting the one-hots through one flat index (row offsets plus labels),
-and has BLAS write each layer's weight gradient straight into its view of
-the flat gradient (`np.matmul(..., out=)`), the bias gradient likewise
-(`np.sum(..., out=)`). `_update` scales the gradient by the learning rate
-in place, then subtracts it from the parameters. Each in-place operation
-takes the same operands in the same order as the expression it replaces
-(`a @ w + b`, `upstream * (h > 0)`, `values -= lr * grad`; float64
-multiplication commutes bit for bit), and a view's rows have the strides of
-a new array's, so BLAS takes the same path: the bits are those of the
-allocating formulas, which `tests/test_nn.py` keeps as the reference.
+taking each row's max one class column at a time (`_softmax`), subtracting
+the one-hots through one flat index (row offsets plus labels), and has BLAS
+write each layer's weight gradient straight into its view of the flat
+gradient (`np.matmul(..., out=)`), the bias gradient likewise
+(`np.add.reduce(..., out=)`, the reduction `np.sum` calls). `_update`
+scales the gradient by the learning rate in place, then subtracts it from
+the parameters. Each in-place operation takes the same operands in the same
+order as the expression it replaces (`a @ w + b`, `upstream * (h > 0)`,
+`values -= lr * grad`; float64 multiplication commutes bit for bit), and a
+view's rows have the strides of a new array's, so BLAS takes the same path:
+the bits are those of the allocating formulas, which `tests/test_nn.py`
+keeps as the reference.
 `gradient`, `evaluate` and `predict_proba` run the same `_forward` (and
 `gradient` the same `_backward`) with a leading device axis of 1.
 
@@ -200,11 +202,22 @@ def _forward(
 
 
 def _softmax(logits: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis in place; `norms` is a (..., 1) scratch."""
-    np.max(logits, axis=-1, keepdims=True, out=norms)
+    """Softmax over the last axis in place; `norms` is a (..., 1) scratch.
+
+    Each row's max is taken one class column at a time, a copy of the first
+    and C - 1 `np.maximum` calls over column views: on a few classes these
+    cost less than `np.max`'s reduction over short rows. A row's maximum
+    does not depend on the order it is taken in, except between +0 and -0,
+    and a logit minus +0 or -0 differs at most in the sign of a zero, which
+    `exp` maps to 1; so the result is bit for bit that of `np.max`, but for
+    the sign of a NaN, which numpy's reductions do not fix either.
+    """
+    np.copyto(norms, logits[..., :1])
+    for c in range(1, logits.shape[-1]):
+        np.maximum(norms, logits[..., c : c + 1], out=norms)
     logits -= norms
     np.exp(logits, out=logits)
-    np.sum(logits, axis=-1, keepdims=True, out=norms)
+    np.add.reduce(logits, axis=-1, keepdims=True, out=norms)
     logits /= norms
     return logits
 
@@ -237,7 +250,7 @@ def _backward(
         inputs = ws.outputs[i - 1] if i else X
         weights_grad, bias_grad = ws.grads[i]
         np.matmul(inputs.swapaxes(-1, -2), delta, out=weights_grad)
-        np.sum(delta, axis=-2, out=bias_grad)
+        np.add.reduce(delta, axis=-2, out=bias_grad)
         if i:
             np.matmul(delta, layers[i][0].swapaxes(-1, -2), out=ws.upstream[i - 1])
 
@@ -365,9 +378,10 @@ def local_train(
         # epoch-major, the order the loop below takes them in
         states = iter(pcg64_states(words[start:end].swapaxes(0, 1).reshape(-1, 4)))
         for epoch in range(epochs):
-            for order, shard in zip(order_rows, shards[start:end]):
+            # the sub-block's shards all have `size` samples: one copy fills the rows
+            np.concatenate(shards[start:end], out=order_rows.reshape(-1))
+            for order in order_rows:
                 bit_generator.state = next(states)
-                order[:] = shard
                 gen.shuffle(order)
             for first in range(0, size, cfg.batch_size):
                 idx = order_rows[:, first : first + cfg.batch_size]

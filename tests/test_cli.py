@@ -315,6 +315,23 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert "output_dir" in err and str(out) in err
 
+    def test_a_directory_that_holds_a_sweep_table_is_refused(self, tmp_path, capsys):
+        # a second sweep there would leave the first one's run directories
+        # beside a table that does not list them
+        config = write_config(tmp_path, rounds=1)
+        out = tmp_path / "sweep"
+        assert main(sweep_command(config, write_grid(tmp_path), out)) == EXIT_OK
+        capsys.readouterr()
+        table = (out / "sweep_table.csv").read_bytes()
+        grid = write_grid(tmp_path, arms={"fedavg": {"aggregator": "fedavg_count"}})
+        assert main(sweep_command(config, grid, out)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "output_dir" in err and str(out) in err and "sweep_table.csv" in err
+        assert (out / "sweep_table.csv").read_bytes() == table
+        assert sorted(p.name for p in out.iterdir()) == [
+            "setting_01_ddfl", "setting_01_fedavg", "sweep_table.csv"
+        ]
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_a_diverging_run_keeps_the_rows_of_finished_runs(self, tmp_path, capsys):
         # the arm that blows up as `TestRunCommand.test_numerical_blow_up`'s

@@ -92,6 +92,15 @@ class TestConfig:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(cfg, f.name, getattr(cfg, f.name))
 
+    def test_equal_configs_hash_equal(self):
+        cfg = tiny_config(aggregator="ddfl", hidden_dims=[6])
+        params = dict(reversed(list(cfg.dataset_params.items())))
+        same = tiny_config(aggregator="ddfl_entropy", hidden_dims=(6,), dataset_params=params)
+        assert same == cfg and hash(same) == hash(cfg)
+        assert hash(ExperimentConfig()) == hash(ExperimentConfig())
+        runs = {cfg: "a", dataclasses.replace(cfg, seed=cfg.seed + 1): "b"}
+        assert runs[same] == "a" and len(runs) == 2
+
     def test_dataset_params_are_a_copy(self, tmp_path):
         # a change to the caller's dict after the checks cannot reach the run
         params = {"num_classes": 4, "per_class": 25, "input_dim": 6, "spread": 0.2}

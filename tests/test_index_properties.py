@@ -10,7 +10,7 @@ sequences.
 import math
 
 import numpy as np
-from hypothesis import HealthCheck, given, reject, settings
+from hypothesis import HealthCheck, assume, given, reject, settings
 from hypothesis import strategies as st
 
 from fedsim.data import LabeledSet
@@ -169,6 +169,40 @@ def test_histograms_follow_the_data_under_any_accumulate_sequence(
             assert entropies[k] == scalar_normalized_entropy(hists[k])
             # training reads the same rows as a copied shard would hold
             np.testing.assert_array_equal(train.features[new, 0], new)
+
+
+@SETTINGS
+@given(
+    train=train_sets(),
+    num_devices=st.integers(2, 12),
+    seed=st.integers(0, 2**20),
+    data=st.data(),
+)
+def test_accumulate_gives_each_ragged_device_its_old_data_then_its_segment(
+    train, num_devices, seed, data
+):
+    everything = np.arange(len(train))
+    devices, hists = partition_or_reject(train, everything, "one_class", num_devices, seed)
+    assume(len({len(d) for d in devices}) > 1)
+    entropies = normalized_entropies(hists)
+    index = st.integers(0, len(train) - 1)
+    rounds = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        s = data.draw(st.integers(1, 4))
+        flat = data.draw(st.lists(index, min_size=len(devices) * s, max_size=len(devices) * s))
+        segments = np.array(flat, dtype=np.int64).reshape(len(devices), s)
+        expected = [np.concatenate([old, segment]) for old, segment in zip(devices, segments)]
+        devices = accumulate(devices, hists, entropies, segments, train)
+        rounds.append((devices, expected))
+    # a later round leaves the arrays an earlier one returned as they were
+    for grown, expected in rounds:
+        for new, want in zip(grown, expected):
+            assert new.ndim == 1 and new.dtype == np.int64
+            np.testing.assert_array_equal(new, want)
+            # `len` of the buffer is the sample count a benchmark reads
+            assert len(new.data) == len(want)
+    for k, new in enumerate(devices):
+        assert len(new.data) == hists[k].sum()
 
 
 @st.composite

@@ -572,3 +572,44 @@ class TestProbabilities:
         proba = predict_proba(model, X, "tanh")
         np.testing.assert_allclose(proba.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(proba >= 0.0)
+
+
+def reference_softmax(logits):
+    """The `np.max` formula `_softmax` replaced, out of place."""
+    shifted = logits - np.max(logits, axis=-1, keepdims=True)
+    exp = np.exp(shifted)
+    return exp / np.sum(exp, axis=-1, keepdims=True)
+
+
+def bits(values):
+    """The bit patterns of float64 `values`, every NaN as the one NaN: which
+    NaN a reduction over a row holding NaNs returns is numpy's choice
+    (`np.max` of [-nan, 1.0] is +nan, of [1.0, -nan] -nan)."""
+    return np.where(np.isnan(values), np.nan, values).view(np.uint64)
+
+
+class TestSoftmax:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("num_classes", [1, 2, 10, 100])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bits_equal_the_np_max_formula(self, num_classes, seed):
+        rng = np.random.default_rng(seed)
+        logits = rng.normal(scale=rng.choice([1.0, 1e3]), size=(5, 17, num_classes))
+        # tied maxima: class 0 copied onto the last class in some rows
+        ties = rng.random(logits.shape[:-1]) < 0.3
+        logits[..., -1] = np.where(ties, logits[..., 0], logits[..., -1])
+        # +0 and -0, ±inf and NaNs of either sign, then rows of all zeros,
+        # which make a tied maximum of +0 and -0
+        specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan])
+        where = rng.random(logits.shape) < 0.15
+        logits[where] = rng.choice(specials, size=int(where.sum()))
+        logits[0] = rng.choice([0.0, -0.0], size=logits[0].shape)
+        logits[1, :, :] = -np.abs(logits[1])
+        logits[1, :, 0] = rng.choice([0.0, -0.0], size=logits.shape[1])
+        expected = reference_softmax(logits)
+        norms = np.empty((*logits.shape[:-1], 1))
+        out = nn._softmax(logits, norms)
+        assert out is logits
+        assert np.array_equal(bits(out), bits(expected))
+        assert np.isfinite(expected).any() and np.isnan(expected).any()
+
