@@ -598,13 +598,14 @@ class TestSoftmax:
         # tied maxima: class 0 copied onto the last class in some rows
         ties = rng.random(logits.shape[:-1]) < 0.3
         logits[..., -1] = np.where(ties, logits[..., 0], logits[..., -1])
-        # +0 and -0, ±inf and NaNs of either sign, then rows of all zeros,
-        # which make a tied maximum of +0 and -0
+        # +0 and -0, ±inf and NaNs of either sign
         specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan])
         where = rng.random(logits.shape) < 0.15
         logits[where] = rng.choice(specials, size=int(where.sum()))
+        # maxima of +0 and -0: stack 0 holds only zeros, and stack 1 zeros
+        # in class 0 and nothing above zero elsewhere
         logits[0] = rng.choice([0.0, -0.0], size=logits[0].shape)
-        logits[1, :, :] = -np.abs(logits[1])
+        logits[1] = -np.abs(logits[1])
         logits[1, :, 0] = rng.choice([0.0, -0.0], size=logits.shape[1])
         expected = reference_softmax(logits)
         norms = np.empty((*logits.shape[:-1], 1))
@@ -612,4 +613,3 @@ class TestSoftmax:
         assert out is logits
         assert np.array_equal(bits(out), bits(expected))
         assert np.isfinite(expected).any() and np.isnan(expected).any()
-
