@@ -3,6 +3,7 @@
     ConfigInvalid        1  a config value, flag or grid is invalid, a
                             config or grid file is unreadable or malformed,
                             or the output_dir cannot be made a directory
+                            or cannot hold a run's file
     DatasetError         2  a dataset file is missing, malformed or empty,
                             or holds a label outside the dataset's classes
     any other exception  3  NumericalDivergence, or a ValueError from a bad

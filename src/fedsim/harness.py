@@ -24,11 +24,12 @@ NumericalDivergence itself; this module runs the loop and writes the files.
 It is the boundary for the config and grid files a user names:
 `read_json_object` reads and parses each, and a fault in reading or parsing
 one is a ConfigInvalid naming the path, as is an output directory that
-cannot be made. Config values are checked once, when an ExperimentConfig
-is made (from a file, by hand or by `dataclasses.replace`), and grids in
-`run_sweep` (which loads the dataset once and makes every run's queue
-split and partition on it before the first run): a fault in either is a
-ConfigInvalid.
+cannot be made or cannot hold one of the run's files (the files a run has
+opened are closed however it ends). Config values are checked once, when
+an ExperimentConfig is made (from a file, by hand or by
+`dataclasses.replace`), and grids in `run_sweep` (which loads the dataset
+once and makes every run's queue split and partition on it before the
+first run): a fault in either is a ConfigInvalid.
 
 A sweep runs listed settings under named arms. Its grid file is one
 object whose inner objects are config overrides, for example
@@ -49,6 +50,7 @@ not depend on execution order or workers.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import re
@@ -138,6 +140,15 @@ def derived_segment_size(cfg: ExperimentConfig, pool_size: int) -> int:
     return max(1, pool_size // (cfg.devices * cfg.rounds))
 
 
+def _create(out_dir: Path, name: str):
+    """File `name` in `out_dir`, opened for writing; a path that cannot hold
+    it (a directory of that name, say) is a ConfigInvalid naming both."""
+    try:
+        return (out_dir / name).open("w", encoding="ascii")
+    except OSError as exc:
+        raise ConfigInvalid(f"output_dir {out_dir} cannot hold {name} ({exc})") from exc
+
+
 def _format_float(value: float) -> str:
     return repr(float(value))
 
@@ -187,31 +198,32 @@ def _run(cfg: ExperimentConfig, train: LabeledSet, test: LabeledSet) -> Experime
     round_cfg = RoundConfig(**values, train_set=train, test_set=test)
 
     out_dir: Path | None = None
-    files = {}
-    if cfg.output_dir is not None:
-        out_dir = Path(cfg.output_dir)
-        try:
-            out_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ConfigInvalid(f"output_dir {out_dir} cannot be a directory ({exc})") from exc
-        resolved = {**values, "input_dim": train.input_dim, "num_classes": train.num_classes}
-        (out_dir / "config_resolved.json").write_text(
-            json.dumps(resolved, indent=2, sort_keys=True, default=dict) + "\n", encoding="utf-8"
-        )
-        files["metrics"] = (out_dir / "metrics.csv").open("w", encoding="ascii")
-        files["metrics"].write(",".join(_METRIC_COLUMNS) + "\n")
-        files["timings"] = (out_dir / "timings.csv").open("w", encoding="ascii")
-        files["timings"].write("round_index,agg_time_ms\n")
-        files["entropy"] = (out_dir / "device_entropy.csv").open("w", encoding="ascii")
-        files["entropy"].write("round_index,device_id,entropy\n")
-        files["layers"] = (out_dir / "divergence_layers.csv").open("w", encoding="ascii")
-        files["layers"].write("round_index,layer,mean_divergence\n")
-        if cfg.trace_dispense:
-            files["trace"] = (out_dir / "dispense_trace.jsonl").open("w", encoding="ascii")
-
-    state = FederationState(devices, queue, global_model, histograms)
     rows: list[RoundReport] = []
-    try:
+    # the files the rounds stream into; the stack closes each one opened,
+    # whether the run finishes or fails
+    with contextlib.ExitStack() as stack:
+        files = {}
+        if cfg.output_dir is not None:
+            out_dir = Path(cfg.output_dir)
+            try:
+                out_dir.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise ConfigInvalid(f"output_dir {out_dir} cannot be a directory ({exc})") from exc
+            resolved = {**values, "input_dim": train.input_dim, "num_classes": train.num_classes}
+            with _create(out_dir, "config_resolved.json") as fh:
+                fh.write(json.dumps(resolved, indent=2, sort_keys=True, default=dict) + "\n")
+            files["metrics"] = stack.enter_context(_create(out_dir, "metrics.csv"))
+            files["metrics"].write(",".join(_METRIC_COLUMNS) + "\n")
+            files["timings"] = stack.enter_context(_create(out_dir, "timings.csv"))
+            files["timings"].write("round_index,agg_time_ms\n")
+            files["entropy"] = stack.enter_context(_create(out_dir, "device_entropy.csv"))
+            files["entropy"].write("round_index,device_id,entropy\n")
+            files["layers"] = stack.enter_context(_create(out_dir, "divergence_layers.csv"))
+            files["layers"].write("round_index,layer,mean_divergence\n")
+            if cfg.trace_dispense:
+                files["trace"] = stack.enter_context(_create(out_dir, "dispense_trace.jsonl"))
+
+        state = FederationState(devices, queue, global_model, histograms)
         for _ in range(cfg.rounds):
             state, row = run_round(state, round_cfg)
             rows.append(row)
@@ -232,9 +244,6 @@ def _run(cfg: ExperimentConfig, train: LabeledSet, test: LabeledSet) -> Experime
                     files["trace"].write(json.dumps(record) + "\n")
             for fh in files.values():
                 fh.flush()
-    finally:
-        for fh in files.values():
-            fh.close()
 
     best = max(rows, key=lambda r: (r.test_accuracy, -r.round_index))
     summary = {
@@ -249,7 +258,7 @@ def _run(cfg: ExperimentConfig, train: LabeledSet, test: LabeledSet) -> Experime
         "segment_size": cfg.segment_size,
     }
     if out_dir is not None:
-        with (out_dir / "summary.txt").open("w", encoding="ascii") as fh:
+        with _create(out_dir, "summary.txt") as fh:
             for key, value in summary.items():
                 fh.write(f"{key} = {value}\n")
     return ExperimentResult(rows, state.global_model, summary, out_dir)
@@ -277,8 +286,8 @@ def run_sweep(base_cfg: ExperimentConfig, grid: dict) -> list[dict]:
 
     makes four runs. Run (i, name) is `base_cfg` with setting i's and arm
     `name`'s values, which may not share a key, and writes into
-    `setting_<ii>_<name>` in `base_cfg.output_dir`, which must be set (i
-    counts from 1).
+    `setting_<ii>_<name>` in `base_cfg.output_dir` (i counts from 1); an
+    unset output_dir is a ConfigInvalid.
     An arm name is a plain token of letters, digits, `_` and `-`. No setting
     or arm may set dataset, dataset_params, data_dir, seed or output_dir, so
     the dataset is loaded once for the whole sweep.
@@ -291,6 +300,8 @@ def run_sweep(base_cfg: ExperimentConfig, grid: dict) -> list[dict]:
     and flushed as the run finishes, in the text `format_sweep_table` gives;
     the rows are also returned.
     """
+    if base_cfg.output_dir is None:
+        raise ConfigInvalid("output_dir must be set for a sweep")
     if set(grid) != {"settings", "arms"}:
         raise ConfigInvalid(f"grid keys must be settings and arms, not {sorted(grid)}")
     settings, arms = grid["settings"], grid["arms"]

@@ -37,7 +37,7 @@ the parameters. Each in-place operation takes the same operands in the same
 order as the expression it replaces (`a @ w + b`, `upstream * (h > 0)`,
 `values -= lr * grad`; float64 multiplication commutes bit for bit), and a
 view's rows have the strides of a new array's, so BLAS takes the same path:
-the bits are those of the allocating formulas, which `tests/test_nn.py`
+the bits are those of the allocating formulas, which `tests/reference.py`
 keeps as the reference.
 `gradient`, `evaluate` and `predict_proba` run the same `_forward` (and
 `gradient` the same `_backward`) with a leading device axis of 1.

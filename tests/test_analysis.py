@@ -15,13 +15,7 @@ from fedsim.analysis import (
     weight_divergence,
 )
 from fedsim.params import ParamVector, layer_slices
-
-
-def vec(values, layout=None):
-    values = np.asarray(values, dtype=float)
-    if layout is None:
-        layout = ((1, values.size, 0),)
-    return ParamVector(values, layout)
+from reference import vec
 
 
 def random_pair(rng, layout=((3, 2, 2), (2, 4, 4))):

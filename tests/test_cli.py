@@ -15,25 +15,27 @@ PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 DATASET_PARAMS = {"num_classes": 4, "per_class": 25, "input_dim": 6, "spread": 0.2}
 
 
+# the config the CLI and harness tests start from
+BASE_CONFIG = {
+    "dataset": "synthetic",
+    "dataset_params": DATASET_PARAMS,
+    "devices": 4,
+    "rounds": 2,
+    "local_epochs": 1,
+    "batch_size": 8,
+    "learning_rate": 0.3,
+    "queue_fraction": 0.2,
+    "selection_fraction": 0.9,
+    "partition_mode": "one_class",
+    "aggregator": "ddfl",
+    "hidden_dims": [6],
+    "seed": 3,
+}
+
+
 def write_config(tmp_path, **overrides):
-    config = {
-        "dataset": "synthetic",
-        "dataset_params": DATASET_PARAMS,
-        "devices": 4,
-        "rounds": 2,
-        "local_epochs": 1,
-        "batch_size": 8,
-        "learning_rate": 0.3,
-        "queue_fraction": 0.2,
-        "selection_fraction": 0.9,
-        "partition_mode": "one_class",
-        "aggregator": "ddfl",
-        "hidden_dims": [6],
-        "seed": 3,
-    }
-    config.update(overrides)
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
+    path.write_text(json.dumps({**BASE_CONFIG, **overrides}))
     return path
 
 
@@ -175,6 +177,17 @@ class TestRunCommand:
         assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "output_dir" in err and str(out) in err
+
+    def test_output_dir_that_cannot_hold_a_run_file(self, tmp_path, capsys):
+        # a directory where timings.csv goes: the run stops before its first
+        # round, and closes metrics.csv, opened before it, with its header
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        (out / "timings.csv").mkdir(parents=True)
+        assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "output_dir" in err and "timings.csv" in err
+        assert (out / "metrics.csv").read_text().startswith("round_index,test_accuracy,")
 
     def test_unknown_flag(self, tmp_path):
         config = write_config(tmp_path)

@@ -24,24 +24,11 @@ from fedsim.partition import (
     partition,
     split_global_queue,
 )
+from reference import reference_entropy
 
 SETTINGS = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much]
 )
-
-
-def scalar_normalized_entropy(counts) -> float:
-    """Reference: the one-histogram implementation the batched pass replaced."""
-    counts = np.asarray(counts)
-    total = counts.sum()
-    nonzero = counts[counts > 0].astype(np.float64)
-    if nonzero.size == 1 or counts.size == 1:
-        return 0.0
-    if np.all(counts == counts.flat[0]):
-        return 1.0
-    p = np.sort(nonzero) / float(total)
-    raw = float(-(p * np.log2(p)).sum())
-    return min(1.0, max(0.0, raw / math.log2(counts.size)))
 
 
 @st.composite
@@ -166,7 +153,7 @@ def test_histograms_follow_the_data_under_any_accumulate_sequence(
                 assert new is old
             np.testing.assert_array_equal(new, np.concatenate([old, segment]))
             np.testing.assert_array_equal(hists[k], histogram_of(train, new))
-            assert entropies[k] == scalar_normalized_entropy(hists[k])
+            assert entropies[k] == reference_entropy(hists[k])
             # training reads the same rows as a copied shard would hold
             np.testing.assert_array_equal(train.features[new, 0], new)
 
@@ -227,6 +214,6 @@ def test_batched_entropy_is_the_scalar_entropy_bit_for_bit(hists):
     batched = normalized_entropies(hists)
     assert batched.shape == (len(hists),)
     for row, value in zip(hists, batched):
-        expected = scalar_normalized_entropy(row)
+        expected = reference_entropy(row)
         assert value == expected
         assert normalized_entropy(row) == expected

@@ -21,6 +21,7 @@ from fedsim.nn import (
     predict_proba,
 )
 from fedsim.params import ParamVector, param_count, split_layers
+from reference import reference_gradient, reference_softmax, reference_train
 
 
 def finite_difference_gradient(model, batch, activation, step=1e-6):
@@ -37,59 +38,9 @@ def finite_difference_gradient(model, batch, activation, step=1e-6):
     return grad
 
 
-def reference_gradient(layers, activation, X, y):
-    """The out-of-place formula the workspace step replaced: the flat gradient
-    of the mean cross-entropy, (K, P) for a (K, n, in) stack of batches with
-    (K, n) labels and (K, in, out) / (K, out) layer views."""
-    acts = [X]
-    for weights, bias in layers[:-1]:
-        z = acts[-1] @ weights + bias[..., None, :]
-        acts.append(np.maximum(z, 0.0) if activation == "relu" else np.tanh(z))
-    w_out, b_out = layers[-1]
-    logits = acts[-1] @ w_out + b_out[..., None, :]
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    delta = exp / exp.sum(axis=-1, keepdims=True)
-    rows = delta.reshape(-1, delta.shape[-1])
-    rows[np.arange(len(rows)), y.ravel()] -= 1.0
-    delta /= X.shape[-2]
-    grads = [None] * len(layers)
-    grads[-1] = (acts[-1].swapaxes(-1, -2) @ delta, delta.sum(axis=-2))
-    upstream = delta @ w_out.swapaxes(-1, -2)
-    for i in range(len(layers) - 2, -1, -1):
-        h = acts[i + 1]
-        dz = upstream * (h > 0.0) if activation == "relu" else upstream * (1.0 - h * h)
-        grads[i] = (acts[i].swapaxes(-1, -2) @ dz, dz.sum(axis=-2))
-        if i > 0:
-            upstream = dz @ layers[i][0].swapaxes(-1, -2)
-    lead = X.shape[:-2]
-    return np.concatenate(
-        [part for gw, gb in grads for part in (gw.reshape(*lead, -1), gb)], axis=-1
-    )
-
-
-def reference_train(model, shard, seed, cfg, data, activation):
-    """SGD on one shard with the out-of-place step, `values -= lr * grad`,
-    over the `default_rng(seed + epoch).permutation` orders."""
-    values = model.values.copy()
-    layers = split_layers(values[None], model.layout)
-    for epoch in range(cfg.local_epochs):
-        order = shard[np.random.default_rng(seed + epoch).permutation(len(shard))]
-        for first in range(0, len(order), cfg.batch_size):
-            idx = order[None, first : first + cfg.batch_size]
-            grad = reference_gradient(layers, activation, data.features[idx], data.labels[idx])
-            values -= cfg.learning_rate * grad[0]
-    return values
-
-
 def everything(data):
     """The one shard that holds every sample of `data`."""
     return [np.arange(len(data))]
-
-
-def as_models(rows, layout):
-    """The rows `local_train` returns, one model per shard."""
-    return [ParamVector(row, layout) for row in rows]
 
 
 def random_batch(rng, n, dim, num_classes):
@@ -186,11 +137,8 @@ class TestLocalTrain:
         train, _ = make_synthetic(3, 10, 4, 0.2, seed=0)
         spec = ModelSpec(4, (6,), 3)
         model = init_model(spec, 2)
-        [out] = as_models(
-            local_train(model, everything(train), TrainConfig(0.0, 3, 4, seeds=[9]), train),
-            model.layout,
-        )
-        np.testing.assert_array_equal(out.values, model.values)
+        [out] = local_train(model, everything(train), TrainConfig(0.0, 3, 4, seeds=[9]), train)
+        np.testing.assert_array_equal(out, model.values)
 
     def test_input_model_not_mutated(self):
         train, _ = make_synthetic(3, 10, 4, 0.2, seed=0)
@@ -206,28 +154,20 @@ class TestLocalTrain:
         model = init_model(spec, 5)
         batch = random_batch(rng, 1, 3, 2)
         eta = 0.3
-        [out] = as_models(
-            local_train(model, everything(batch), TrainConfig(eta, 1, 1, seeds=[0]), batch),
-            model.layout,
-        )
+        [out] = local_train(model, everything(batch), TrainConfig(eta, 1, 1, seeds=[0]), batch)
         step = eta * gradient(model, batch).values
-        np.testing.assert_array_equal(out.values, model.values - step)
+        np.testing.assert_array_equal(out, model.values - step)
         # corroborate the analytic gradient with the finite-difference oracle
         numeric = finite_difference_gradient(model, batch, "relu")
-        np.testing.assert_allclose(
-            (model.values - out.values) / eta, numeric, rtol=1e-4, atol=1e-6
-        )
+        np.testing.assert_allclose((model.values - out) / eta, numeric, rtol=1e-4, atol=1e-6)
 
     def test_loss_decreases_on_separable_blobs(self):
         train, _ = make_synthetic(2, 40, 4, 0.05, seed=3)
         spec = ModelSpec(4, (8,), 2)
         model = init_model(spec, 1)
         before = evaluate(model, train).mean_loss
-        [out] = as_models(
-            local_train(model, everything(train), TrainConfig(0.2, 5, 8, seeds=[4]), train),
-            model.layout,
-        )
-        after = evaluate(out, train).mean_loss
+        [out] = local_train(model, everything(train), TrainConfig(0.2, 5, 8, seeds=[4]), train)
+        after = evaluate(ParamVector(out, model.layout), train).mean_loss
         assert after <= before
 
     def test_epochs_equal_successive_single_epoch_calls(self):
@@ -236,24 +176,22 @@ class TestLocalTrain:
         model = init_model(spec, 7)
         base_seed = 1234
         shard = everything(train)
-        [multi] = as_models(
-            local_train(model, shard, TrainConfig(0.1, 3, 5, seeds=[base_seed]), train),
-            model.layout,
-        )
+        [multi] = local_train(model, shard, TrainConfig(0.1, 3, 5, seeds=[base_seed]), train)
         step = model
         for epoch in range(3):
             cfg = TrainConfig(0.1, 1, 5, seeds=[base_seed + epoch])
-            [step] = as_models(local_train(step, shard, cfg, train), model.layout)
-        np.testing.assert_array_equal(multi.values, step.values)
+            [values] = local_train(step, shard, cfg, train)
+            step = ParamVector(values, model.layout)
+        np.testing.assert_array_equal(multi, step.values)
 
     def test_deterministic(self):
         train, _ = make_synthetic(3, 12, 4, 0.2, seed=6)
         spec = ModelSpec(4, (5,), 3)
         model = init_model(spec, 7)
         cfg = TrainConfig(0.1, 2, 5, seeds=[11])
-        [a] = as_models(local_train(model, everything(train), cfg, train), model.layout)
-        [b] = as_models(local_train(model, everything(train), cfg, train), model.layout)
-        np.testing.assert_array_equal(a.values, b.values)
+        [a] = local_train(model, everything(train), cfg, train)
+        [b] = local_train(model, everything(train), cfg, train)
+        np.testing.assert_array_equal(a, b)
 
     # 24 samples: batches of 5 give several minibatches, 24 a single one, so
     # the blow-up lands either before later updates or in the last update
@@ -292,21 +230,18 @@ class TestLocalTrain:
         data = random_batch(rng, 40, 4, 3)
         shards = [rng.permutation(40)[:12] for _ in range(6)]
         seeds = [40, 41, 42, 43, 44, 45]
-        together = as_models(
-            local_train(model, shards, TrainConfig(0.2, 2, batch_size, seeds), data, activation),
-            model.layout,
+        together = local_train(
+            model, shards, TrainConfig(0.2, 2, batch_size, seeds), data, activation
         )
         assert len(together) == len(shards)
         for shard, seed, out in zip(shards, seeds, together):
             cfg = TrainConfig(0.2, 2, batch_size, [seed])
-            [alone] = as_models(local_train(model, [shard], cfg, data, activation), model.layout)
-            np.testing.assert_array_equal(out.values, alone.values)
+            [alone] = local_train(model, [shard], cfg, data, activation)
+            np.testing.assert_array_equal(out, alone)
             # the same as training on a copy of the shard's rows
             copy = LabeledSet(data.features[shard], data.labels[shard], 3)
-            [copied] = as_models(
-                local_train(model, everything(copy), cfg, copy, activation), model.layout
-            )
-            np.testing.assert_array_equal(out.values, copied.values)
+            [copied] = local_train(model, everything(copy), cfg, copy, activation)
+            np.testing.assert_array_equal(out, copied)
 
     def test_stacked_gradient_equals_per_device_gradient(self):
         # 784 -> 128 -> 10 at batch 50, the GEMM-bound shape: each device
@@ -572,13 +507,6 @@ class TestProbabilities:
         proba = predict_proba(model, X, "tanh")
         np.testing.assert_allclose(proba.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(proba >= 0.0)
-
-
-def reference_softmax(logits):
-    """The `np.max` formula `_softmax` replaced, out of place."""
-    shifted = logits - np.max(logits, axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / np.sum(exp, axis=-1, keepdims=True)
 
 
 def bits(values):

@@ -14,7 +14,7 @@ from fedsim.partition import (
     partition,
     split_global_queue,
 )
-from fedsim.seeds import derive_seed
+from reference import reference_dispense
 
 
 def balanced_set(num_classes=10, per_class=600, dim=4, seed=0):
@@ -140,24 +140,6 @@ def test_negative_counts_raise():
         normalized_entropies(np.array([[3, -1], [1, 1]]))
 
 
-def dispense_indices_by_loop(queue, num_devices, segment_size):
-    """Reference: the per-sample loop `dispense` replaces with slices."""
-    indices = []
-    for _ in range(num_devices):
-        taken = np.empty(segment_size, dtype=np.int64)
-        for j in range(segment_size):
-            if queue.cursor >= len(queue.order):
-                queue.reshuffles += 1
-                queue.order = np.random.default_rng(
-                    derive_seed(queue.seed, "order", queue.reshuffles)
-                ).permutation(len(queue.pool))
-                queue.cursor = 0
-            taken[j] = queue.order[queue.cursor]
-            queue.cursor += 1
-        indices.append(taken)
-    return indices
-
-
 class TestDispense:
     # (pool size, [(devices, segment_size) per call]): one reshuffle; several
     # reshuffles in one call; a cursor ending exactly at the end of the pool,
@@ -179,7 +161,7 @@ class TestDispense:
         assert len(queue.pool) == pool
         for num_devices, segment_size in calls:
             segments, indices = dispense(queue, num_devices, segment_size)
-            expected = dispense_indices_by_loop(reference, num_devices, segment_size)
+            expected = reference_dispense(reference, num_devices, segment_size)
             assert len(indices) == num_devices
             for got, want, segment in zip(indices, expected, segments):
                 np.testing.assert_array_equal(got, want)
