@@ -92,15 +92,6 @@ def concat_sets(a: LabeledSet, b: LabeledSet) -> LabeledSet:
     )
 
 
-def class_histogram(samples, num_classes: int) -> np.ndarray:
-    """Per-class counts (int64 vector of length `num_classes`)."""
-    labels = samples.labels if isinstance(samples, LabeledSet) else np.asarray(samples)
-    labels = labels.astype(np.int64)
-    if len(labels) and (labels.min() < 0 or labels.max() >= num_classes):
-        raise ValueError("labels must lie in [0, num_classes)")
-    return np.bincount(labels, minlength=num_classes).astype(np.int64)
-
-
 # ---------------------------------------------------------------------------
 # MNIST IDX
 

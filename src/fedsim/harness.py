@@ -12,7 +12,9 @@ into its output directory:
                            metrics.csv must be bit-reproducible
     device_entropy.csv     (round, device, entropy) triples
     divergence_layers.csv  (round, layer, mean_divergence) rows
-    summary.txt            key = value lines with final/best accuracy etc.
+    summary.txt            key = value lines with final/best accuracy etc.,
+                           written after the last round (a run that raises
+                           leaves none)
     dispense_trace.jsonl   optional audit log of dispensed samples (their
                            positions in the queue pool)
 
@@ -24,9 +26,10 @@ NumericalDivergence itself; this module runs the loop and writes the files.
 It is the boundary for the config and grid files a user names:
 `read_json_object` reads and parses each, and a fault in reading or parsing
 one is a ConfigInvalid naming the path, as is an output directory that
-cannot be made or cannot hold one of the run's files (the files a run has
-opened are closed however it ends). Config values are checked once, when
-an ExperimentConfig is made (from a file, by hand or by
+cannot be made or cannot hold one of the run's files. A run opens every
+file before round 0, so such a directory fails before any training, and
+closes the files it has opened however it ends. Config values are checked
+once, when an ExperimentConfig is made (from a file, by hand or by
 `dataclasses.replace`), and grids in `run_sweep` (which loads the dataset
 once and makes every run's queue split and partition on it before the
 first run): a fault in either is a ConfigInvalid.
@@ -222,6 +225,16 @@ def _run(cfg: ExperimentConfig, train: LabeledSet, test: LabeledSet) -> Experime
             files["layers"].write("round_index,layer,mean_divergence\n")
             if cfg.trace_dispense:
                 files["trace"] = stack.enter_context(_create(out_dir, "dispense_trace.jsonl"))
+            # opened before round 0, so a directory that cannot hold it fails
+            # before any training; written after the last round, and removed
+            # when the run raises
+            summary_file = stack.enter_context(_create(out_dir, "summary.txt"))
+
+            def drop_summary(exc_type, exc, tb):
+                if exc_type is not None:
+                    (out_dir / "summary.txt").unlink()
+
+            stack.push(drop_summary)
 
         state = FederationState(devices, queue, global_model, histograms)
         for _ in range(cfg.rounds):
@@ -245,22 +258,20 @@ def _run(cfg: ExperimentConfig, train: LabeledSet, test: LabeledSet) -> Experime
             for fh in files.values():
                 fh.flush()
 
-    best = max(rows, key=lambda r: (r.test_accuracy, -r.round_index))
-    summary = {
-        "rounds": cfg.rounds,
-        "final_accuracy": rows[-1].test_accuracy,
-        "best_accuracy": best.test_accuracy,
-        "best_round": best.round_index,
-        "final_loss": rows[-1].mean_loss,
-        "first_mean_entropy": rows[0].mean_entropy,
-        "final_mean_entropy": rows[-1].mean_entropy,
-        "zero_entropy_fallback_rounds": sum(r.zero_entropy_fallback for r in rows),
-        "segment_size": cfg.segment_size,
-    }
-    if out_dir is not None:
-        with _create(out_dir, "summary.txt") as fh:
-            for key, value in summary.items():
-                fh.write(f"{key} = {value}\n")
+        best = max(rows, key=lambda r: (r.test_accuracy, -r.round_index))
+        summary = {
+            "rounds": cfg.rounds,
+            "final_accuracy": rows[-1].test_accuracy,
+            "best_accuracy": best.test_accuracy,
+            "best_round": best.round_index,
+            "final_loss": rows[-1].mean_loss,
+            "first_mean_entropy": rows[0].mean_entropy,
+            "final_mean_entropy": rows[-1].mean_entropy,
+            "zero_entropy_fallback_rounds": sum(r.zero_entropy_fallback for r in rows),
+            "segment_size": cfg.segment_size,
+        }
+        if out_dir is not None:
+            summary_file.write("".join(f"{key} = {value}\n" for key, value in summary.items()))
     return ExperimentResult(rows, state.global_model, summary, out_dir)
 
 

@@ -1,9 +1,10 @@
 """The whole protocol in plain code, and the test oracles it is built from.
 
 `reference_run(cfg)` restates what a run of a synthetic-data `cfg` computes,
-one device at a time in Python loops, and returns the text of the three run
-files that do not depend on the hardware: metrics.csv, device_entropy.csv
-and divergence_layers.csv. `tests/test_reference.py` checks
+one device at a time in Python loops, and returns the text of the run files
+that do not depend on the hardware: metrics.csv, device_entropy.csv,
+divergence_layers.csv and, when `cfg` traces dispensing,
+dispense_trace.jsonl. `tests/test_reference.py` checks
 `harness.run_experiment` against it bit for bit, so a change to `src/` that
 keeps the bytes (sub-blocks, worker threads, in-place steps, batched
 entropies) needs no equivalence check of its own. A change that alters the
@@ -32,6 +33,7 @@ line: the synthetic data (`make_synthetic`), the queue split
 bias views of a flat parameter vector (`split_layers`).
 """
 
+import json
 import math
 
 import numpy as np
@@ -166,7 +168,8 @@ def _line(*values) -> str:
 
 def reference_run(cfg) -> dict[str, str]:
     """The metrics.csv, device_entropy.csv and divergence_layers.csv text of
-    a run of `cfg`, a config of synthetic data."""
+    a run of `cfg`, a config of synthetic data, and its dispense_trace.jsonl
+    text when `cfg.trace_dispense` is set."""
     params = {**SYNTHETIC_DEFAULTS, **cfg.dataset_params}
     train, test = make_synthetic(**params, seed=derive_seed(cfg.seed, "data"))
     queue, residual = split_global_queue(train, cfg.queue_fraction, derive_seed(cfg.seed, "queue"))
@@ -187,8 +190,14 @@ def reference_run(cfg) -> dict[str, str]:
                "mean_weight_divergence,mean_bias_norm,selected_ids\n"]
     entropy_rows = ["round_index,device_id,entropy\n"]
     layer_rows = ["round_index,layer,mean_divergence\n"]
+    trace_rows = []
     for r in range(cfg.rounds):
-        segments = queue.pool[reference_dispense(queue, K, s)]
+        positions = reference_dispense(queue, K, s)
+        trace_rows += [
+            json.dumps({"round": r, "device": k, "sample_indices": row.tolist()}) + "\n"
+            for k, row in enumerate(positions)
+        ]
+        segments = queue.pool[positions]
         devices = [np.concatenate([data, segment]) for data, segment in zip(devices, segments)]
         entropies = [
             reference_entropy(np.bincount(train.labels[data], minlength=train.num_classes))
@@ -228,8 +237,11 @@ def reference_run(cfg) -> dict[str, str]:
         entropy_rows += [_line(r, k, e) for k, e in enumerate(entropies)]
         layer_means = np.mean(np.array(per_layer), axis=0).tolist()
         layer_rows += [_line(r, layer, value) for layer, value in enumerate(layer_means)]
-    return {
+    files = {
         "metrics.csv": "".join(metrics),
         "device_entropy.csv": "".join(entropy_rows),
         "divergence_layers.csv": "".join(layer_rows),
     }
+    if cfg.trace_dispense:
+        files["dispense_trace.jsonl"] = "".join(trace_rows)
+    return files

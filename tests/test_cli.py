@@ -189,6 +189,17 @@ class TestRunCommand:
         assert "output_dir" in err and "timings.csv" in err
         assert (out / "metrics.csv").read_text().startswith("round_index,test_accuracy,")
 
+    def test_output_dir_that_cannot_hold_the_summary(self, tmp_path, capsys):
+        # summary.txt is written after the last round but opened before the
+        # first, so the run fails with no round trained: metrics.csv holds
+        # only its header
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        (out / "summary.txt").mkdir(parents=True)
+        assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+        assert "summary.txt" in capsys.readouterr().err
+        assert (out / "metrics.csv").read_text().count("\n") == 1
+
     def test_unknown_flag(self, tmp_path):
         config = write_config(tmp_path)
         assert main(["run", "--config", str(config), "--bogus"]) == EXIT_CONFIG

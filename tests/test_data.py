@@ -7,7 +7,6 @@ import pytest
 
 from fedsim.data import (
     LabeledSet,
-    class_histogram,
     concat_sets,
     load_cifar,
     load_mnist,
@@ -62,39 +61,13 @@ class TestLabeledSet:
          "labels must be 1-D and match the sample count"),
         (lambda: LabeledSet(np.zeros((0, 2)), np.zeros(0, dtype=int), 0),
          "num_classes must be positive"),
-        (lambda: class_histogram(np.array([0, 3]), 3), r"labels must lie in \[0, num_classes\)"),
-        (lambda: class_histogram(np.array([-1, 0]), 3), r"labels must lie in \[0, num_classes\)"),
+        (lambda: LabeledSet(np.eye(2), [0, 3], 3), r"labels must lie in \[0, num_classes\)"),
+        (lambda: LabeledSet(np.eye(2), [-1, 0], 3), r"labels must lie in \[0, num_classes\)"),
     ],
 )
 def test_bad_input_raises_naming_the_fault(make, message):
     with pytest.raises(ValueError, match=message):
         make()
-
-
-class TestClassHistogram:
-    def test_single_class_block(self):
-        data = LabeledSet(np.zeros((30, 2)), np.full(30, 3), 10)
-        hist = class_histogram(data, 10)
-        expected = np.zeros(10, dtype=np.int64)
-        expected[3] = 30
-        np.testing.assert_array_equal(hist, expected)
-
-    def test_empty_input_gives_zero_vector(self):
-        hist = class_histogram(np.empty(0, dtype=int), 7)
-        np.testing.assert_array_equal(hist, np.zeros(7, dtype=np.int64))
-
-    def test_counts_sum_to_sample_count(self):
-        rng = np.random.default_rng(0)
-        labels = rng.integers(0, 6, size=500)
-        assert class_histogram(labels, 6).sum() == 500
-
-    def test_permutation_invariant(self):
-        rng = np.random.default_rng(1)
-        labels = rng.integers(0, 5, size=100)
-        shuffled = labels[rng.permutation(100)]
-        np.testing.assert_array_equal(
-            class_histogram(labels, 5), class_histogram(shuffled, 5)
-        )
 
 
 class TestMnistLoader:
@@ -174,7 +147,7 @@ def test_real_mnist_if_available():
     assert (len(train), len(test)) == (60_000, 10_000)
     assert train.input_dim == 784
     assert train.labels[0] == 5
-    assert class_histogram(train, 10).sum() == 60_000
+    assert np.bincount(train.labels, minlength=10).sum() == 60_000
 
 
 def write_cifar10_dir(tmp_path: Path, per_file=4) -> Path:
@@ -243,8 +216,8 @@ class TestSynthetic:
         train, test = make_synthetic(10, 100, 16, 0.3, seed=0)
         assert (len(train), len(test)) == (800, 200)
         # exactly 80 train and 20 test samples per class
-        np.testing.assert_array_equal(class_histogram(train, 10), 80)
-        np.testing.assert_array_equal(class_histogram(test, 10), 20)
+        np.testing.assert_array_equal(np.bincount(train.labels, minlength=10), 80)
+        np.testing.assert_array_equal(np.bincount(test.labels, minlength=10), 20)
 
     def test_deterministic(self):
         a_train, a_test = make_synthetic(4, 30, 8, 0.2, seed=5)

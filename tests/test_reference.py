@@ -1,8 +1,9 @@
 """`run_experiment` against the plain-code reference run, bit for bit.
 
 `tests/reference.py` restates the protocol one device at a time. Here its
-metrics.csv, device_entropy.csv and divergence_layers.csv text must equal
-the files `harness.run_experiment` writes, on small drawn configs under
+metrics.csv, device_entropy.csv, divergence_layers.csv and (when the config
+traces dispensing) dispense_trace.jsonl text must equal the files
+`harness.run_experiment` writes, on small drawn configs under
 drawn worker counts and training sub-block budgets, and its metrics.csv
 must give the pinned digests of the committed trend config.
 """
@@ -28,8 +29,8 @@ from test_cli import CONFIGS
 def configs(draw):
     """Small synthetic configs: 2-5 classes, 1-12 devices, server pools of
     none to 70 % of the train set, which segments of 0-4 samples per device
-    (or the derived size) run through and reshuffle, and models of 0-2
-    hidden layers."""
+    (or the derived size) run through and reshuffle, with or without a
+    dispense trace, and models of 0-3 hidden layers."""
     num_classes = draw(st.integers(2, 5))
     mode = draw(st.sampled_from(["iid", "one_class"]))
     devices = draw(st.integers(num_classes if mode == "one_class" else 1, 12))
@@ -48,10 +49,11 @@ def configs(draw):
         partition_mode=mode,
         aggregator=draw(st.sampled_from(["fedavg_count", "ddfl_entropy"])),
         segment_size=draw(st.one_of(st.none(), st.integers(0, 4))),
-        hidden_dims=draw(st.lists(st.integers(1, 8), max_size=2)),
+        hidden_dims=draw(st.lists(st.integers(1, 8), max_size=3)),
         activation=draw(st.sampled_from(["relu", "tanh"])),
         seed=draw(st.integers(0, 2**16)),
         workers=draw(st.integers(1, 3)),
+        trace_dispense=draw(st.booleans()),
     )
 
 
