@@ -1,24 +1,15 @@
 """Command-line interface: run, sweep.
 
-Exit codes: 0 success, 1 `ConfigInvalid` (a bad config value, flag or grid,
-a config or grid file that cannot be read or parsed, or an output directory
-that cannot be made or cannot hold a run's files), 2 `DatasetError`
-(a missing or malformed dataset file, or a label outside the dataset's
-classes), 3 any other exception (`NumericalDivergence`, or a runtime
-failure).
-
+`fedsim run --config config.json` runs one experiment, and
 `fedsim sweep --config base.json --grid grid.json --out DIR` runs every
 setting of the grid under each of its named arms (see `harness.run_sweep`),
 for example `configs/attribution_grid.json` on `configs/trend.json`, and
-prints the `sweep_table.csv` it writes in DIR.
+prints the `sweep_table.csv` it wrote in DIR, read back from there.
 
-Each file a user names is read by one reader per format:
-`harness.read_json_object` for config and grid files (any fault in reading
-or parsing one exits 1), and the `data` loaders for dataset files (a
-missing or malformed one, or one holding a label outside the dataset's
-classes, exits 2). Flags override config values with `dataclasses.replace`,
+`errors` lists the exit code of each failure and the one reader of each
+input file format. Flags override config values with `dataclasses.replace`,
 which checks the new config as loading checks the file's, so a bad flag
-value exits 1 too.
+value exits 1, as a bad value in the file does.
 """
 
 from __future__ import annotations
@@ -26,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from pathlib import Path
 
 from . import harness
 from .errors import ConfigInvalid, DatasetError
@@ -91,8 +83,8 @@ def _cmd_sweep(args) -> int:
     cfg = harness.load_config(args.config)
     out = cfg.output_dir if args.out is None else args.out
     cfg = dataclasses.replace(cfg, output_dir="runs/sweep" if out is None else out)
-    table = harness.run_sweep(cfg, harness.read_json_object(args.grid, "grid"))
-    print(harness.format_sweep_table(table), end="")
+    harness.run_sweep(cfg, harness.read_json_object(args.grid, "grid"))
+    print((Path(cfg.output_dir) / "sweep_table.csv").read_text(encoding="ascii"), end="")
     return EXIT_OK
 
 

@@ -1,4 +1,5 @@
-"""The exception types the CLI tells apart, and the exit code of each.
+"""The exception types the CLI tells apart, and the exit code of each; a
+command that succeeds exits 0.
 
     ConfigInvalid        1  a config value, flag or grid is invalid, a
                             config or grid file is unreadable or malformed,

@@ -307,9 +307,9 @@ def run_sweep(base_cfg: ExperimentConfig, grid: dict) -> list[dict]:
     it) and its queue split and partition are made on the loaded data, so a
     bad grid, value or split is a ConfigInvalid that writes nothing, as is
     an output directory that already holds a `sweep_table.csv`. Then
-    each run's row of `_SWEEP_COLUMNS` goes to `sweep_table.csv`, written
-    and flushed as the run finishes, in the text `format_sweep_table` gives;
-    the rows are also returned.
+    `sweep_table.csv` gets its header line, the names in `_SWEEP_COLUMNS`,
+    and each run's row of their values, comma-separated as `str` gives them,
+    written and flushed as the run finishes; the rows are also returned.
     """
     if base_cfg.output_dir is None:
         raise ConfigInvalid("output_dir must be set for a sweep")
@@ -353,19 +353,9 @@ def run_sweep(base_cfg: ExperimentConfig, grid: dict) -> list[dict]:
         raise ConfigInvalid(f"output_dir {base_out} cannot hold sweep_table.csv ({exc})") from exc
     table: list[dict] = []
     with table_file:
-        table_file.write(_sweep_line(_SWEEP_COLUMNS))
+        table_file.write(",".join(_SWEEP_COLUMNS) + "\n")
         for i, name, cfg in runs:
             summary = _run(cfg, train, test).summary
             table.append({"setting": i, "arm": name, **{k: summary[k] for k in _SWEEP_COLUMNS[2:]}})
-            table_file.write(_sweep_line(table[-1].values()))
+            table_file.write(",".join(str(value) for value in table[-1].values()) + "\n")
     return table
-
-
-def _sweep_line(values) -> str:
-    return ",".join(str(value) for value in values) + "\n"
-
-
-def format_sweep_table(table: list[dict]) -> str:
-    """The sweep_table.csv text of the rows `run_sweep` returns: the header,
-    then one line per run."""
-    return _sweep_line(_SWEEP_COLUMNS) + "".join(_sweep_line(row.values()) for row in table)

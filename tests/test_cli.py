@@ -2,79 +2,16 @@ import hashlib
 import json
 import pkgutil
 import re
-import struct
 from pathlib import Path
 
 import pytest
 
 from fedsim.cli import EXIT_CONFIG, EXIT_DATASET, EXIT_OK, EXIT_RUNTIME, main
+from inputs import (
+    BASE_CONFIG, CONFIGS, INVALID_VALUES, write_cifar, write_config, write_idx, write_mnist,
+)
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
-
-
-DATASET_PARAMS = {"num_classes": 4, "per_class": 25, "input_dim": 6, "spread": 0.2}
-
-
-# the config the CLI and harness tests start from
-BASE_CONFIG = {
-    "dataset": "synthetic",
-    "dataset_params": DATASET_PARAMS,
-    "devices": 4,
-    "rounds": 2,
-    "local_epochs": 1,
-    "batch_size": 8,
-    "learning_rate": 0.3,
-    "queue_fraction": 0.2,
-    "selection_fraction": 0.9,
-    "partition_mode": "one_class",
-    "aggregator": "ddfl",
-    "hidden_dims": [6],
-    "seed": 3,
-}
-
-
-def write_config(tmp_path, **overrides):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({**BASE_CONFIG, **overrides}))
-    return path
-
-
-# (key, value) pairs that must fail at load time with a config error naming the
-# key; "dataset_params.k" sets key k of dataset_params
-INVALID_VALUES = [
-    ("rounds", 0),
-    ("hidden_dims", "32"),
-    ("hidden_dims", [32.0]),
-    ("seed", 1.5),
-    ("selection_fraction", True),
-    ("devices", True),
-    ("devices", "10"),
-    ("rounds", 2.0),
-    ("learning_rate", "0.1"),
-    ("learning_rate", float("nan")),
-    ("segment_size", 1.5),
-    ("dataset_params.input_dim", 16.9),
-    ("dataset_params.per_class", "40"),
-    ("dataset_params.spread", float("nan")),
-    ("dataset_params.spread", -0.1),
-    ("dataset_params.num_classes", True),
-    ("dataset_params.num_classes", 1),
-    ("dataset_params.per_class", 2.5),
-    ("dataset_params.per_class", 1),
-    ("dataset_params.input_dim", 1),
-    ("dataset_params.bogus", 1),
-    # infeasible for the 64 residual samples of 4 classes that the base config leaves
-    ("devices", 3),
-    ("devices", 200),
-    ("queue_fraction", 0.999),
-    ("aggregator", []),
-    ("output_dir", 5),
-    ("output_dir", ""),
-    ("data_dir", 7),
-    ("data_dir", ""),
-    ("dataset_params", 5),
-    ("trace_dispense", "no"),
-]
 
 
 def test_console_script_resolves_to_main():
@@ -125,7 +62,8 @@ class TestRunCommand:
         for key, value in INVALID_VALUES:
             section, _, param = key.partition(".")
             if param:
-                config = write_config(tmp_path, **{section: {**DATASET_PARAMS, param: value}})
+                params = {**BASE_CONFIG["dataset_params"], param: value}
+                config = write_config(tmp_path, **{section: params})
             else:
                 config = write_config(tmp_path, **{key: value})
             code = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
@@ -235,9 +173,6 @@ def assert_wrote_nothing(out):
     assert not list(out.glob("setting_*"))
     assert not (out / "sweep_table.csv").exists()
 
-
-# the committed example: the trend config at seed 1 under the attribution grid
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 # grids that `fedsim sweep` refuses before it writes anything, and the words
 # its error gives for each
@@ -405,27 +340,6 @@ def command(kind, tmp_path, path):
     return ["sweep", "--config", str(config), "--grid", str(path), "--out", out]
 
 
-def write_mnist(data_dir):
-    """The four MNIST IDX files, each set holding two 2x2 images."""
-    for prefix in ("train", "t10k"):
-        header = struct.pack(">IIII", 0x00000803, 2, 2, 2)
-        (data_dir / f"{prefix}-images-idx3-ubyte").write_bytes(header + bytes(range(8)))
-        header = struct.pack(">II", 0x00000801, 2)
-        (data_dir / f"{prefix}-labels-idx1-ubyte").write_bytes(header + bytes([0, 1]))
-
-
-def write_cifar(data_dir, variant):
-    """A CIFAR binary batch set, each file holding two records of labels 0
-    and 1 (the fine label for cifar100)."""
-    if variant == "cifar10":
-        names, prefix = [f"data_batch_{i}.bin" for i in range(1, 6)] + ["test_batch.bin"], b""
-    else:
-        names, prefix = ["train.bin", "test.bin"], b"\x00"  # the coarse label
-    records = b"".join(prefix + bytes([label]) + bytes(3072) for label in (0, 1))
-    for name in names:
-        (data_dir / name).write_bytes(records)
-
-
 # ways an IDX file can be malformed, and the words the error gives for each
 IDX_FAULTS = {
     "short header": (lambda raw: raw[:6], "header needs"),
@@ -460,9 +374,7 @@ class TestInputFiles:
     @pytest.mark.parametrize("name", ["train-images-idx3-ubyte", "train-labels-idx1-ubyte"])
     @pytest.mark.parametrize("fault", list(IDX_FAULTS))
     def test_malformed_idx_file(self, tmp_path, capsys, name, fault):
-        data_dir = tmp_path / "mnist"
-        data_dir.mkdir()
-        write_mnist(data_dir)
+        data_dir = write_mnist(tmp_path / "mnist")
         spoil, words = IDX_FAULTS[fault]
         path = data_dir / name
         path.write_bytes(spoil(path.read_bytes()))
@@ -472,14 +384,7 @@ class TestInputFiles:
         assert name in err and words in err, err
 
     def test_empty_test_set(self, tmp_path, capsys):
-        data_dir = tmp_path / "mnist"
-        data_dir.mkdir()
-        write_mnist(data_dir)
-        for name, header in [
-            ("t10k-images-idx3-ubyte", struct.pack(">IIII", 0x00000803, 0, 2, 2)),
-            ("t10k-labels-idx1-ubyte", struct.pack(">II", 0x00000801, 0)),
-        ]:
-            (data_dir / name).write_bytes(header)
+        data_dir = write_mnist(tmp_path / "mnist", test_labels=[])
         config = write_config(tmp_path, dataset="mnist", data_dir=str(data_dir), dataset_params={})
         out = tmp_path / "out"
         assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_DATASET
@@ -487,11 +392,8 @@ class TestInputFiles:
         assert not out.exists()
 
     def test_image_and_label_counts_differ(self, tmp_path, capsys):
-        data_dir = tmp_path / "mnist"
-        data_dir.mkdir()
-        write_mnist(data_dir)
-        header = struct.pack(">II", 0x00000801, 3)
-        (data_dir / "train-labels-idx1-ubyte").write_bytes(header + bytes([0, 1, 0]))
+        data_dir = write_mnist(tmp_path / "mnist")
+        write_idx(data_dir / "train-labels-idx1-ubyte", [0, 1, 0])
         config = write_config(tmp_path, dataset="mnist", data_dir=str(data_dir), dataset_params={})
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_DATASET
         err = capsys.readouterr().err
@@ -506,12 +408,10 @@ class TestInputFiles:
         ],
     )
     def test_label_outside_the_classes(self, tmp_path, capsys, dataset, name, offset, label):
-        data_dir = tmp_path / dataset
-        data_dir.mkdir()
         if dataset == "mnist":
-            write_mnist(data_dir)
+            data_dir = write_mnist(tmp_path / dataset)
         else:
-            write_cifar(data_dir, dataset)
+            data_dir = write_cifar(tmp_path / dataset, dataset)
         path = data_dir / name
         raw = bytearray(path.read_bytes())
         raw[offset] = label

@@ -157,9 +157,6 @@ class TestLocalTrain:
         [out] = local_train(model, everything(batch), TrainConfig(eta, 1, 1, seeds=[0]), batch)
         step = eta * gradient(model, batch).values
         np.testing.assert_array_equal(out, model.values - step)
-        # corroborate the analytic gradient with the finite-difference oracle
-        numeric = finite_difference_gradient(model, batch, "relu")
-        np.testing.assert_allclose((model.values - out) / eta, numeric, rtol=1e-4, atol=1e-6)
 
     def test_loss_decreases_on_separable_blobs(self):
         train, _ = make_synthetic(2, 40, 4, 0.05, seed=3)
@@ -169,29 +166,6 @@ class TestLocalTrain:
         [out] = local_train(model, everything(train), TrainConfig(0.2, 5, 8, seeds=[4]), train)
         after = evaluate(ParamVector(out, model.layout), train).mean_loss
         assert after <= before
-
-    def test_epochs_equal_successive_single_epoch_calls(self):
-        train, _ = make_synthetic(3, 12, 4, 0.2, seed=6)
-        spec = ModelSpec(4, (5,), 3)
-        model = init_model(spec, 7)
-        base_seed = 1234
-        shard = everything(train)
-        [multi] = local_train(model, shard, TrainConfig(0.1, 3, 5, seeds=[base_seed]), train)
-        step = model
-        for epoch in range(3):
-            cfg = TrainConfig(0.1, 1, 5, seeds=[base_seed + epoch])
-            [values] = local_train(step, shard, cfg, train)
-            step = ParamVector(values, model.layout)
-        np.testing.assert_array_equal(multi, step.values)
-
-    def test_deterministic(self):
-        train, _ = make_synthetic(3, 12, 4, 0.2, seed=6)
-        spec = ModelSpec(4, (5,), 3)
-        model = init_model(spec, 7)
-        cfg = TrainConfig(0.1, 2, 5, seeds=[11])
-        [a] = local_train(model, everything(train), cfg, train)
-        [b] = local_train(model, everything(train), cfg, train)
-        np.testing.assert_array_equal(a, b)
 
     # 24 samples: batches of 5 give several minibatches, 24 a single one, so
     # the blow-up lands either before later updates or in the last update

@@ -1,5 +1,4 @@
 import hashlib
-import math
 
 import numpy as np
 import pytest
@@ -57,16 +56,6 @@ class TestSplitGlobalQueue:
         assert hist.sum() == target == len(queue.pool)
         assert hist[0] == 5
         assert hist[1:].max() - hist[1:].min() <= 1
-
-    def test_conservation_of_samples(self):
-        train = balanced_set(per_class=50)
-        queue, residual = split_global_queue(train, 0.3, seed=4)
-        assert len(queue.pool) + len(residual) == len(train)
-        np.testing.assert_array_equal(
-            np.bincount(train.labels[queue.pool], minlength=10)
-            + np.bincount(train.labels[residual], minlength=10),
-            np.bincount(train.labels, minlength=10),
-        )
 
 
 class TestPartition:
@@ -168,20 +157,6 @@ class TestDispense:
             assert (queue.cursor, queue.reshuffles) == (reference.cursor, reference.reshuffles)
             np.testing.assert_array_equal(queue.order, reference.order)
 
-    def test_exact_exhaustion(self):
-        train = balanced_set(per_class=600)
-        queue, _ = split_global_queue(train, 0.1, seed=1)
-        assert len(queue.pool) == 600
-        # 600 = 10 devices * 6 per round * 10 rounds
-        seen = []
-        for _ in range(10):
-            segments, indices = dispense(queue, 10, 6)
-            assert all(len(s) == 6 for s in segments)
-            seen.extend(np.concatenate(indices).tolist())
-        assert queue.cursor == len(queue.order)
-        assert queue.reshuffles == 0
-        assert sorted(seen) == list(range(600))
-
     def test_zero_segment_size(self):
         train = balanced_set(per_class=10)
         queue, _ = split_global_queue(train, 0.5, seed=2)
@@ -199,64 +174,20 @@ class TestDispense:
         all_indices = np.concatenate([*first, *second])
         assert len(np.unique(all_indices)) == len(all_indices)
 
-    def test_reshuffle_on_exhaustion(self):
-        train = balanced_set(num_classes=2, per_class=5, dim=3)
-        queue, _ = split_global_queue(train, 0.4, seed=4)  # pool of 4
-        segments, indices = dispense(queue, 3, 2)  # asks for 6 of 4
-        assert queue.reshuffles == 1
-        assert all(len(s) == 2 for s in segments)
-        flat = np.concatenate(indices)
-        assert len(flat) == 6
-        # only values that exist in the pool are dispensed
-        assert set(flat.tolist()) <= set(range(4))
-
     def test_empty_pool_dispenses_nothing(self):
         train = balanced_set(num_classes=2, per_class=5, dim=3)
         queue, _ = split_global_queue(train, 0.0, seed=4)
         segments, _ = dispense(queue, 3, 2)
         assert all(len(s) == 0 for s in segments)
 
-def partition_with_entropies(train, residual, mode, num_devices, seed):
-    devices, hists = partition(train, residual, mode, num_devices, seed)
-    return devices, hists, normalized_entropies(hists)
-
 
 class TestAccumulate:
-    def test_entropy_after_single_cross_class_sample(self):
-        train = LabeledSet(np.zeros((31, 2)), np.repeat([0, 1], [30, 1]), 10)
-        devices, hists, entropies = partition_with_entropies(
-            train, np.arange(30), "iid", 1, seed=0
-        )
-        assert entropies[0] == 0.0
-        [updated] = accumulate(devices, hists, entropies, np.array([[30]]), train)
-        expected = -(
-            (30 / 31) * math.log2(30 / 31) + (1 / 31) * math.log2(1 / 31)
-        ) / math.log2(10)
-        assert entropies[0] == pytest.approx(expected, abs=1e-12)
-        np.testing.assert_array_equal(hists[0], [30, 1] + [0] * 8)
-        assert len(updated) == 31
-        np.testing.assert_array_equal(updated, np.append(devices[0], 30))
-
-    def test_empty_segment_is_identity(self):
-        train = balanced_set(per_class=5)
-        devices, hists, entropies = partition_with_entropies(
-            train, np.arange(len(train)), "iid", 2, seed=1
-        )
-        before = hists.copy(), entropies.copy()
-        empty = np.empty((2, 0), dtype=np.int64)
-        updated = accumulate(devices, hists, entropies, empty, train)
-        assert updated[0] is devices[0]
-        assert updated[1] is devices[1]
-        np.testing.assert_array_equal(hists, before[0])
-        np.testing.assert_array_equal(entropies, before[1])
-
     def test_one_segment_per_device(self):
         train = balanced_set(per_class=5)
-        devices, hists, entropies = partition_with_entropies(
-            train, np.arange(len(train)), "iid", 2, seed=1
-        )
+        devices, hists = partition_all(train, "iid", 2, seed=1)
         with pytest.raises(ValueError):
-            accumulate(devices, hists, entropies, np.array([[0]]), train)
+            accumulate(devices, hists, normalized_entropies(hists), np.array([[0]]), train)
+
 
 class TestSetUpIsPinned:
     """sha256 prefixes of the set-up arrays, which a rewrite of the split or

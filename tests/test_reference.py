@@ -21,8 +21,8 @@ from fedsim import nn
 from fedsim.config import ExperimentConfig
 from fedsim.errors import ConfigInvalid
 from fedsim.harness import load_config, run_experiment
+from inputs import CONFIGS
 from reference import reference_run
-from test_cli import CONFIGS
 
 
 @st.composite
