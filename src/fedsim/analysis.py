@@ -21,7 +21,9 @@ class DivergenceRecord:
     total: float
 
 
-_CHUNK_ROWS = 128  # rows per bank_divergence pass: a whole (K, P) difference was the peak memory
+# floats per bank_divergence pass: it takes as many whole rows as fit, and at
+# least one, so its difference block stays about 1 MB whatever the bank size
+_CHUNK_FLOATS = 2**17
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
@@ -32,13 +34,19 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
 def bank_divergence(global_model: ParamVector, bank: np.ndarray) -> tuple[np.ndarray, ...]:
     """`weight_divergence` of each row of a (K, P) model bank, bit for bit:
     the (K,) totals and the (K, L) per-layer norms. Each row's norms are its
-    own dots, so taking the rows `_CHUNK_ROWS` at a time keeps the bits."""
+    own dots, so taking as many rows at a time as fit `_CHUNK_FLOATS` keeps
+    the bits."""
     if bank.shape[1] != len(global_model):
         raise ValueError(f"bank width {bank.shape[1]} != model size {len(global_model)}")
     slices = layer_slices(global_model.layout)
     totals, per_layer = np.empty(len(bank)), np.empty((len(bank), len(slices)))
-    for lo in range(0, len(bank), _CHUNK_ROWS):
-        diff = global_model.values - bank[lo : lo + _CHUNK_ROWS]
+    step = max(1, _CHUNK_FLOATS // bank.shape[1])
+    # one block for every pass: a fresh difference per pass would be made
+    # while the last one is still held, two blocks at the peak
+    block = np.empty((min(step, len(bank)), bank.shape[1]))
+    for lo in range(0, len(bank), step):
+        rows = bank[lo : lo + step]
+        diff = np.subtract(global_model.values, rows, out=block[: len(rows)])
         totals[lo : lo + len(diff)] = _row_norms(diff)
         per_layer[lo : lo + len(diff)] = np.stack([_row_norms(diff[:, s]) for s in slices], 1)
     return totals, per_layer

@@ -27,16 +27,21 @@ Each round splits the devices into at most `workers` ranges of consecutive
 ids holding about equal sample counts and makes one `local_train` call per
 range, straight into the range's rows of the state's model bank: the first
 range on the calling thread, the rest on a thread pool. `local_train` cuts
-each call into cache-sized sub-blocks of one shard size itself. Both
-aggregators are one weighted sum over bank rows. Each device's result is a
-pure function of (model, device data, derived seed), the same bits whatever
-call or sub-block it shares or worker runs it, so neither the float budget
-nor the worker count changes results.
+each call into cache-sized sub-blocks of one shard size itself. Each
+device's result is a pure function of (model, device data, derived seed),
+the same bits whatever call or sub-block it shares or worker runs it, so
+neither the float budget nor the worker count changes results.
+
+Both aggregators are one merge of bank rows, made `_MERGE_COLUMNS` columns at
+a time: DDFL passes the rows it keeps, and no row is copied, so the merge's
+one temporary is a (rows, `_MERGE_COLUMNS`) block. The bank is mapped once
+per run, in pages of its own.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -67,14 +72,26 @@ def select_devices(entropies, selection_fraction: float) -> list[int]:
     return sorted(np.argsort(-entropies, kind="stable")[:keep].tolist())
 
 
-def aggregate_fedavg(bank: np.ndarray, layout: Layout, weights) -> ParamVector:
-    """Weighted mean of the rows of a (K, P) model bank; weights are normalized."""
-    if not len(bank):
+_MERGE_COLUMNS = 128  # bank columns per merge step: a (rows, 128) block, 1 MB at 1,000 rows
+
+
+def aggregate_fedavg(bank: np.ndarray, layout: Layout, weights, rows=None) -> ParamVector:
+    """Weighted mean of the rows of a (K, P) model bank, or of the rows
+    listed in `rows` only: one weight per averaged row, normalized here.
+
+    The merge copies no row. It runs `_MERGE_COLUMNS` columns at a time,
+    each step one product of the weights with a block of the averaged rows.
+    Under one BLAS thread each entry is the same sum, in the same order, as
+    in one product over all columns, so the bits are that product's.
+    """
+    count = len(bank) if rows is None else len(rows)
+    if not count:
         raise ValueError("no models to aggregate")
-    if bank.shape[1] != param_count(layout):
-        raise ValueError(f"bank width {bank.shape[1]} != layout size {param_count(layout)}")
+    width = bank.shape[1]
+    if width != param_count(layout):
+        raise ValueError(f"bank width {width} != layout size {param_count(layout)}")
     w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (len(bank),):
+    if w.shape != (count,):
         raise ValueError("need exactly one weight per model")
     if np.any(w < 0):
         raise ValueError("weights must be nonnegative")
@@ -82,7 +99,14 @@ def aggregate_fedavg(bank: np.ndarray, layout: Layout, weights) -> ParamVector:
     if total <= 0.0:
         raise ValueError("weights sum to zero")
     p = w / total
-    return ParamVector(p @ bank, layout)
+    index = slice(None) if rows is None else rows
+    # OpenBLAS sums a block 1 to 3 columns wide in another order than a wider
+    # one, so a remainder that narrow joins the block before it
+    starts = range(0, max(width - 3, 1), _MERGE_COLUMNS)
+    out = np.empty(width)
+    for lo, hi in zip(starts, [*starts[1:], width]):
+        out[lo:hi] = p @ bank[index, lo:hi]
+    return ParamVector(out, layout)
 
 
 def aggregate_ddfl(
@@ -106,7 +130,7 @@ def aggregate_ddfl(
     fallback = bool(weights.sum() <= 0.0)
     if fallback:
         weights = np.ones(len(selected))
-    merged = aggregate_fedavg(bank[selected], layout, weights)
+    merged = aggregate_fedavg(bank, layout, weights, selected)
     return merged, selected, fallback
 
 
@@ -140,11 +164,13 @@ class FederationState:
     `devices[k]`, whose id is k: its class counts, its data entropy and its
     latest local model. Only the four inputs are constructor arguments: the
     round index starts at 0, the entropies are those of the histograms, and
-    the bank is allocated once. `dispensed` holds the latest round's (K, s)
-    pool positions, row k those dispensed to device k."""
+    the bank is allocated once, in pages of its own. `dispensed` holds the
+    latest round's (K, s) pool positions, row k those dispensed to device
+    k."""
 
-    # each device stays a 1-D index array, so len(d.data), its buffer's
-    # length, is the device's sample count (bench/run.py counts samples so)
+    # each device stays a 1-D index array (a slice of one array per round),
+    # so len(d.data), its buffer's length, is the device's sample count
+    # (bench/run.py counts samples so)
     devices: list[np.ndarray]
     queue: GlobalQueue
     global_model: ParamVector
@@ -156,7 +182,13 @@ class FederationState:
 
     def __post_init__(self):
         self.entropies = normalized_entropies(self.histograms)
-        self.bank = np.empty((len(self.devices), len(self.global_model)))
+        # the bank maps pages of its own, which go back to the system when the
+        # state goes: from the heap, a dropped bank left a hole that the next
+        # run's set-up arrays could split, and the next bank then landed above
+        # the hole's still-resident pages (many_devices peak RSS +5 MB)
+        shape = (len(self.devices), len(self.global_model))
+        pages = mmap.mmap(-1, 8 * math.prod(shape))
+        self.bank = np.frombuffer(pages, dtype=np.float64).reshape(shape)
 
 
 @dataclass(frozen=True, kw_only=True)

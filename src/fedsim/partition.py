@@ -258,17 +258,18 @@ def accumulate(
     Row k of the (K, s) `segments` goes to `devices[k]`, whose class counts
     and entropy are row k of `histograms` and `entropies`. One bincount adds
     the segments' class counts and one row-wise pass recomputes the
-    entropies, both in place; with s = 0 the devices are returned as they
-    were.
+    entropies, both in place. The grown devices are consecutive slices of
+    one new array, made by one concatenation: device k's old data, then its
+    segment. With s = 0 the devices are returned as they were.
     """
     if len(segments) != len(devices):
         raise ValueError("need exactly one segment per device")
-    if segments.shape[1] == 0:
+    width = segments.shape[1]
+    if width == 0:
         return list(devices)
-    lengths = np.full(len(segments), segments.shape[1])
+    lengths = np.full(len(segments), width)
     histograms += _stacked_histograms(segments.ravel(), lengths, train.labels, train.num_classes)
     entropies[:] = normalized_entropies(histograms)
-    # a new list, not devices replaced in place: the caller drops all the old
-    # arrays at once, where freeing each as its successor is built fragments
-    # the heap (many_devices peak RSS rose about 5 %)
-    return [np.concatenate([data, seg]) for data, seg in zip(devices, segments)]
+    flat = np.concatenate([part for pair in zip(devices, segments) for part in pair])
+    ends = np.cumsum([len(data) + width for data in devices]).tolist()
+    return [flat[a:b] for a, b in zip([0, *ends[:-1]], ends)]

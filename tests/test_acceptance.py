@@ -58,15 +58,30 @@ def trend_runs():
     return runs
 
 
-def test_criterion_01_entropy_correctness():
-    started = time.perf_counter()
-    rng = np.random.default_rng(2024)
-    checked = 0
+def _entropy_histograms(rng):
+    """1,000 random class-count histograms, then a uniform and a
+    single-class one of each size from 2 to 15. Random draws are in practice
+    neither, so gate 01's exact-value checks meet a true case only in the
+    second part."""
     for _ in range(1000):
         size = int(rng.integers(2, 16))
         counts = rng.integers(0, 200, size=size)
         if counts.sum() == 0:
             counts[int(rng.integers(size))] = 1
+        yield counts
+    for size in range(2, 16):
+        yield np.full(size, int(rng.integers(1, 200)))
+        single = np.zeros(size, dtype=np.int64)
+        single[int(rng.integers(size))] = int(rng.integers(1, 200))
+        yield single
+
+
+def test_criterion_01_entropy_correctness():
+    started = time.perf_counter()
+    rng = np.random.default_rng(2024)
+    checked = 0
+    for counts in _entropy_histograms(rng):
+        size = len(counts)
         value = fs.normalized_entropy(counts)
         # direct-summation oracle
         total = counts.sum()
@@ -85,7 +100,7 @@ def test_criterion_01_entropy_correctness():
     elapsed = time.perf_counter() - started
     _report(
         "criterion-01 entropy",
-        checked == 1000 and elapsed < 1.0,
+        checked == 1000 + 2 * 14 and elapsed < 1.0,
         f"{checked} histograms in {elapsed:.2f}s",
     )
 

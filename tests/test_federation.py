@@ -1,6 +1,7 @@
 import inspect
 import math
 import sys
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedsim import nn
+from fedsim import harness, nn
 from fedsim.data import LabeledSet
 from fedsim.config import ExperimentConfig
 from fedsim.errors import ConfigInvalid, NumericalDivergence
@@ -76,7 +77,8 @@ class TestSelectDevices:
         assert select_devices([0.3, 0.2, 0.9], 1.0) == [0, 1, 2]
 
     def test_tie_break_toward_lower_id(self):
-        assert select_devices([0.5, 0.5, 0.1], 0.67) == [0, 1]
+        # one of the two tied devices is kept: the lower id
+        assert select_devices([0.5, 0.5, 0.1], 0.34) == [0]
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(8)
@@ -103,6 +105,21 @@ class TestAggregateFedavg:
         model = vec([0.7, -0.3, 2.0])
         out = aggregate_fedavg(*bank(model.values), [17])
         np.testing.assert_array_equal(out.values, model.values)
+
+    @pytest.mark.parametrize("width", [1, 3, 127, 128, 129, 130, 131, 132, 874])
+    def test_bits_equal_one_product_over_all_columns(self, width):
+        # the merge runs in blocks of 128 columns, and a block 1 to 3 columns
+        # wide sums in another order, so widths just past a block edge are
+        # drawn; 8 rows keep the whole product on one BLAS thread
+        rng = np.random.default_rng(width)
+        values, layout = bank(*rng.standard_normal((8, width)))
+        weights = rng.random(8)
+        out = aggregate_fedavg(values, layout, weights)
+        np.testing.assert_array_equal(out.values, weights / weights.sum() @ values)
+        rows = [1, 4, 5, 7]
+        out = aggregate_fedavg(values, layout, weights[rows], rows)
+        p = weights[rows] / weights[rows].sum()
+        np.testing.assert_array_equal(out.values, p @ values[rows])
 
     def test_zero_total_weight(self):
         with pytest.raises(ValueError, match="weights sum to zero"):
@@ -369,6 +386,40 @@ class TestRunRound:
         assert sorted(train_calls) == sorted(
             [(0, 12, True)] * 2 + [(a, n, a == 0) for a, n in eight] * 2
         )
+
+    def test_a_round_holds_no_bank_sized_temporary(self, monkeypatch):
+        # a many_devices-shaped run: its (600, 874) model bank is four times
+        # bank_divergence's float budget, and DDFL merges 540 of its rows;
+        # a round's heap above its start stays under half the bank, so no
+        # step copies the bank or most of its rows
+        peaks, bank_bytes = [], []
+        run_round = harness.run_round
+
+        def measured(state, cfg):
+            tracemalloc.start()
+            try:
+                result = run_round(state, cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            bank_bytes.append(state.bank.nbytes)
+            return result
+
+        monkeypatch.setattr(harness, "run_round", measured)
+        harness.run_experiment(
+            ExperimentConfig(
+                dataset_params={"num_classes": 10, "per_class": 600, "input_dim": 16, "spread": 0.3},
+                devices=600,
+                rounds=2,
+                learning_rate=1.0,
+                queue_fraction=0.3,
+                segment_size=4,
+                partition_mode="iid",
+                aggregator="ddfl_entropy",
+            )
+        )
+        assert bank_bytes == [600 * 874 * 8] * 2
+        assert max(peaks) < bank_bytes[0] / 2
 
     def test_report_contents(self):
         # the values of the metrics row are checked against the plain-code
